@@ -15,11 +15,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from ordpareto.core import (
+    B_HEAD,
     CategorySpace,
+    ConeMatrix,
     InvalidCategoryError,
     OrdparetoError,
     counting_vector,
-    head_transform,
     ordinal_vector,
     pareto_dominates,
 )
@@ -255,7 +256,7 @@ def _path_entries(
             counting_vector((e.categories[l] for e in rep_edges), space)
             for l, space in enumerate(g.spaces)
         )
-        ordinals = tuple(counting_vector_to_ordinal(c) for c in countings)
+        ordinals = tuple(ordinal_vector(c) for c in countings)
         weights = tuple(
             sum((e.weights[j] for e in rep_edges), Fraction(0))
             for j in range(g.num_real)
@@ -270,10 +271,6 @@ def _path_entries(
             )
         )
     return tuple(entries)
-
-
-def counting_vector_to_ordinal(counts: Sequence[int]) -> tuple[int, ...]:
-    return ordinal_vector(counts)
 
 
 def solve_shortest_path(
@@ -355,59 +352,59 @@ def solve_knapsack(
 ) -> SolveResult:
     """Pareto-maximal head-count vectors over capacity-feasible subsets.
 
-    Dynamic programming over items with per-consumption-level state sets;
-    head counts are maximized so the empty subset is not trivially optimal.
+    Dynamic programming over items in id order: each head vector reached
+    keeps ``(weight, subset)`` pairs, and each item extends every pair that
+    still fits. All subsets of one head have the same size, ``head[-1]``,
+    so appending a larger id keeps their lexicographic order; a pair beaten
+    on both weight and subset by another pair of its head can never hold
+    the representative (smallest id tuple) and is dropped unless
+    ``all_efficient``. Head counts are maximized so the empty subset is not
+    trivially optimal.
     """
-    # states[used]: head vector -> list of item-id tuples
-    states: list[dict[tuple[int, ...], list[tuple[int, ...]]]] = [
-        {} for _ in range(k.capacity + 1)
-    ]
-    zero = (0,) * k.space.K
-    states[0][zero] = [()]
-    items = sorted(k.items, key=lambda it: it.id)
-    for item in items:
-        delta = tuple(
-            1 if j >= item.category else 0 for j in range(1, k.space.K + 1)
-        )
-        for used in range(k.capacity - item.weight, -1, -1):
-            for vec, sols in list(states[used].items()):
-                new_vec = tuple(a + b for a, b in zip(vec, delta))
-                new_used = used + item.weight
-                bucket = states[new_used]
-                new_sols = [s + (item.id,) for s in sols]
-                if new_vec in bucket:
-                    bucket[new_vec].extend(new_sols)
-                else:
-                    bucket[new_vec] = new_sols
+    K = k.space.K
+    states: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {
+        (0,) * K: [(0, ())]
+    }
+    for item in sorted(k.items, key=lambda it: it.id):
+        delta = tuple(1 if j >= item.category else 0 for j in range(1, K + 1))
+        limit = k.capacity - item.weight
+        grown = []  # merged only after the scan, so no pair takes the item twice
+        for head, pairs in states.items():
+            fits = [
+                (w + item.weight, s + (item.id,)) for w, s in pairs if w <= limit
+            ]
+            if fits:
+                grown.append((tuple(a + b for a, b in zip(head, delta)), fits))
+        for head, fits in grown:
+            pairs = states.get(head)
+            if pairs is None:
+                states[head] = fits
+            elif all_efficient:
+                pairs.extend(fits)
+            else:  # keep a pair only if its subset beats every lighter pair's
+                kept = []
+                for pair in sorted(pairs + fits):
+                    if not kept or pair[1] < kept[-1][1]:
+                        kept.append(pair)
+                states[head] = kept
 
-    # Collect all feasible head vectors and filter for Pareto-maximality.
-    combined: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for bucket in states:
-        for vec, sols in bucket.items():
-            combined.setdefault(vec, []).extend(sols)
-    vectors = list(combined)
+    # Descending order puts every head after the heads weakly above it.
+    frontier: list[tuple[int, ...]] = []
+    for head in sorted(states, reverse=True):
+        if not any(all(a <= b for a, b in zip(head, other)) for other in frontier):
+            frontier.append(head)
+    head_inverse = ConeMatrix(K, B_HEAD)
     entries = []
-    for vec in sorted(vectors):
-        if any(pareto_dominates(vec, other) for other in vectors):
-            continue  # some other vector is componentwise >= and different
-        sols = sorted(set(combined[vec]))
-        if not all_efficient:
-            sols = sols[:1]
-        counts = head_to_counting(vec)
+    for head in reversed(frontier):
+        sols = sorted(s for _, s in states[head])
+        counts = head_inverse.apply(head)
         entries.append(
             ResultEntry(
-                value=vec,
+                value=head,
                 countings=(counts,),
                 ordinals=(ordinal_vector(counts),),
                 weights=(),
-                solutions=tuple(sols),
+                solutions=tuple(sols if all_efficient else sols[:1]),
             )
         )
     return SolveResult(OK, tuple(entries))
-
-
-def head_to_counting(heads: Sequence[int]) -> tuple[int, ...]:
-    """Invert prefix sums back to a counting vector."""
-    return tuple(
-        heads[j] - (heads[j - 1] if j else 0) for j in range(len(heads))
-    )

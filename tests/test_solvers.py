@@ -1,7 +1,13 @@
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import ordpareto
 
 from ordpareto.core import (
     CategorySpace,
@@ -140,6 +146,21 @@ class TestAgainstOracle:
             }
             assert got == expected
 
+    def test_knapsack_all_efficient_matches_oracle_solutions(self):
+        rng = random.Random(52)
+        for _ in range(60):
+            k = random_knapsack(rng)
+            res = solve_knapsack(k, all_efficient=True)
+            listed = [s for e in res.entries for s in e.solutions]
+            expected = {
+                s.elements
+                for s in oracle_efficient_set(enumerate_subsets(k), "head")
+            }
+            assert len(listed) == len(set(listed))
+            assert set(listed) == expected
+            reps = [e.representative for e in solve_knapsack(k).entries]
+            assert reps == [min(e.solutions) for e in res.entries]
+
 
 class TestKnapsack:
     def test_three_items(self):
@@ -161,6 +182,41 @@ class TestKnapsack:
         k = KnapsackInstance(items, 4, CategorySpace(2))
         res = solve_knapsack(k)
         assert set(res.values()) == {(1, 1), (0, 2)}
+
+    def test_equal_head_representative_is_smallest_subset(self):
+        # both singletons reach head (1, 1); the heavier one has the smaller id
+        for items in ((Item(1, 5, 1), Item(2, 1, 1)),
+                      (Item(2, 1, 1), Item(1, 5, 1))):
+            k = KnapsackInstance(items, 5, CategorySpace(2))
+            assert solve_knapsack(k).entries[0].solutions == ((1,),)
+            everything = solve_knapsack(k, all_efficient=True)
+            assert everything.entries[0].solutions == ((1,), (2,))
+
+    def test_huge_capacity_matches_oracle(self):
+        # A DP that allocates per capacity unit exhausts memory here, so the
+        # solve runs in a child process under an address-space cap.
+        script = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+            from ordpareto.core import CategorySpace, head_transform
+            from ordpareto.oracle import enumerate_subsets, oracle_efficient_set
+            from ordpareto.solvers import Item, KnapsackInstance, solve_knapsack
+            items = (Item(1, 6 * 10**11, 2), Item(2, 5 * 10**11, 1), Item(3, 1, 2))
+            k = KnapsackInstance(items, 10**12, CategorySpace(2))
+            efficient = oracle_efficient_set(enumerate_subsets(k), "head")
+            res = solve_knapsack(k, all_efficient=True)
+            assert set(res.values()) == {head_transform(s.counting) for s in efficient}
+            assert {s for e in res.entries for s in e.solutions} == {
+                s.elements for s in efficient
+            }
+            assert solve_knapsack(k).entries[0].representative == (2, 3)
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=Path(ordpareto.__file__).resolve().parents[1],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMixed:
