@@ -50,11 +50,16 @@ from ordpareto.solvers import (
 
 def _read_int_vectors(stream) -> list[tuple[int, ...]]:
     vectors = []
-    for raw in stream:
+    for no, raw in enumerate(stream, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        vectors.append(tuple(int(t) for t in line.replace(",", " ").split()))
+        try:
+            vectors.append(tuple(map(int, line.replace(",", " ").split())))
+        except ValueError:
+            raise OrdparetoError(
+                f"line {no}: not an integer vector: {line!r}"
+            ) from None
     if not vectors:
         raise OrdparetoError("no vectors on stdin")
     dim = len(vectors[0])
@@ -95,7 +100,11 @@ def _cmd_filter(args) -> int:
 
 def _load_instance(path: str):
     with open(path, encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise OrdparetoError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_instance(text)
 
 
 def _cmd_solve(args) -> int:
@@ -131,7 +140,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_scalarize(args) -> int:
-    weights = [Fraction(t) for t in args.weights.replace(",", " ").split()]
+    try:
+        weights = [Fraction(t) for t in args.weights.replace(",", " ").split()]
+    except (ValueError, ZeroDivisionError):
+        raise OrdparetoError(f"not rational weights: {args.weights!r}") from None
     vectors = _read_int_vectors(sys.stdin)
     value, argmins = weighted_sum_solve(PointSet(tuple(vectors)), weights)
     print(f"minimum {value}")

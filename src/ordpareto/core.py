@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import sub
 from typing import Iterable, Sequence
 
 
@@ -310,7 +312,8 @@ def dominance_certificate(
         nu = _expensive_tail_representation(j_star, 2 * sum(v) * K, K)
         val_u = numeric_value(nu, u)
         val_v = numeric_value(nu, v)
-        assert val_u > val_v, (u, v, nu)
+        if not val_u > val_v:
+            raise OrdparetoError(f"certificate check failed for {u} vs {v}")
         return DominanceCertificate(NOT_DOMINATED, nu, val_u, val_v)
 
     # u weakly tail-dominates v and u != v, hence strictly. Anchor at the
@@ -319,7 +322,8 @@ def dominance_certificate(
     nu = _expensive_tail_representation(j_star, 2 * sum(u) * K, K)
     val_u = numeric_value(nu, u)
     val_v = numeric_value(nu, v)
-    assert val_u < val_v, (u, v, nu)
+    if not val_u < val_v:
+        raise OrdparetoError(f"certificate check failed for {u} vs {v}")
     return DominanceCertificate(DOMINATES, nu, val_u, val_v)
 
 
@@ -371,15 +375,19 @@ class ConeMatrix:
         )
 
     def apply(self, d: Sequence) -> tuple:
-        """Matrix-vector product (exact; accepts ints or fractions)."""
+        """Matrix-vector product (exact; accepts ints or fractions), in O(K)
+        as suffix sums, prefix sums or first differences."""
         if len(d) != self.K:
             raise DimensionMismatchError(
                 f"vector length {len(d)} != matrix dimension {self.K}"
             )
-        return tuple(
-            sum(self.entry(i, j + 1) * d[j] for j in range(self.K))
-            for i in range(1, self.K + 1)
-        )
+        if self.kind == A_TAIL:
+            return tuple(accumulate(reversed(d)))[::-1]
+        if self.kind == A_HEAD:
+            return tuple(accumulate(d))
+        if self.kind == B_TAIL:
+            return tuple(map(sub, d, d[1:])) + (d[-1],)
+        return (d[0],) + tuple(map(sub, d[1:], d))  # B_head
 
     def matmul(self, other: "ConeMatrix") -> tuple[tuple[int, ...], ...]:
         if self.K != other.K:

@@ -88,7 +88,8 @@ def _parse_graph(lines) -> GraphInstance:
     num_real = 0
     spaces: tuple[CategorySpace, ...] = ()
     edges: list[Edge] = []
-    source = target = None
+    edge_lines: list[int] = []
+    source = target = source_no = target_no = None
     saw_objectives = False
 
     for no, tokens in lines[1:]:
@@ -100,10 +101,11 @@ def _parse_graph(lines) -> GraphInstance:
                 if token.startswith("real="):
                     num_real = _int(token[5:], no)
                 elif token.startswith("ordinal="):
-                    ks = token[8:]
-                    spaces = tuple(
-                        CategorySpace(_int(k, no)) for k in ks.split(",") if k
-                    )
+                    ks = [_int(k, no) for k in token[8:].split(",") if k]
+                    try:
+                        spaces = tuple(CategorySpace(k) for k in ks)
+                    except OrdparetoError as exc:
+                        raise ParseError(no, str(exc)) from None
                 else:
                     raise ParseError(no, f"unknown OBJECTIVES field {token!r}")
             if num_real < 0:
@@ -132,10 +134,14 @@ def _parse_graph(lines) -> GraphInstance:
                         no, f"category {cat} outside 1..{space.K}"
                     )
             edges.append(Edge(eid, u, v, weights, cats))
-        elif key == "SOURCE":
-            source = _int(tokens[1], no)
-        elif key == "TARGET":
-            target = _int(tokens[1], no)
+            edge_lines.append(no)
+        elif key in ("SOURCE", "TARGET"):
+            if len(tokens) != 2:
+                raise ParseError(no, f"{key} needs <node>")
+            if key == "SOURCE":
+                source, source_no = _int(tokens[1], no), no
+            else:
+                target, target_no = _int(tokens[1], no), no
         else:
             raise ParseError(no, f"unknown record {key!r}")
 
@@ -148,12 +154,15 @@ def _parse_graph(lines) -> GraphInstance:
         raise ParseError(
             no, f"header promises {edge_count} edges, found {len(edges)}"
         )
+
+    def build(k):
+        return GraphInstance(nodes, edges[:k], spaces, source, target, num_real)
+
     try:
-        return GraphInstance(
-            nodes, tuple(edges), spaces, source, target, num_real
-        )
+        return build(len(edges))
     except OrdparetoError as exc:
-        raise ParseError(no, str(exc)) from None
+        terminal_no = target_no if 1 <= source <= nodes else source_no
+        raise _located(exc, build, edge_lines, terminal_no) from None
 
 
 def _parse_knapsack(lines) -> KnapsackInstance:
@@ -168,6 +177,7 @@ def _parse_knapsack(lines) -> KnapsackInstance:
     space = CategorySpace(K)
 
     items: list[Item] = []
+    item_lines: list[int] = []
     for no, tokens in lines[1:]:
         if tokens[0] != "ITEM":
             raise ParseError(no, f"unknown record {tokens[0]!r}")
@@ -176,15 +186,44 @@ def _parse_knapsack(lines) -> KnapsackInstance:
         items.append(
             Item(_int(tokens[1], no), _int(tokens[2], no), _int(tokens[3], no))
         )
+        item_lines.append(no)
     no = lines[0][0]
     if len(items) != item_count:
         raise ParseError(
             no, f"header promises {item_count} items, found {len(items)}"
         )
+
+    def build(k):
+        return KnapsackInstance(items[:k], capacity, space)
+
     try:
-        return KnapsackInstance(tuple(items), capacity, space)
+        return build(len(items))
     except OrdparetoError as exc:
-        raise ParseError(no, str(exc)) from None
+        raise _located(exc, build, item_lines, no) from None
+
+
+def _located(
+    exc: OrdparetoError, build, lines: list[int], fallback: int
+) -> ParseError:
+    """``exc`` at the line of the record that makes the instance invalid.
+
+    ``build(k)`` validates an instance of the first k records, whose lines
+    are ``lines``; ``build(len(lines))`` raised ``exc``. A record is checked
+    on its own or against the records before it, so every prefix longer
+    than an invalid one is invalid too, and bisection finds the shortest.
+    If no record is needed to fail, the fault is in the other data and is
+    reported at ``fallback``. Runs on the error path only.
+    """
+    lo, hi = 0, len(lines)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            build(mid)
+        except OrdparetoError as shorter:
+            exc, hi = shorter, mid
+        else:
+            lo = mid + 1
+    return ParseError(lines[lo - 1] if lo else fallback, str(exc))
 
 
 def emit_instance(inst: GraphInstance | KnapsackInstance) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Sequence
 
 from ordpareto.core import (
@@ -102,14 +103,9 @@ def cone_filter(ps: PointSet, cone: ConeMatrix, sense: str = "min") -> PointSet:
         raise OrdparetoError(f"sense must be 'min' or 'max': {sense!r}")
 
     def dominates(u, y):
-        if u == y:
-            return False
-        diff = (
-            tuple(a - b for a, b in zip(y, u))
-            if sense == "min"
-            else tuple(a - b for a, b in zip(u, y))
-        )
-        return all(component >= 0 for component in cone.apply(diff))
+        if sense == "max":
+            u, y = y, u
+        return u != y and min(cone.apply(tuple(map(sub, y, u)))) >= 0
 
     keep = [
         i
@@ -181,31 +177,31 @@ def supporting_weights(
     k = len(y)
     # Variables: lambda_1..lambda_k, t; all >= 0 in the LP, strict
     # positivity of lambda is captured by t > 0 at the optimum.
-    c = [Fraction(0)] * k + [Fraction(1)]
-    rows: list[list[Fraction]] = []
-    b: list[Fraction] = []
+    c = [0] * k + [1]
+    rows: list[list[int]] = []
+    b: list[int] = []
     for other in ps.points:
         if tuple(other) == y:
             continue
-        diff = [Fraction(a - o) for a, o in zip(y, other)]
         if sense == "max":
-            diff = [-d for d in diff]
-        rows.append(diff + [Fraction(0)])
-        b.append(Fraction(0))
+            rows.append([o - a for a, o in zip(y, other)] + [0])
+        else:
+            rows.append([a - o for a, o in zip(y, other)] + [0])
+        b.append(0)
     for i in range(k):
-        row = [Fraction(0)] * (k + 1)
-        row[i] = Fraction(-1)
-        row[k] = Fraction(1)
+        row = [0] * (k + 1)
+        row[i] = -1
+        row[k] = 1
         rows.append(row)  # t - lambda_i <= 0
-        b.append(Fraction(0))
-    ones = [Fraction(1)] * k + [Fraction(0)]
+        b.append(0)
+    ones = [1] * k + [0]
     rows.append(ones)
-    b.append(Fraction(1))
+    b.append(1)
     rows.append([-v for v in ones])
-    b.append(Fraction(-1))
+    b.append(-1)
     # Cap t so the LP stays bounded.
-    rows.append([Fraction(0)] * k + [Fraction(1)])
-    b.append(Fraction(1))
+    rows.append([0] * k + [1])
+    b.append(1)
 
     status, objective, x = solve_lp(c, rows, b)
     if status != OPTIMAL or objective <= 0:

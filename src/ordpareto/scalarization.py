@@ -64,6 +64,20 @@ def weighted_sum_solve(
     return best, ps._sorted(keep, ps.space_tag)
 
 
+def _prefix_normalize(lam: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    # lambda_to_mu without validation; also maps boundary weights.
+    K = len(lam)
+    denom = sum((K - j) * lam[j] for j in range(K))
+    if denom == 0:
+        raise OrdparetoError("degenerate weight vector")
+    acc = Fraction(0)
+    out = []
+    for l in lam:
+        acc += l
+        out.append(acc / denom)
+    return tuple(out)
+
+
 def lambda_to_mu(weights: Sequence) -> tuple[Fraction, ...]:
     """Convert tail-space weights to normalized counting-space weights.
 
@@ -72,15 +86,7 @@ def lambda_to_mu(weights: Sequence) -> tuple[Fraction, ...]:
     sums under mu (over counting vectors) and lambda (over tails) differ by
     this positive factor only, so argmin sets coincide.
     """
-    lam = check_lambda(weights)
-    K = len(lam)
-    denom = sum((K - j) * lam[j] for j in range(K))
-    acc = Fraction(0)
-    mu = []
-    for l in lam:
-        acc += l
-        mu.append(acc / denom)
-    return tuple(mu)
+    return _prefix_normalize(check_lambda(weights))
 
 
 def mu_to_lambda(weights: Sequence) -> tuple[Fraction, ...]:
@@ -128,53 +134,51 @@ def _lift(projected: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 def _cell_vertices_k2(
-    halfspaces: Sequence[Halfspace],
+    normals: Sequence[tuple[int, ...]],
 ) -> list[tuple[Fraction, ...]]:
-    # One free coordinate lambda_1 in [0, 1]; each halfspace restricts it to
-    # an interval. Intersect them all.
-    lo, hi = Fraction(0), Fraction(1)
-    for h in halfspaces:
-        # coeffs.(x, 1-x) <= rhs  ->  (c0 - c1) x <= rhs - c1
-        a = h.coeffs[0] - h.coeffs[1]
-        b = h.rhs - h.coeffs[1]
+    # One free coordinate x = lambda_1 in [0, 1]; each d.(x, 1-x) <= 0 is
+    # (d0 - d1) x <= -d1. Intersect the intervals, keeping each bound as an
+    # integer pair (numerator, denominator > 0).
+    lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
+    for d0, d1 in normals:
+        a, b = d0 - d1, -d1
         if a > 0:
-            hi = min(hi, b / a)
+            if b * hi_d < hi_n * a:
+                hi_n, hi_d = b, a
         elif a < 0:
-            lo = max(lo, b / a)
+            if b * lo_d < lo_n * a:  # b/a > lo, as a < 0
+                lo_n, lo_d = -b, -a
         elif b < 0:
             return []
-    if lo > hi:
+    if lo_n * hi_d > hi_n * lo_d:
         return []
+    lo, hi = Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
     return [(lo,)] if lo == hi else [(lo,), (hi,)]
 
 
 def _cell_vertices_k3(
-    halfspaces: Sequence[Halfspace],
+    normals: Sequence[tuple[int, ...]],
 ) -> list[tuple[Fraction, ...]]:
     # Work in (x, y) = (lambda_1, lambda_2), lambda_3 = 1 - x - y. Each
-    # halfspace becomes a line a x + b y <= c; the simplex contributes
-    # x >= 0, y >= 0, x + y <= 1. Enumerate pairwise line intersections and
-    # keep the feasible ones.
-    lines: list[tuple[Fraction, Fraction, Fraction]] = []
-    for h in halfspaces:
-        c0, c1, c2 = h.coeffs
-        lines.append((c0 - c2, c1 - c2, h.rhs - c2))
-    lines.append((Fraction(-1), Fraction(0), Fraction(0)))  # x >= 0
-    lines.append((Fraction(0), Fraction(-1), Fraction(0)))  # y >= 0
-    lines.append((Fraction(1), Fraction(1), Fraction(1)))  # x + y <= 1
-
-    def feasible(x: Fraction, y: Fraction) -> bool:
-        return all(a * x + b * y <= c for a, b, c in lines)
-
+    # d.lambda <= 0 becomes a line a x + b y <= c; the simplex contributes
+    # x >= 0, y >= 0, x + y <= 1. Enumerate pairwise line intersections
+    # (xn / det, yn / det) with det > 0 and keep the feasible ones, all in
+    # integers; only the survivors become fractions.
+    lines = [(d0 - d2, d1 - d2, -d2) for d0, d1, d2 in normals]
+    lines += [(-1, 0, 0), (0, -1, 0), (1, 1, 1)]
     vertices: list[tuple[Fraction, Fraction]] = []
     for (a1, b1, c1), (a2, b2, c2) in combinations(lines, 2):
         det = a1 * b2 - a2 * b1
         if det == 0:
             continue
-        x = (c1 * b2 - c2 * b1) / det
-        y = (a1 * c2 - a2 * c1) / det
-        if feasible(x, y) and (x, y) not in vertices:
-            vertices.append((x, y))
+        xn = c1 * b2 - c2 * b1
+        yn = a1 * c2 - a2 * c1
+        if det < 0:
+            det, xn, yn = -det, -xn, -yn
+        if all(a * xn + b * yn <= c * det for a, b, c in lines):
+            v = (Fraction(xn, det), Fraction(yn, det))
+            if v not in vertices:
+                vertices.append(v)
     if len(vertices) <= 2:
         return [tuple(v) for v in vertices]
     # Order counterclockwise around the centroid; exact comparisons only
@@ -215,39 +219,19 @@ def weight_space_decomposition(
     for y in values:
         if supporting_weights(y, ps) is None:
             continue
+        normals = [
+            tuple(a - b for a, b in zip(y, other)) for other in values if other != y
+        ]
         halfspaces = tuple(
-            Halfspace(tuple(Fraction(a - b) for a, b in zip(y, other)), Fraction(0))
-            for other in values
-            if other != y
+            Halfspace(tuple(Fraction(a) for a in d), Fraction(0)) for d in normals
         )
         vertices: tuple = ()
         mu_vertices: tuple = ()
         if with_vertices and K in (2, 3):
             enum = _cell_vertices_k2 if K == 2 else _cell_vertices_k3
-            verts = enum(list(halfspaces))
-            vertices = tuple(verts)
-            mus = []
-            for v in verts:
-                lam = _lift(v)
-                if any(x <= 0 for x in lam):
-                    # Boundary vertex: the mu map extends continuously.
-                    mu = _prefix_normalize(lam)
-                else:
-                    mu = lambda_to_mu(lam)
-                mus.append(tuple(mu))
-            mu_vertices = tuple(mus)
+            vertices = tuple(enum(normals))
+            # Boundary vertices included: the mu map extends continuously.
+            mu_vertices = tuple(_prefix_normalize(_lift(v)) for v in vertices)
         cells.append(WeightCell(tuple(y), halfspaces, vertices, mu_vertices))
     return cells
 
-
-def _prefix_normalize(lam: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    K = len(lam)
-    denom = sum((K - j) * lam[j] for j in range(K))
-    if denom == 0:
-        raise OrdparetoError("degenerate weight vector")
-    acc = Fraction(0)
-    out = []
-    for l in lam:
-        acc += l
-        out.append(acc / denom)
-    return tuple(out)

@@ -1,14 +1,19 @@
-"""A tiny exact linear program solver over fractions.
+"""A tiny exact linear program solver over integers.
 
 Solves  max c.x  s.t.  A x <= b,  x >= 0  with a two-phase tableau simplex
-using Bland's rule. Everything is kept in ``fractions.Fraction``, so results
-are exact; intended for the desk-scale feasibility questions in this package
-(supportedness tests, weight-cell interiors), not for large programs.
+using Bland's rule. The tableau is fraction-free (Edmonds 1967, Bareiss
+1968): each row is scaled to integers, every entry is a Python int over one
+common denominator ``d`` (the basis determinant), and a pivot on ``p``
+computes ``(p * v - f * w) // d``, which divides exactly. Only the result
+is converted to ``fractions.Fraction``, so it is exact; intended for the
+desk-scale feasibility questions in this package (supportedness tests,
+weight-cell interiors), not for large programs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 UNBOUNDED = "unbounded"
@@ -16,110 +21,123 @@ INFEASIBLE = "infeasible"
 OPTIMAL = "optimal"
 
 
+def _integer_row(values: Sequence) -> list[int]:
+    """Ints or fractions times the lcm of their denominators (positive)."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
 def solve_lp(
-    c: Sequence[Fraction],
-    a_rows: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
+    c: Sequence[int | Fraction],
+    a_rows: Sequence[Sequence[int | Fraction]],
+    b: Sequence[int | Fraction],
 ) -> tuple[str, Fraction | None, list[Fraction] | None]:
-    """Maximize c.x subject to A x <= b, x >= 0.
+    """Maximize c.x subject to A x <= b, x >= 0 (ints or fractions).
 
     Returns (status, objective, x). ``objective`` and ``x`` are None unless
     status is "optimal".
     """
     n = len(c)
     m = len(a_rows)
-    c = [Fraction(v) for v in c]
-    rows = [[Fraction(v) for v in row] for row in a_rows]
-    b = [Fraction(v) for v in b]
 
-    # Tableau columns: n structural + m slack + 1 rhs. Negative rhs rows are
-    # handled by phase 1 with artificial variables.
-    width = n + m
+    # Tableau columns: n structural + m slack + artificials + 1 rhs. Scaling
+    # a row by a positive integer scales its slack the same way, which
+    # changes neither a ratio nor the sign of a reduced cost, so the pivots
+    # are those of the unscaled tableau. Negative rhs rows are negated and
+    # get an artificial basic variable for phase 1.
     tableau = []
-    basis = []
-    artificial: list[int] = []
+    negated = []
     for i in range(m):
-        row = rows[i] + [Fraction(0)] * m + [b[i]]
-        row[n + i] = Fraction(1)
-        if b[i] < 0:
+        row = _integer_row(list(a_rows[i]) + [b[i]])
+        rhs = row.pop()
+        row += [0] * m + [rhs]
+        row[n + i] = 1
+        if rhs < 0:
             row = [-v for v in row]
+            negated.append(i)
         tableau.append(row)
-        basis.append(n + i)
+    basis = list(range(n, n + m))
+    width = n + m + len(negated)
+    for k, i in enumerate(negated):
+        for j, row in enumerate(tableau):
+            row.insert(n + m + k, 1 if j == i else 0)
+        basis[i] = n + m + k
+    denom = 1  # every tableau entry is its integer over this
 
-    # Rows whose slack got negated need an artificial basic variable.
-    for i in range(m):
-        if tableau[i][basis[i]] != 1:
-            col = width + len(artificial)
-            artificial.append(col)
-            for j, row in enumerate(tableau):
-                row.insert(col, Fraction(1 if j == i else 0))
-            basis[i] = col
-    width += len(artificial)
-
-    def pivot(row_idx: int, col_idx: int) -> None:
-        piv = tableau[row_idx][col_idx]
-        tableau[row_idx] = [v / piv for v in tableau[row_idx]]
+    def pivot(row_idx: int, col_idx: int, objective: list[int] | None) -> None:
+        nonlocal denom
+        prow = tableau[row_idx]
+        piv = prow[col_idx]
+        if piv < 0:
+            piv = -piv
+            prow = tableau[row_idx] = [-v for v in prow]
         for r in range(m):
-            if r != row_idx and tableau[r][col_idx] != 0:
-                factor = tableau[r][col_idx]
+            if r == row_idx:
+                continue
+            row = tableau[r]
+            factor = row[col_idx]
+            if factor:
                 tableau[r] = [
-                    v - factor * w for v, w in zip(tableau[r], tableau[row_idx])
+                    (piv * v - factor * w) // denom for v, w in zip(row, prow)
                 ]
+            elif piv != denom:
+                tableau[r] = [piv * v // denom for v in row]
+        if objective is not None:
+            factor = objective[col_idx]
+            objective[:] = [
+                (piv * v - factor * w) // denom
+                for v, w in zip(objective, prow)
+            ]
         basis[row_idx] = col_idx
+        denom = piv
 
-    def run_simplex(obj: list[Fraction]) -> str:
-        # obj has width entries; reduced costs computed against the basis.
+    def run_simplex(obj: Sequence[int]) -> str:
+        # Reduced costs, times denom: denom * obj_j - sum_r obj_basis(r) T_rj.
+        reduced = [denom * v for v in obj]
+        for r in range(m):
+            coef = obj[basis[r]]
+            if coef:
+                reduced = [rc - coef * tv for rc, tv in zip(reduced, tableau[r])]
         while True:
-            reduced = list(obj)
-            for r in range(m):
-                coef = obj[basis[r]]
-                if coef != 0:
-                    reduced = [
-                        rc - coef * tv
-                        for rc, tv in zip(reduced, tableau[r][:width])
-                    ]
             enter = next((j for j in range(width) if reduced[j] > 0), None)
             if enter is None:
                 return OPTIMAL
-            ratios = [
-                (tableau[r][width] / tableau[r][enter], basis[r], r)
-                for r in range(m)
-                if tableau[r][enter] > 0
-            ]
-            if not ratios:
+            # Bland: min ratio rhs / entry, then min basis index.
+            leave = None
+            for r in range(m):
+                entry = tableau[r][enter]
+                if entry > 0:
+                    rhs = tableau[r][-1]
+                    if leave is None:
+                        leave, best_rhs, best_entry = r, rhs, entry
+                        continue
+                    lhs_cmp = rhs * best_entry
+                    rhs_cmp = best_rhs * entry
+                    if lhs_cmp < rhs_cmp or (
+                        lhs_cmp == rhs_cmp and basis[r] < basis[leave]
+                    ):
+                        leave, best_rhs, best_entry = r, rhs, entry
+            if leave is None:
                 return UNBOUNDED
-            _, _, leave = min(ratios)  # Bland: min ratio, then min basis index
-            pivot(leave, enter)
+            pivot(leave, enter, reduced)
 
-    if artificial:
-        phase1 = [Fraction(0)] * width
-        for col in artificial:
-            phase1[col] = Fraction(-1)
+    if negated:
+        phase1 = [0] * (n + m) + [-1] * len(negated) + [0]
         run_simplex(phase1)
-        infeas = sum(
-            tableau[r][width] for r in range(m) if basis[r] in artificial
-        )
-        if infeas != 0:
+        if any(tableau[r][-1] for r in range(m) if basis[r] >= n + m):
             return INFEASIBLE, None, None
-        # Drive remaining artificial variables out of the basis if possible.
+        # Drive the artificial variables still basic (at zero) out of the
+        # basis. The slack columns make the rows independent, so every row
+        # has a nonzero entry outside the artificial columns.
         for r in range(m):
-            if basis[r] in artificial:
-                enter = next(
-                    (
-                        j
-                        for j in range(n + m)
-                        if j not in artificial and tableau[r][j] != 0
-                    ),
-                    None,
-                )
-                if enter is not None:
-                    pivot(r, enter)
+            if basis[r] >= n + m:
+                pivot(r, next(j for j in range(n + m) if tableau[r][j]), None)
+        # No artificial is basic now: drop their columns.
+        width = n + m
+        for r in range(m):
+            tableau[r] = tableau[r][:width] + tableau[r][-1:]
 
-    phase2 = [Fraction(0)] * width
-    for j in range(n):
-        phase2[j] = c[j]
-    for col in artificial:
-        phase2[col] = Fraction(-10**9)  # keep artificials at zero
+    phase2 = _integer_row(list(c) + [0] * (width - n + 1))
     status = run_simplex(phase2)
     if status != OPTIMAL:
         return status, None, None
@@ -127,6 +145,6 @@ def solve_lp(
     x = [Fraction(0)] * n
     for r in range(m):
         if basis[r] < n:
-            x[basis[r]] = tableau[r][width]
-    objective = sum(ci * xi for ci, xi in zip(c, x))
+            x[basis[r]] = Fraction(tableau[r][-1], denom)
+    objective = sum(Fraction(ci) * xi for ci, xi in zip(c, x))
     return OPTIMAL, objective, x

@@ -344,6 +344,10 @@ def solve_weighted_counting(
     )
     if not frontier:
         return SolveResult(UNREACHABLE)
+    # Components the search never added a weight to are still int 0.
+    frontier = {
+        tuple(map(Fraction, value)): paths for value, paths in frontier.items()
+    }
     return SolveResult(OK, _path_entries(g, frontier))
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -300,3 +301,17 @@ class TestConeMatrices:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             ConeMatrix(3, A_TAIL).apply((1, 2))
+
+    @pytest.mark.parametrize("kind", [A_TAIL, B_TAIL, A_HEAD, B_HEAD])
+    def test_apply_matches_entrywise_product(self, kind):
+        rng = random.Random(kind)
+        for k in range(1, 8):
+            cone = ConeMatrix(k, kind)
+            for _ in range(20):
+                d = [rng.randint(-9, 9) for _ in range(k)]
+                if rng.random() < 0.5:
+                    d = [Fraction(v, rng.randint(1, 5)) for v in d]
+                expected = tuple(
+                    sum(e * v for e, v in zip(row, d)) for row in cone.rows()
+                )
+                assert cone.apply(d) == expected

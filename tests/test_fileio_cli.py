@@ -15,6 +15,7 @@ from ordpareto.solvers import (
     KnapsackInstance,
     solve_knapsack,
     solve_shortest_path,
+    solve_weighted_counting,
 )
 
 from conftest import INSTANCE_DIR, routes_k3
@@ -252,3 +253,126 @@ class TestCli:
         )
         assert code == 0
         assert json.loads(out)["status"] == "ok"
+
+
+GRAPH_HEAD = "GRAPH 3 2\nOBJECTIVES real=1 ordinal=2\n"
+GOOD_EDGES = "EDGE 1 1 2 1 1\nEDGE 2 2 3 1 2\n"
+
+
+class TestErrorContract:
+    """Malformed input ends with exit 1 and one ``error: line N:`` line."""
+
+    def solve(self, capsys, tmp_path, text, problem="sp"):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code = main(["solve", problem, str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize(
+        "terminals, line, record",
+        [("SOURCE\nTARGET 3\n", 5, "SOURCE"), ("SOURCE 1\nTARGET\n", 6, "TARGET")],
+    )
+    def test_terminal_without_operand(
+        self, capsys, tmp_path, terminals, line, record
+    ):
+        text = GRAPH_HEAD + GOOD_EDGES + terminals
+        err = self.solve(capsys, tmp_path, text, "mixed")
+        assert err.startswith(f"error: line {line}: {record} needs <node>")
+
+    def test_zero_categories(self, capsys, tmp_path):
+        text = "GRAPH 2 1\nOBJECTIVES real=0 ordinal=0\nEDGE 1 1 2 1\n"
+        err = self.solve(capsys, tmp_path, text + "SOURCE 1\nTARGET 2\n")
+        assert err.startswith("error: line 2: need at least one category")
+
+    def test_edge_node_out_of_range(self, capsys, tmp_path):
+        text = GRAPH_HEAD + "EDGE 1 1 2 1 1\nEDGE 2 2 9 1 2\n"
+        err = self.solve(capsys, tmp_path, text + "SOURCE 1\nTARGET 3\n", "mixed")
+        assert err.startswith("error: line 4: edge 2 touches node 9")
+
+    def test_negative_edge_weight(self, capsys, tmp_path):
+        text = GRAPH_HEAD + "EDGE 1 1 2 -1 1\nEDGE 2 2 3 1 2\n"
+        err = self.solve(capsys, tmp_path, text + "SOURCE 1\nTARGET 3\n", "mixed")
+        assert err.startswith("error: line 3: edge 1 has a negative weight")
+
+    def test_duplicate_edge_id(self, capsys, tmp_path):
+        text = GRAPH_HEAD + "EDGE 1 1 2 1 1\n# comment\nEDGE 1 2 3 1 2\n"
+        err = self.solve(capsys, tmp_path, text + "SOURCE 1\nTARGET 3\n", "mixed")
+        assert err.startswith("error: line 5: duplicate edge id 1")
+
+    def test_terminal_out_of_range(self, capsys, tmp_path):
+        text = GRAPH_HEAD + GOOD_EDGES + "SOURCE 1\nTARGET 7\n"
+        err = self.solve(capsys, tmp_path, text, "mixed")
+        assert err.startswith("error: line 6: terminal node 7 out of range")
+
+    def test_duplicate_item_id(self, capsys, tmp_path):
+        text = "KNAPSACK 3 10 2\nITEM 1 2 1\nITEM 2 3 2\nITEM 1 4 1\n"
+        err = self.solve(capsys, tmp_path, text, "knapsack")
+        assert err.startswith("error: line 4: duplicate item id 1")
+
+    def test_item_weight_not_positive(self, capsys, tmp_path):
+        text = "KNAPSACK 2 10 2\nITEM 1 2 1\nITEM 2 0 2\n"
+        err = self.solve(capsys, tmp_path, text, "knapsack")
+        assert err.startswith("error: line 3: item 2: consumption must be")
+
+    def test_negative_capacity_stays_on_header(self, capsys, tmp_path):
+        text = "KNAPSACK 1 -1 2\nITEM 1 2 1\n"
+        err = self.solve(capsys, tmp_path, text, "knapsack")
+        assert err.startswith("error: line 1: capacity must be nonnegative")
+
+    def test_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "binary.graph"
+        path.write_bytes(b"\xff\xfeGRAPH 2 1\n")
+        assert main(["solve", "sp", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8 text" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["filter"],
+            ["filter", "--cone", "tail"],
+            ["scalarize", "--weights", "1/2,1/2"],
+            ["wsd"],
+        ],
+    )
+    def test_non_integer_stdin(self, capsys, monkeypatch, argv):
+        import io
+        import sys
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1 2\n\n3 x\n"))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: not an integer vector")
+
+    @pytest.mark.parametrize("weights", ["1/0", "1/2,abc"])
+    def test_bad_scalarize_weights(self, capsys, monkeypatch, weights):
+        import io
+        import sys
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1 2\n"))
+        assert main(["scalarize", "--weights", weights]) == 1
+        assert capsys.readouterr().err.startswith("error: not rational weights")
+
+
+class TestWtopValueTypes:
+    # One edge of category 1 with K=2: the second tail component gets no
+    # weight from the search.
+    TEXT = (
+        "GRAPH 2 1\nOBJECTIVES real=1 ordinal=2\n"
+        "EDGE 1 1 2 2 1\nSOURCE 1\nTARGET 2\n"
+    )
+
+    def test_every_component_is_a_fraction(self, capsys, tmp_path):
+        path = tmp_path / "one.graph"
+        path.write_text(self.TEXT)
+        res = solve_weighted_counting(parse_instance(self.TEXT))
+        assert res.values() == ((Fraction(2), Fraction(0)),)
+        assert all(type(v) is Fraction for v in res.entries[0].value)
+        assert main(["solve", "wtop", str(path), "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["entries"][0]["value"] == ["2", "0"]
+        assert main(["solve", "wtop", str(path)]) == 0
+        assert "ctildew=(2,0)" in capsys.readouterr().out

@@ -216,3 +216,58 @@ class TestWeightSpaceDecomposition:
         assert {c.value for c in cells} == {(3, 0), (0, 3)}
         half = (Fraction(1, 2), Fraction(1, 2))
         assert all(cell.contains(half) for cell in cells)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_vertices_match_fraction_reference(self, k):
+        # Corners recomputed in fractions from the cell's own halfspaces:
+        # the feasible intersections of k - 1 boundary lines, in the
+        # projected coordinates (lambda_1, .., lambda_{k-1}).
+        rng = random.Random(31 + k)
+        for _ in range(30):
+            pts = tuple(
+                tuple(rng.randint(0, 30) for _ in range(k))
+                for _ in range(rng.randint(1, 12))
+            )
+            unique = PointSet(
+                tuple(dict.fromkeys(pareto_filter(PointSet(pts)).points))
+            )
+            for cell in weight_space_decomposition(unique):
+                lines = [
+                    tuple(c - h.coeffs[-1] for c in h.coeffs[:-1])
+                    + (h.rhs - h.coeffs[-1],)
+                    for h in cell.halfspaces
+                ]
+                lines += [
+                    tuple(Fraction(-(i == j)) for j in range(k - 1))
+                    + (Fraction(0),)
+                    for i in range(k - 1)
+                ]
+                lines.append((Fraction(1),) * k)
+                corners = set()
+                for chosen in combinations(lines, k - 1):
+                    x = _intersection(chosen)
+                    if x is not None and all(
+                        sum(a * v for a, v in zip(line, x)) <= line[-1]
+                        for line in lines
+                    ):
+                        corners.add(x)
+                assert set(cell.vertices) == corners
+                assert len(cell.vertices) == len(corners)
+                for v, mu in zip(cell.vertices, cell.mu_vertices):
+                    lam = v + (1 - sum(v),)
+                    scale = sum((k - j) * lam[j] for j in range(k))
+                    assert mu == tuple(
+                        sum(lam[: i + 1]) / scale for i in range(k)
+                    )
+
+
+def _intersection(lines):
+    # One line a x = c, or two lines a x + b y = c, by Cramer's rule.
+    if len(lines) == 1:
+        (a, c), = lines
+        return None if a == 0 else (c / a,)
+    (a1, b1, c1), (a2, b2, c2) = lines
+    det = a1 * b2 - a2 * b1
+    if det == 0:
+        return None
+    return ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
