@@ -110,12 +110,7 @@ def _check_counts(counts: Sequence[int]) -> None:
 def tail_transform(counts: Sequence[int]) -> tuple[int, ...]:
     """Suffix sums of a counting vector: entry j counts category j or worse."""
     _check_counts(counts)
-    tails = []
-    acc = 0
-    for c in reversed(counts):
-        acc += c
-        tails.append(acc)
-    return tuple(reversed(tails))
+    return ConeMatrix(len(counts), A_TAIL).apply(counts) if counts else ()
 
 
 def inverse_transform(tails: Sequence[int]) -> tuple[int, ...]:
@@ -132,20 +127,13 @@ def inverse_transform(tails: Sequence[int]) -> tuple[int, ...]:
             raise InvalidTailVectorError(
                 f"tail vector not non-increasing at index {j + 1}: {tails}"
             )
-    return tuple(
-        tails[j] - tails[j + 1] if j < K - 1 else tails[j] for j in range(K)
-    )
+    return ConeMatrix(K, B_TAIL).apply(tails) if K else ()
 
 
 def head_transform(counts: Sequence[int]) -> tuple[int, ...]:
     """Prefix sums of a counting vector: entry j counts category j or better."""
     _check_counts(counts)
-    heads = []
-    acc = 0
-    for c in counts:
-        acc += c
-        heads.append(acc)
-    return tuple(heads)
+    return ConeMatrix(len(counts), A_HEAD).apply(counts) if counts else ()
 
 
 def weakly_tail_dominates(u: Sequence[int], v: Sequence[int]) -> bool:
@@ -182,12 +170,6 @@ def pareto_dominates(u: Sequence, v: Sequence) -> bool:
     """Componentwise <= with u != v."""
     _check_same_length(u, v)
     return tuple(u) != tuple(v) and weakly_pareto_dominates(u, v)
-
-
-def strictly_pareto_dominates(u: Sequence, v: Sequence) -> bool:
-    """Componentwise <."""
-    _check_same_length(u, v)
-    return all(a < b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)

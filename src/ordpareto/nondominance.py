@@ -13,7 +13,6 @@ from operator import sub
 from typing import Sequence
 
 from ordpareto.core import (
-    A_HEAD,
     A_TAIL,
     ConeMatrix,
     DimensionMismatchError,
@@ -21,12 +20,6 @@ from ordpareto.core import (
     pareto_dominates,
 )
 from ordpareto.simplex import OPTIMAL, solve_lp
-
-COUNTING = "counting"
-TAIL = "tail"
-HEAD = "head"
-MIXED = "mixed"
-
 
 class EmptyPointSetError(OrdparetoError):
     """Filters require at least one point."""
@@ -38,7 +31,6 @@ class PointSet:
 
     points: tuple[tuple[int, ...], ...]
     ids: tuple = ()
-    space_tag: str = TAIL
 
     def __post_init__(self):
         points = tuple(tuple(p) for p in self.points)
@@ -59,12 +51,11 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def _sorted(self, keep: list[int], tag: str) -> "PointSet":
+    def _sorted(self, keep: list[int]) -> "PointSet":
         order = sorted(keep, key=lambda i: (self.points[i], self.ids[i]))
         return PointSet(
             tuple(self.points[i] for i in order),
             tuple(self.ids[i] for i in order),
-            tag,
         )
 
 
@@ -73,22 +64,26 @@ def _require_nonempty(ps: PointSet) -> None:
         raise EmptyPointSetError("point set is empty")
 
 
+def _check_sense(sense: str) -> None:
+    if sense not in ("min", "max"):
+        raise OrdparetoError(f"sense must be 'min' or 'max': {sense!r}")
+
+
+def _pareto_dominated(p: tuple, pts: Sequence[tuple], sense: str) -> bool:
+    if sense == "min":
+        return any(pareto_dominates(q, p) for q in pts)
+    return any(pareto_dominates(p, q) for q in pts)
+
+
 def pareto_filter(ps: PointSet, sense: str = "min") -> PointSet:
     """Keep the points without a strict Pareto dominator, sorted
     lexicographically. Duplicates of a retained value are all retained."""
     _require_nonempty(ps)
-    if sense not in ("min", "max"):
-        raise OrdparetoError(f"sense must be 'min' or 'max': {sense!r}")
+    _check_sense(sense)
     pts = ps.points
-    keep = []
-    for i, p in enumerate(pts):
-        if sense == "min":
-            dominated = any(pareto_dominates(q, p) for q in pts)
-        else:
-            dominated = any(pareto_dominates(p, q) for q in pts)
-        if not dominated:
-            keep.append(i)
-    return ps._sorted(keep, ps.space_tag)
+    return ps._sorted(
+        [i for i, p in enumerate(pts) if not _pareto_dominated(p, pts, sense)]
+    )
 
 
 def cone_filter(ps: PointSet, cone: ConeMatrix, sense: str = "min") -> PointSet:
@@ -99,8 +94,7 @@ def cone_filter(ps: PointSet, cone: ConeMatrix, sense: str = "min") -> PointSet:
     the non-dominance mapping theorem; it never transforms the points.
     """
     _require_nonempty(ps)
-    if sense not in ("min", "max"):
-        raise OrdparetoError(f"sense must be 'min' or 'max': {sense!r}")
+    _check_sense(sense)
 
     def dominates(u, y):
         if sense == "max":
@@ -112,19 +106,13 @@ def cone_filter(ps: PointSet, cone: ConeMatrix, sense: str = "min") -> PointSet:
         for i, p in enumerate(ps.points)
         if not any(dominates(q, p) for q in ps.points)
     ]
-    return ps._sorted(keep, ps.space_tag)
+    return ps._sorted(keep)
 
 
 def tail_filter(ps: PointSet) -> PointSet:
     """Cone filter under the ordinal (tail) cone, minimization."""
     dim = len(ps.points[0]) if ps.points else 1
     return cone_filter(ps, ConeMatrix(dim, A_TAIL), "min")
-
-
-def head_filter(ps: PointSet) -> PointSet:
-    """Cone filter under the head cone, maximization."""
-    dim = len(ps.points[0]) if ps.points else 1
-    return cone_filter(ps, ConeMatrix(dim, A_HEAD), "max")
 
 
 def mapping_check(ps: PointSet, cone: ConeMatrix) -> bool:
@@ -137,26 +125,18 @@ def mapping_check(ps: PointSet, cone: ConeMatrix) -> bool:
     """
     _require_nonempty(ps)
     left = sorted(cone.apply(p) for p in cone_filter(ps, cone).points)
-    transformed = PointSet(
-        tuple(cone.apply(p) for p in ps.points), ps.ids, ps.space_tag
-    )
+    transformed = PointSet(tuple(cone.apply(p) for p in ps.points), ps.ids)
     right = sorted(pareto_filter(transformed).points)
     return left == right
 
 
 def is_supported(y: Sequence[int], ps: PointSet, sense: str = "min") -> bool:
-    """Whether a non-dominated point attains some strictly positive
-    weighted-sum minimum over the point set.
-
-    Decided exactly: maximize t subject to lambda_i >= t,
-    sum(lambda) = 1 and lambda.(y - y') <= 0 for every y' in the set;
-    y is supported iff the optimum t is positive. Requires y to be
-    Pareto-non-dominated in ps (precondition error otherwise).
-    """
+    """Whether :func:`supporting_weights` finds weights for y. Requires y to
+    be a Pareto-non-dominated point of ps (precondition error otherwise)."""
     _require_nonempty(ps)
+    _check_sense(sense)
     y = tuple(y)
-    nondom = set(pareto_filter(ps, sense).points)
-    if y not in nondom:
+    if y not in ps.points or _pareto_dominated(y, ps.points, sense):
         raise OrdparetoError(f"{y} is not non-dominated in the point set")
     return supporting_weights(y, ps, sense) is not None
 

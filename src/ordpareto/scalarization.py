@@ -61,7 +61,7 @@ def weighted_sum_solve(
     ]
     best = min(values)
     keep = [i for i, v in enumerate(values) if v == best]
-    return best, ps._sorted(keep, ps.space_tag)
+    return best, ps._sorted(keep)
 
 
 def _prefix_normalize(lam: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -200,9 +200,7 @@ def _cell_vertices_k3(
     return [tuple(v) for v in vertices]
 
 
-def weight_space_decomposition(
-    ps: PointSet, with_vertices: bool = True
-) -> list[WeightCell]:
+def weight_space_decomposition(ps: PointSet) -> list[WeightCell]:
     """Decompose the open weight simplex into one cell per supported value.
 
     ``ps`` must already be Pareto-non-dominated (tail space, minimization).
@@ -227,7 +225,7 @@ def weight_space_decomposition(
         )
         vertices: tuple = ()
         mu_vertices: tuple = ()
-        if with_vertices and K in (2, 3):
+        if K in (2, 3):
             enum = _cell_vertices_k2 if K == 2 else _cell_vertices_k3
             vertices = tuple(enum(normals))
             # Boundary vertices included: the mu map extends continuously.

@@ -10,9 +10,8 @@ representative solutions.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
 
 from ordpareto.core import (
     B_HEAD,
@@ -157,31 +156,17 @@ class SolveResult:
         return tuple(e.value for e in self.entries)
 
 
-def _edge_cost_tail(edge: Edge, spaces: Sequence[CategorySpace]) -> tuple:
-    """Transformed cost of one edge: real weights followed by the per-
-    objective binary tail vectors (ones up to the edge's category)."""
-    cost: list = list(edge.weights)
-    for cat, space in zip(edge.categories, spaces):
-        cost.extend(1 if j <= cat else 0 for j in range(1, space.K + 1))
-    return tuple(cost)
-
-
-def _edge_cost_weighted(edge: Edge, space: CategorySpace) -> tuple:
-    """Transformed weighted counting cost: the edge's weight in every tail
-    component up to its category, zero beyond."""
-    w = edge.weights[0]
-    return tuple(w if j <= edge.categories[0] else 0 for j in range(1, space.K + 1))
-
-
 def _multiobjective_shortest_paths(
-    g: GraphInstance, edge_cost, all_efficient: bool
+    g: GraphInstance, cost: dict[int, tuple], zero: tuple, all_efficient: bool
 ) -> dict[tuple, list[tuple[int, ...]]]:
     """Label-correcting search over simple s-t paths.
 
-    Returns a map from non-dominated cost vector at the target to the list
-    of edge-id paths attaining it (one path unless ``all_efficient``).
-    Labels carry their node sequence, so cyclic extensions are never
-    generated; dominated labels are pruned at every node.
+    ``cost`` maps each edge id to its transformed cost vector and ``zero``
+    is the value of the empty path. Returns a map from non-dominated cost
+    vector at the target to the list of edge-id paths attaining it (one
+    path unless ``all_efficient``). Labels carry their node sequence, so
+    cyclic extensions are never generated; dominated labels are pruned at
+    every node.
     """
     outgoing: dict[int, list[Edge]] = {}
     for e in g.edges:
@@ -189,7 +174,6 @@ def _multiobjective_shortest_paths(
     for edges in outgoing.values():
         edges.sort(key=lambda e: e.id)
 
-    zero = tuple(0 for _ in edge_cost(g.edges[0])) if g.edges else ()
     # labels[node]: value -> list of (edge-id path, visited node frozenset)
     labels: dict[int, dict[tuple, list[tuple[tuple[int, ...], frozenset]]]] = {
         g.source: {zero: [((), frozenset([g.source]))]}
@@ -206,7 +190,7 @@ def _multiobjective_shortest_paths(
         for edge in outgoing.get(node, ()):
             if edge.head in visited:
                 continue
-            new_value = tuple(a + b for a, b in zip(value, edge_cost(edge)))
+            new_value = tuple(a + b for a, b in zip(value, cost[edge.id]))
             new_path = path + (edge.id,)
             new_visited = visited | {edge.head}
             bucket = labels.setdefault(edge.head, {})
@@ -244,14 +228,19 @@ def _multiobjective_shortest_paths(
     return final
 
 
-def _path_entries(
-    g: GraphInstance,
-    frontier: dict[tuple, list[tuple[int, ...]]],
-) -> tuple[ResultEntry, ...]:
+def _solve_paths(
+    g: GraphInstance, cost: dict[int, tuple], zero: tuple, all_efficient: bool
+) -> SolveResult:
+    """The pipeline shared by the path solvers: search on the transformed
+    edge costs, then one entry per non-dominated value, with the counting
+    and ordinal images and real weights of its representative path."""
+    frontier = _multiobjective_shortest_paths(g, cost, zero, all_efficient)
+    if not frontier:
+        return SolveResult(UNREACHABLE)
+    edges = {e.id: e for e in g.edges}
     entries = []
     for value in sorted(frontier):
-        rep = frontier[value][0]
-        rep_edges = [g.edge_by_id(i) for i in rep]
+        rep_edges = [edges[i] for i in frontier[value][0]]
         countings = tuple(
             counting_vector((e.categories[l] for e in rep_edges), space)
             for l, space in enumerate(g.spaces)
@@ -267,10 +256,10 @@ def _path_entries(
                 countings=countings,
                 ordinals=ordinals,
                 weights=weights,
-                solutions=tuple(tuple(p) for p in frontier[value]),
+                solutions=tuple(frontier[value]),
             )
         )
-    return tuple(entries)
+    return SolveResult(OK, tuple(entries))
 
 
 def solve_shortest_path(
@@ -295,25 +284,19 @@ def solve_mixed(g: GraphInstance, all_efficient: bool = False) -> SolveResult:
     tail vectors (block-diagonal transformation of the outcome vector)."""
     if g.num_real + len(g.spaces) < 1:
         raise OrdparetoError("need at least one objective")
-    if g.source == g.target:
-        zero_value = tuple(
-            [Fraction(0)] * g.num_real
-            + [0] * sum(s.K for s in g.spaces)
+    # Each edge costs its real weights followed by one binary tail vector
+    # per ordinal objective (ones up to the edge's category).
+    cost = {
+        e.id: tuple(e.weights)
+        + tuple(
+            1 if j <= cat else 0
+            for cat, space in zip(e.categories, g.spaces)
+            for j in range(1, space.K + 1)
         )
-        entry = ResultEntry(
-            value=zero_value,
-            countings=tuple((0,) * s.K for s in g.spaces),
-            ordinals=tuple(() for _ in g.spaces),
-            weights=(Fraction(0),) * g.num_real,
-            solutions=((),),
-        )
-        return SolveResult(OK, (entry,))
-    frontier = _multiobjective_shortest_paths(
-        g, lambda e: _edge_cost_tail(e, g.spaces), all_efficient
-    )
-    if not frontier:
-        return SolveResult(UNREACHABLE)
-    return SolveResult(OK, _path_entries(g, frontier))
+        for e in g.edges
+    }
+    zero = (Fraction(0),) * g.num_real + (0,) * sum(s.K for s in g.spaces)
+    return _solve_paths(g, cost, zero, all_efficient)
 
 
 def solve_weighted_counting(
@@ -330,25 +313,20 @@ def solve_weighted_counting(
             "solve_weighted_counting expects exactly one weight and one "
             "ordinal objective per edge"
         )
-    if g.source == g.target:
-        entry = ResultEntry(
-            value=(Fraction(0),) * g.spaces[0].K,
-            countings=((0,) * g.spaces[0].K,),
-            ordinals=((),),
-            weights=(Fraction(0),),
-            solutions=((),),
+    K = g.spaces[0].K
+    cost = {
+        e.id: tuple(
+            e.weights[0] if j <= e.categories[0] else 0 for j in range(1, K + 1)
         )
-        return SolveResult(OK, (entry,))
-    frontier = _multiobjective_shortest_paths(
-        g, lambda e: _edge_cost_weighted(e, g.spaces[0]), all_efficient
-    )
-    if not frontier:
-        return SolveResult(UNREACHABLE)
-    # Components the search never added a weight to are still int 0.
-    frontier = {
-        tuple(map(Fraction, value)): paths for value, paths in frontier.items()
+        for e in g.edges
     }
-    return SolveResult(OK, _path_entries(g, frontier))
+    # Int zeros keep untouched components out of Fraction arithmetic in the
+    # search (Fraction zeros made it 20-40% slower); report all-Fraction values.
+    res = _solve_paths(g, cost, (0,) * K, all_efficient)
+    entries = tuple(
+        replace(e, value=tuple(map(Fraction, e.value))) for e in res.entries
+    )
+    return SolveResult(res.status, entries)
 
 
 def solve_knapsack(

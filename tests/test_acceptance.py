@@ -121,7 +121,7 @@ def test_criterion_04_supportedness(capsys):
 
 def test_criterion_05_weight_space_vertex(capsys):
     start = time.perf_counter()
-    tails = PointSet(((2, 1, 1), (2, 2, 0), (3, 1, 0)), space_tag="tail")
+    tails = PointSet(((2, 1, 1), (2, 2, 0), (3, 1, 0)))
     cells = weight_space_decomposition(tails)
     assert len(cells) == 3
     common = set(cells[0].vertices)

@@ -1,0 +1,39 @@
+"""The benchmark's tracer still finds every name it wraps.
+
+``perfbench/worker.py`` traces a run by swapping wrappers in for
+functions at the names ``ordpareto.cli``, ``ordpareto.nondominance`` and
+``ordpareto.scalarization`` bind (``cli.solve_mixed``,
+``scalarization.supporting_weights``, ...). A refactor that removes or
+renames one of them breaks ``perfbench/run.py --trace 1``; this test
+catches that without running the benchmark.
+"""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+from ordpareto import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKER = ROOT / "perfbench" / "worker.py"
+
+
+def load_worker():
+    spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_every_traced_name():
+    worker = load_worker()
+    tracer = worker.Tracer(cli)  # raises AttributeError for a missing name
+    instance = str(ROOT / "instances" / "routes_weighted.graph")
+    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+        assert tracer.main(["solve", "mixed", instance]) == 0
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.main", "fileio.parse_instance", "solvers.solve_mixed"} <= names
+    assert tracer.counters["solvers.frontier_values"] == 1
+    for module, attr, original, _ in tracer._swaps:
+        assert getattr(module, attr) is original

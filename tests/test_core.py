@@ -88,6 +88,15 @@ class TestTransforms:
         assert head_transform((1, 0, 1)) == (1, 1, 2)
         assert head_transform((1, 1, 1)) == (1, 2, 3)
 
+    def test_empty_vector_and_validation(self):
+        for transform in (tail_transform, head_transform, inverse_transform):
+            assert transform(()) == ()
+        for transform in (tail_transform, head_transform):
+            with pytest.raises(OrdparetoError):
+                transform((1, -1, 2))
+        with pytest.raises(InvalidTailVectorError):
+            inverse_transform((2, 1, -1))
+
     @given(countings)
     def test_round_trip(self, c):
         assert inverse_transform(tail_transform(c)) == c

@@ -1,0 +1,68 @@
+"""Golden CLI output on the sample instances.
+
+Every file in ``instances/`` is run through ``solve`` with each problem,
+output format and mode, and through ``oracle-check`` with and without
+``--sampled``; stdout, stderr and the exit code must match
+``golden/instances.json`` byte for byte. Refactors must not change them.
+After an intended output change, rewrite the expected file with
+``PYTHONPATH=src python tests/test_golden.py`` and review its diff.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from ordpareto import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden" / "instances.json"
+
+
+def _cases() -> list[list[str]]:
+    cases = []
+    for path in sorted((ROOT / "instances").iterdir()):
+        instance = f"instances/{path.name}"
+        for problem in ("sp", "mixed", "wtop", "knapsack"):
+            for fmt in ("text", "json", "plotdata"):
+                for mode in ([], ["--all-efficient"]):
+                    cases.append(
+                        ["solve", problem, instance, "--format", fmt] + mode
+                    )
+        cases.append(["oracle-check", instance])
+        cases.append(["oracle-check", instance, "--sampled"])
+    return cases
+
+
+def _run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+CASES = _cases()
+
+
+def test_golden_file_covers_every_case():
+    expected = json.loads(GOLDEN.read_text())
+    assert sorted(expected) == sorted(" ".join(argv) for argv in CASES)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_output_matches_golden(argv, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    expected = json.loads(GOLDEN.read_text())[" ".join(argv)]
+    assert _run(argv) == expected
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    GOLDEN.parent.mkdir(exist_ok=True)
+    recorded = {" ".join(argv): _run(argv) for argv in CASES}
+    GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(recorded)} cases to {GOLDEN}", file=sys.stderr)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordpareto.core import A_TAIL, ConeMatrix, tail_transform
+from ordpareto.core import A_TAIL, ConeMatrix, OrdparetoError, tail_transform
 from ordpareto.nondominance import (
     EmptyPointSetError,
     PointSet,
@@ -30,7 +30,7 @@ point_sets = st.integers(1, 5).flatmap(
 class TestParetoFilter:
     def test_routes_tails(self):
         tails = ((3, 2, 1), (2, 1, 1), (2, 2, 0), (2, 2, 0), (3, 1, 0), (4, 2, 0))
-        kept = pareto_filter(PointSet(tails, space_tag="tail"))
+        kept = pareto_filter(PointSet(tails))
         assert kept.points == ((2, 1, 1), (2, 2, 0), (2, 2, 0), (3, 1, 0))
 
     def test_four_vector_example(self):
@@ -123,6 +123,22 @@ class TestSupportedness:
     def test_dominated_point_rejected(self):
         with pytest.raises(Exception):
             is_supported((9, 9), PointSet(((9, 9), (1, 1))))
+
+    def test_precondition_matches_pareto_filter(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            ps = PointSet(tuple(random_point_set(rng, 3, 8, 6)))
+            outside = (99,) * len(ps.points[0])
+            for sense in ("min", "max"):
+                nondom = set(pareto_filter(ps, sense).points)
+                for y in set(ps.points) | {outside}:
+                    if y in nondom:
+                        is_supported(y, ps, sense)
+                    else:
+                        with pytest.raises(OrdparetoError, match="non-dominated"):
+                            is_supported(y, ps, sense)
+        with pytest.raises(OrdparetoError, match="sense"):
+            is_supported((3, 3), PointSet(((3, 3),)), "avg")
 
     def test_witness_weights_minimize(self):
         lam = supporting_weights((2, 2), self.Y)

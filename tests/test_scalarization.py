@@ -16,7 +16,7 @@ from ordpareto.scalarization import (
     weighted_sum_solve,
 )
 
-ROUTES_TAILS = PointSet(((2, 1, 1), (2, 2, 0), (3, 1, 0)), space_tag="tail")
+ROUTES_TAILS = PointSet(((2, 1, 1), (2, 2, 0), (3, 1, 0)))
 
 
 def random_lambda(rng: random.Random, k: int) -> tuple[Fraction, ...]:

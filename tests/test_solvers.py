@@ -1,3 +1,4 @@
+import json
 import random
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from ordpareto.core import (
     ordinal_vector,
     tail_transform,
 )
+from ordpareto.fileio import emit_result
 from ordpareto.oracle import (
     enumerate_paths,
     enumerate_subsets,
@@ -296,6 +298,71 @@ class TestWeightedCounting:
             )
         }
         assert set(solve_weighted_counting(g).values()) == frontier
+
+
+class TestTrivialPath:
+    """Source equals target: every path solver returns the empty path,
+    found by the shared search, with zero images of the right types."""
+
+    # solver, real objectives, category counts, value types, JSON value
+    SOLVERS = [
+        (solve_shortest_path, 0, (3,), (int,) * 3, [0, 0, 0]),
+        (
+            solve_mixed,
+            2,
+            (2, 3),
+            (Fraction,) * 2 + (int,) * 5,
+            ["0", "0", 0, 0, 0, 0, 0],
+        ),
+        (solve_weighted_counting, 1, (3,), (Fraction,) * 3, ["0", "0", "0"]),
+    ]
+
+    @staticmethod
+    def graph(num_real, ks, with_edges):
+        edges = ()
+        if with_edges:  # 1 -> 2 and an edge back into the source
+            weights = tuple(Fraction(j + 2, 3) for j in range(num_real))
+            edges = (
+                Edge(1, 1, 2, weights, tuple(ks)),
+                Edge(2, 2, 1, weights, (1,) * len(ks)),
+            )
+        spaces = tuple(CategorySpace(k) for k in ks)
+        return GraphInstance(2, edges, spaces, 1, 1, num_real)
+
+    @pytest.mark.parametrize("all_efficient", [False, True])
+    @pytest.mark.parametrize("with_edges", [False, True])
+    @pytest.mark.parametrize(
+        "solver, num_real, ks, types, json_value",
+        SOLVERS,
+        ids=[s[0].__name__ for s in SOLVERS],
+    )
+    def test_empty_path_entry(
+        self, solver, num_real, ks, types, json_value, with_edges, all_efficient
+    ):
+        g = self.graph(num_real, ks, with_edges)
+        res = solver(g, all_efficient)
+        assert res.status == OK
+        (entry,) = res.entries
+        assert entry.value == (0,) * len(types)
+        assert tuple(type(v) for v in entry.value) == types
+        assert entry.countings == tuple((0,) * k for k in ks)
+        assert entry.ordinals == ((),) * len(ks)
+        assert entry.weights == (Fraction(0),) * num_real
+        assert all(type(w) is Fraction for w in entry.weights)
+        assert entry.solutions == ((),)
+        data = json.loads(emit_result(res, "json", g.spaces))
+        assert data == {
+            "status": "ok",
+            "entries": [
+                {
+                    "value": json_value,
+                    "weights": ["0"] * num_real,
+                    "counting": [[0] * k for k in ks],
+                    "ordinal": [[]] * len(ks),
+                    "solutions": [[]],
+                }
+            ],
+        }
 
 
 class TestSubsetMonotonicity:
