@@ -11,7 +11,10 @@ Line-oriented text format, '#' starts a comment:
     KNAPSACK <items> <capacity> <K>
     ITEM <id> <consumption> <category>
 
-Weights accept exact rationals as 'a/b' or decimal strings.
+Weights accept exact rationals as 'a/b' or decimal strings, with at most
+MAX_WEIGHT_DIGITS digits in numerator and denominator. A value has at most
+MAX_COMPONENTS components: real objectives plus categories (K for a
+knapsack).
 """
 
 from __future__ import annotations
@@ -36,6 +39,12 @@ PLOTDATA = "plotdata"
 
 FORMATS = (TEXT, JSON, PLOTDATA)
 
+# Well below the 4300 digits Python converts between int and str.
+MAX_WEIGHT_DIGITS = 1000
+_WEIGHT_LIMIT = 10**MAX_WEIGHT_DIGITS
+# Each category costs a label and a value component on every edge or item.
+MAX_COMPONENTS = 1000
+
 
 class ParseError(OrdparetoError):
     """Malformed instance file; message carries the line number."""
@@ -48,9 +57,16 @@ class ParseError(OrdparetoError):
 
 def _fraction(token: str, line_no: int) -> Fraction:
     try:
-        return Fraction(token)
+        # Fraction("1e999999999") would build 10**999999999 before the
+        # size check below, so a longer exponent is refused unparsed.
+        at = max(token.find("e"), token.find("E"))
+        too_long = at >= 0 and abs(int(token[at + 1 :])) > MAX_WEIGHT_DIGITS
+        value = None if too_long else Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(line_no, f"not a rational number: {token!r}") from None
+    if value is None or max(abs(value.numerator), value.denominator) >= _WEIGHT_LIMIT:
+        raise ParseError(line_no, f"weight has more than {MAX_WEIGHT_DIGITS} digits")
+    return value
 
 
 def _int(token: str, line_no: int) -> int:
@@ -58,6 +74,11 @@ def _int(token: str, line_no: int) -> int:
         return int(token)
     except ValueError:
         raise ParseError(line_no, f"not an integer: {token!r}") from None
+
+
+def _check_components(count: int, line_no: int) -> None:
+    if count > MAX_COMPONENTS:
+        raise ParseError(line_no, f"more than {MAX_COMPONENTS} value components")
 
 
 def parse_instance(text: str) -> GraphInstance | KnapsackInstance:
@@ -86,6 +107,7 @@ def _parse_graph(lines) -> GraphInstance:
     edge_count = _int(head[2], no)
 
     num_real = 0
+    ks: list[int] = []
     spaces: tuple[CategorySpace, ...] = ()
     edges: list[Edge] = []
     edge_lines: list[int] = []
@@ -102,14 +124,17 @@ def _parse_graph(lines) -> GraphInstance:
                     num_real = _int(token[5:], no)
                 elif token.startswith("ordinal="):
                     ks = [_int(k, no) for k in token[8:].split(",") if k]
-                    try:
-                        spaces = tuple(CategorySpace(k) for k in ks)
-                    except OrdparetoError as exc:
-                        raise ParseError(no, str(exc)) from None
                 else:
                     raise ParseError(no, f"unknown OBJECTIVES field {token!r}")
             if num_real < 0:
                 raise ParseError(no, "real objective count must be >= 0")
+            # Bounded before any CategorySpace builds its labels; a K below
+            # 1 is refused by CategorySpace itself.
+            _check_components(num_real + sum(max(k, 0) for k in ks), no)
+            try:
+                spaces = tuple(CategorySpace(k) for k in ks)
+            except OrdparetoError as exc:
+                raise ParseError(no, str(exc)) from None
             saw_objectives = True
         elif key == "EDGE":
             if not saw_objectives:
@@ -174,6 +199,7 @@ def _parse_knapsack(lines) -> KnapsackInstance:
     K = _int(head[3], no)
     if K < 1:
         raise ParseError(no, "need at least one category")
+    _check_components(K, no)
     space = CategorySpace(K)
 
     items: list[Item] = []

@@ -5,13 +5,19 @@ cost vector, run a standard multi-objective search (label-correcting for
 paths, dynamic programming for knapsack), and report the Pareto frontier of
 transformed values together with the counting- and ordinal-space images and
 representative solutions.
+
+Every search runs in ints. The path solvers multiply each real objective
+by the lcm of its weights' denominators before the search, and divide the
+frontier values by it again as ``Fraction``s when the entries are built.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le
 
 from ordpareto.core import (
     B_HEAD,
@@ -21,7 +27,6 @@ from ordpareto.core import (
     OrdparetoError,
     counting_vector,
     ordinal_vector,
-    pareto_dominates,
 )
 
 OK = "ok"
@@ -68,6 +73,10 @@ class GraphInstance:
             if len(e.weights) != self.num_real:
                 raise OrdparetoError(
                     f"edge {e.id} has {len(e.weights)} weights, expected {self.num_real}"
+                )
+            if not all(isinstance(w, (int, Fraction)) for w in e.weights):
+                raise OrdparetoError(
+                    f"edge {e.id} has a weight that is neither an int nor a Fraction"
                 )
             if any(w < 0 for w in e.weights):
                 raise OrdparetoError(f"edge {e.id} has a negative weight")
@@ -157,16 +166,20 @@ class SolveResult:
 
 
 def _multiobjective_shortest_paths(
-    g: GraphInstance, cost: dict[int, tuple], zero: tuple, all_efficient: bool
-) -> dict[tuple, list[tuple[int, ...]]]:
-    """Label-correcting search over simple s-t paths.
+    g: GraphInstance,
+    cost: dict[int, tuple[int, ...]],
+    zero: tuple[int, ...],
+    all_efficient: bool,
+) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Label-correcting search over simple s-t paths, in ints only.
 
-    ``cost`` maps each edge id to its transformed cost vector and ``zero``
-    is the value of the empty path. Returns a map from non-dominated cost
-    vector at the target to the list of edge-id paths attaining it (one
-    path unless ``all_efficient``). Labels carry their node sequence, so
-    cyclic extensions are never generated; dominated labels are pruned at
-    every node.
+    ``cost`` maps each edge id to its int cost vector and ``zero`` is the
+    int value of the empty path (callers scale rational weights to ints).
+    Returns a map from each non-dominated cost vector at the target to the
+    sorted edge-id paths attaining it (only the smallest unless
+    ``all_efficient``). Labels carry their node sequence, so cyclic
+    extensions are never generated; dominated labels are pruned at every
+    node, so the values kept at a node never dominate one another.
     """
     outgoing: dict[int, list[Edge]] = {}
     for e in g.edges:
@@ -190,16 +203,14 @@ def _multiobjective_shortest_paths(
         for edge in outgoing.get(node, ()):
             if edge.head in visited:
                 continue
-            new_value = tuple(a + b for a, b in zip(value, cost[edge.id]))
+            new_value = tuple(map(add, value, cost[edge.id]))
             new_path = path + (edge.id,)
             new_visited = visited | {edge.head}
             bucket = labels.setdefault(edge.head, {})
-            if any(
-                pareto_dominates(other, new_value) for other in bucket
-            ):
-                continue
-            if new_value in bucket:
-                entries = bucket[new_value]
+            entries = bucket.get(new_value)
+            if entries is not None:
+                # A value dominating this one would dominate its equal in
+                # the bucket, so only the paths need comparing.
                 if all_efficient:
                     if (new_path, new_visited) in entries:
                         continue
@@ -209,57 +220,70 @@ def _multiobjective_shortest_paths(
                         continue
                     bucket[new_value] = [(new_path, new_visited)]
             else:
-                for other in [
-                    o for o in bucket if pareto_dominates(new_value, o)
-                ]:
+                # No bucket value equals new_value, so <= is strict here.
+                if any(all(map(le, other, new_value)) for other in bucket):
+                    continue
+                for other in [o for o in bucket if all(map(le, new_value, o))]:
                     del bucket[other]
                 bucket[new_value] = [(new_path, new_visited)]
             queue.append((edge.head, new_value, new_path, new_visited))
 
-    result = labels.get(g.target, {})
-    # The per-node pruning is incremental; take a final Pareto pass.
-    values = list(result)
-    final: dict[tuple, list[tuple[int, ...]]] = {}
-    for value in values:
-        if any(pareto_dominates(other, value) for other in values):
-            continue
-        paths = sorted(p for p, _ in result[value])
-        final[value] = paths if all_efficient else paths[:1]
-    return final
+    return {
+        value: sorted(p for p, _ in entries)[: None if all_efficient else 1]
+        for value, entries in labels.get(g.target, {}).items()
+    }
 
 
 def _solve_paths(
-    g: GraphInstance, cost: dict[int, tuple], zero: tuple, all_efficient: bool
+    g: GraphInstance,
+    cost: dict[int, tuple[int, ...]],
+    zero: tuple[int, ...],
+    scales: tuple[int, ...],
+    all_efficient: bool,
 ) -> SolveResult:
-    """The pipeline shared by the path solvers: search on the transformed
-    edge costs, then one entry per non-dominated value, with the counting
-    and ordinal images and real weights of its representative path."""
+    """The pipeline shared by the path solvers: search on the int edge
+    costs, then one entry per non-dominated value, with the counting and
+    ordinal images of its representative path.
+
+    The leading ``len(scales)`` value components are rational weights that
+    the caller multiplied by ``scales``; they are reported as ``Fraction``s
+    again. The first ``g.num_real`` of them are the path's real weights.
+    """
     frontier = _multiobjective_shortest_paths(g, cost, zero, all_efficient)
     if not frontier:
         return SolveResult(UNREACHABLE)
     edges = {e.id: e for e in g.edges}
+    n = len(scales)
     entries = []
-    for value in sorted(frontier):
-        rep_edges = [edges[i] for i in frontier[value][0]]
+    # Each component is scaled by a positive constant, so the int values
+    # sort in the order of the values reported.
+    for scaled in sorted(frontier):
+        value = tuple(map(Fraction, scaled[:n], scales)) + scaled[n:]
+        rep_edges = [edges[i] for i in frontier[scaled][0]]
         countings = tuple(
             counting_vector((e.categories[l] for e in rep_edges), space)
             for l, space in enumerate(g.spaces)
-        )
-        ordinals = tuple(ordinal_vector(c) for c in countings)
-        weights = tuple(
-            sum((e.weights[j] for e in rep_edges), Fraction(0))
-            for j in range(g.num_real)
         )
         entries.append(
             ResultEntry(
                 value=value,
                 countings=countings,
-                ordinals=ordinals,
-                weights=weights,
-                solutions=tuple(frontier[value]),
+                ordinals=tuple(ordinal_vector(c) for c in countings),
+                weights=value[: g.num_real],
+                solutions=tuple(frontier[scaled]),
             )
         )
     return SolveResult(OK, tuple(entries))
+
+
+def _scale(g: GraphInstance, j: int) -> int:
+    """The lcm of the denominators of real objective ``j``'s edge weights:
+    times it, every weight of the objective is an int."""
+    return math.lcm(*(e.weights[j].denominator for e in g.edges))
+
+
+def _scaled(w: Fraction | int, scale: int) -> int:
+    return w.numerator * (scale // w.denominator)
 
 
 def solve_shortest_path(
@@ -284,10 +308,11 @@ def solve_mixed(g: GraphInstance, all_efficient: bool = False) -> SolveResult:
     tail vectors (block-diagonal transformation of the outcome vector)."""
     if g.num_real + len(g.spaces) < 1:
         raise OrdparetoError("need at least one objective")
-    # Each edge costs its real weights followed by one binary tail vector
-    # per ordinal objective (ones up to the edge's category).
+    # Each edge costs its scaled real weights followed by one binary tail
+    # vector per ordinal objective (ones up to the edge's category).
+    scales = tuple(_scale(g, j) for j in range(g.num_real))
     cost = {
-        e.id: tuple(e.weights)
+        e.id: tuple(map(_scaled, e.weights, scales))
         + tuple(
             1 if j <= cat else 0
             for cat, space in zip(e.categories, g.spaces)
@@ -295,8 +320,8 @@ def solve_mixed(g: GraphInstance, all_efficient: bool = False) -> SolveResult:
         )
         for e in g.edges
     }
-    zero = (Fraction(0),) * g.num_real + (0,) * sum(s.K for s in g.spaces)
-    return _solve_paths(g, cost, zero, all_efficient)
+    zero = (0,) * (g.num_real + sum(s.K for s in g.spaces))
+    return _solve_paths(g, cost, zero, scales, all_efficient)
 
 
 def solve_weighted_counting(
@@ -314,19 +339,15 @@ def solve_weighted_counting(
             "ordinal objective per edge"
         )
     K = g.spaces[0].K
+    scale = _scale(g, 0)
     cost = {
         e.id: tuple(
-            e.weights[0] if j <= e.categories[0] else 0 for j in range(1, K + 1)
+            _scaled(e.weights[0], scale) if j <= e.categories[0] else 0
+            for j in range(1, K + 1)
         )
         for e in g.edges
     }
-    # Int zeros keep untouched components out of Fraction arithmetic in the
-    # search (Fraction zeros made it 20-40% slower); report all-Fraction values.
-    res = _solve_paths(g, cost, (0,) * K, all_efficient)
-    entries = tuple(
-        replace(e, value=tuple(map(Fraction, e.value))) for e in res.entries
-    )
-    return SolveResult(res.status, entries)
+    return _solve_paths(g, cost, (0,) * K, (scale,) * K, all_efficient)
 
 
 def solve_knapsack(

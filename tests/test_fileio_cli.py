@@ -1,10 +1,17 @@
 import json
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ordpareto
 from ordpareto.cli import main
 from ordpareto.fileio import (
+    MAX_COMPONENTS,
+    MAX_WEIGHT_DIGITS,
     ParseError,
     emit_instance,
     emit_result,
@@ -321,6 +328,63 @@ class TestErrorContract:
         text = "KNAPSACK 1 -1 2\nITEM 1 2 1\n"
         err = self.solve(capsys, tmp_path, text, "knapsack")
         assert err.startswith("error: line 1: capacity must be nonnegative")
+
+    @pytest.mark.parametrize(
+        "weight", ["1e5000", "1e-1001", "1e99999999999", "1/" + "7" * 1001, "1" * 1001]
+    )
+    def test_weight_with_too_many_digits(self, capsys, tmp_path, weight):
+        text = GRAPH_HEAD + f"EDGE 1 1 2 1 1\nEDGE 2 2 3 {weight} 2\n"
+        err = self.solve(capsys, tmp_path, text + "SOURCE 1\nTARGET 3\n", "mixed")
+        assert err.startswith(
+            f"error: line 4: weight has more than {MAX_WEIGHT_DIGITS} digits"
+        )
+
+    def test_weight_with_most_digits_is_solved(self, capsys, tmp_path):
+        path = tmp_path / "long.graph"
+        path.write_text(
+            "GRAPH 2 1\nOBJECTIVES real=1 ordinal=2\n"
+            f"EDGE 1 1 2 1e{MAX_WEIGHT_DIGITS - 1} 1\nSOURCE 1\nTARGET 2\n"
+        )
+        assert main(["solve", "wtop", str(path)]) == 0
+        assert f"w=({10 ** (MAX_WEIGHT_DIGITS - 1)})" in capsys.readouterr().out
+
+    def test_huge_k_is_refused_before_allocation(self):
+        # Building K category labels exhausts memory here, so the parse runs
+        # in a child process under an address-space cap.
+        script = textwrap.dedent("""
+            import contextlib, io, json, resource, tempfile
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+            from ordpareto.cli import main
+            texts = [
+                ("knapsack", "KNAPSACK 1 5 300000000\\nITEM 1 1 1\\n"),
+                ("sp", "GRAPH 2 0\\nOBJECTIVES real=0 ordinal=300000000\\n"),
+                ("mixed", "GRAPH 2 0\\nOBJECTIVES real=300000000 ordinal=2\\n"),
+                ("mixed", "# K\\nGRAPH 2 0\\nOBJECTIVES real=1 ordinal=2,999\\n"),
+            ]
+            out = []
+            for problem, text in texts:
+                with tempfile.NamedTemporaryFile("w", suffix=".txt") as f:
+                    f.write(text + "SOURCE 1\\nTARGET 2\\n")
+                    f.flush()
+                    err = io.StringIO()
+                    with contextlib.redirect_stderr(err):
+                        code = main(["solve", problem, f.name])
+                out.append((code, err.getvalue()))
+            print(json.dumps(out))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=Path(ordpareto.__file__).resolve().parents[1],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        limit = f"more than {MAX_COMPONENTS} value components\n"
+        assert json.loads(proc.stdout) == [
+            [1, "error: line 1: " + limit],
+            [1, "error: line 2: " + limit],
+            [1, "error: line 2: " + limit],
+            [1, "error: line 3: " + limit],
+        ]
 
     def test_file_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "binary.graph"

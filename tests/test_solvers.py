@@ -10,6 +10,7 @@ import pytest
 
 import ordpareto
 
+from ordpareto import solvers
 from ordpareto.core import (
     CategorySpace,
     OrdparetoError,
@@ -31,6 +32,8 @@ from ordpareto.solvers import (
     GraphInstance,
     Item,
     KnapsackInstance,
+    ResultEntry,
+    SolveResult,
     solve_knapsack,
     solve_mixed,
     solve_shortest_path,
@@ -375,3 +378,144 @@ class TestSubsetMonotonicity:
             for a in paths:
                 for b in paths:
                     assert not (a < b)
+
+
+class TestRationalWeights:
+    @pytest.mark.parametrize("weight", [0.5, 1.0, "1/2", None])
+    def test_other_weights_are_rejected(self, weight):
+        edges = (Edge(1, 1, 2, (weight,), (1,)),)
+        with pytest.raises(OrdparetoError, match="neither an int nor a Fraction"):
+            GraphInstance(2, edges, (CategorySpace(2),), 1, 2, 1)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def random_weight(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice((0, Fraction(0)))
+    if kind == 1:
+        return rng.randint(1, 4)  # a Python int, as an API caller may pass
+    return Fraction(rng.randint(1, 60), rng.choice(PRIMES))
+
+
+def weighted_grid(rng, num_real):
+    """A bidirected rows x cols grid from corner to corner, one ordinal
+    objective and ``num_real`` random rational weights per edge."""
+    rows, cols = rng.choice(((2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4)))
+    K = rng.randint(1, 3)
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            node = r * cols + c + 1
+            for dr, dc in ((0, 1), (1, 0)):
+                if r + dr < rows and c + dc < cols:
+                    other = node + dr * cols + dc
+                    for u, v in ((node, other), (other, node)):
+                        edges.append(
+                            Edge(
+                                len(edges) + 1,
+                                u,
+                                v,
+                                tuple(random_weight(rng) for _ in range(num_real)),
+                                (rng.randint(1, K),),
+                            )
+                        )
+    return GraphInstance(
+        rows * cols, tuple(edges), (CategorySpace(K),), 1, rows * cols, num_real
+    )
+
+
+def brute_force(g, value_of, all_efficient):
+    """The SolveResult a path solver must return, from every simple path's
+    value summed in Fractions."""
+    by_value = {}
+    for sol in enumerate_paths(g).solutions:
+        edges = [g.edge_by_id(i) for i in sol.elements]
+        by_value.setdefault(value_of(g, edges), []).append(sol.elements)
+    entries = []
+    for value in sorted(by_value):
+        if any(
+            other != value and all(a <= b for a, b in zip(other, value))
+            for other in by_value
+        ):
+            continue
+        sols = sorted(by_value[value])
+        rep = [g.edge_by_id(i) for i in sols[0]]
+        counts = counting_vector((e.categories[0] for e in rep), g.spaces[0])
+        weights = tuple(
+            sum((e.weights[j] for e in rep), Fraction(0)) for j in range(g.num_real)
+        )
+        entries.append(
+            ResultEntry(
+                value,
+                (counts,),
+                (ordinal_vector(counts),),
+                weights,
+                tuple(sols if all_efficient else sols[:1]),
+            )
+        )
+    return SolveResult(OK, tuple(entries))
+
+
+def mixed_value(g, edges):
+    weights = tuple(
+        sum((e.weights[j] for e in edges), Fraction(0)) for j in range(g.num_real)
+    )
+    counts = counting_vector((e.categories[0] for e in edges), g.spaces[0])
+    return weights + tail_transform(counts)
+
+
+def wtop_value(g, edges):
+    return tuple(
+        sum((e.weights[0] for e in edges if e.categories[0] >= j), Fraction(0))
+        for j in range(1, g.spaces[0].K + 1)
+    )
+
+
+class TestIntegerSearch:
+    """The path search runs on ints: real weights are scaled by the lcm of
+    their denominators and divided back when the entries are built."""
+
+    CASES = [(solve_mixed, 2, mixed_value), (solve_weighted_counting, 1, wtop_value)]
+
+    @pytest.mark.parametrize("all_efficient", [False, True])
+    @pytest.mark.parametrize(
+        "solver, num_real, value_of", CASES, ids=[c[0].__name__ for c in CASES]
+    )
+    def test_scaled_search_matches_fraction_brute_force(
+        self, solver, num_real, value_of, all_efficient
+    ):
+        rng = random.Random(47)
+        for _ in range(40):
+            g = weighted_grid(rng, num_real)
+            res = solver(g, all_efficient)
+            assert res == brute_force(g, value_of, all_efficient)
+            K = g.spaces[0].K
+            types = (
+                (Fraction,) * num_real + (int,) * K
+                if solver is solve_mixed
+                else (Fraction,) * K
+            )
+            for entry in res.entries:
+                assert tuple(map(type, entry.value)) == types
+                assert all(type(w) is Fraction for w in entry.weights)
+
+    def test_label_search_sees_ints_only(self, monkeypatch):
+        calls = []
+        search = solvers._multiobjective_shortest_paths
+
+        def checked(g, cost, zero, all_efficient):
+            for vec in (zero, *cost.values()):
+                assert all(type(c) is int for c in vec), vec
+            calls.append(len(zero))
+            return search(g, cost, zero, all_efficient)
+
+        monkeypatch.setattr(solvers, "_multiobjective_shortest_paths", checked)
+        rng = random.Random(5)
+        for all_efficient in (False, True):
+            solve_shortest_path(routes_k3(), all_efficient)
+            solve_mixed(weighted_grid(rng, 2), all_efficient)
+            solve_weighted_counting(weighted_grid(rng, 1), all_efficient)
+        assert len(calls) == 6
