@@ -144,7 +144,6 @@ def weakly_tail_dominates(u: Sequence[int], v: Sequence[int]) -> bool:
 
 def tail_dominates(u: Sequence[int], v: Sequence[int]) -> bool:
     """Strict tail-dominance: weak tail-dominance plus u != v."""
-    _check_same_length(u, v)
     return tuple(u) != tuple(v) and weakly_tail_dominates(u, v)
 
 
@@ -156,7 +155,6 @@ def weakly_head_dominates(u: Sequence[int], v: Sequence[int]) -> bool:
 
 def head_dominates(u: Sequence[int], v: Sequence[int]) -> bool:
     """Strict head-dominance: weak head-dominance plus u != v."""
-    _check_same_length(u, v)
     return tuple(u) != tuple(v) and weakly_head_dominates(u, v)
 
 
@@ -168,7 +166,6 @@ def weakly_pareto_dominates(u: Sequence, v: Sequence) -> bool:
 
 def pareto_dominates(u: Sequence, v: Sequence) -> bool:
     """Componentwise <= with u != v."""
-    _check_same_length(u, v)
     return tuple(u) != tuple(v) and weakly_pareto_dominates(u, v)
 
 

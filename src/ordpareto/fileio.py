@@ -15,6 +15,13 @@ Weights accept exact rationals as 'a/b' or decimal strings, with at most
 MAX_WEIGHT_DIGITS digits in numerator and denominator. A value has at most
 MAX_COMPONENTS components: real objectives plus categories (K for a
 knapsack).
+
+The parser checks syntax and size bounds only: record arity, integers,
+rationals, the bounds above, header counts and record order. What the
+records mean (node and category ranges, unique ids, nonnegative weights,
+positive consumptions, a nonnegative capacity) is checked once, by the
+instance classes; their errors name the record at fault, and the parser
+reports them at that record's line.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from ordpareto.core import CategorySpace, OrdparetoError
 from ordpareto.solvers import (
     Edge,
     GraphInstance,
+    InstanceError,
     Item,
     KnapsackInstance,
     SolveResult,
@@ -51,8 +59,6 @@ class ParseError(OrdparetoError):
 
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
 
 
 def _fraction(token: str, line_no: int) -> Fraction:
@@ -76,9 +82,15 @@ def _int(token: str, line_no: int) -> int:
         raise ParseError(line_no, f"not an integer: {token!r}") from None
 
 
-def _check_components(count: int, line_no: int) -> None:
-    if count > MAX_COMPONENTS:
+def _spaces(num_real: int, ks: list[int], line_no: int) -> tuple[CategorySpace, ...]:
+    """The category spaces of an OBJECTIVES or KNAPSACK line, bounded before
+    any of them builds its labels; a K below 1 is refused by CategorySpace."""
+    if num_real + sum(max(k, 0) for k in ks) > MAX_COMPONENTS:
         raise ParseError(line_no, f"more than {MAX_COMPONENTS} value components")
+    try:
+        return tuple(CategorySpace(k) for k in ks)
+    except OrdparetoError as exc:
+        raise ParseError(line_no, str(exc)) from None
 
 
 def parse_instance(text: str) -> GraphInstance | KnapsackInstance:
@@ -128,13 +140,7 @@ def _parse_graph(lines) -> GraphInstance:
                     raise ParseError(no, f"unknown OBJECTIVES field {token!r}")
             if num_real < 0:
                 raise ParseError(no, "real objective count must be >= 0")
-            # Bounded before any CategorySpace builds its labels; a K below
-            # 1 is refused by CategorySpace itself.
-            _check_components(num_real + sum(max(k, 0) for k in ks), no)
-            try:
-                spaces = tuple(CategorySpace(k) for k in ks)
-            except OrdparetoError as exc:
-                raise ParseError(no, str(exc)) from None
+            spaces = _spaces(num_real, ks, no)
             saw_objectives = True
         elif key == "EDGE":
             if not saw_objectives:
@@ -153,11 +159,6 @@ def _parse_graph(lines) -> GraphInstance:
                 _fraction(t, no) for t in tokens[4 : 4 + num_real]
             )
             cats = tuple(_int(t, no) for t in tokens[4 + num_real :])
-            for cat, space in zip(cats, spaces):
-                if not 1 <= cat <= space.K:
-                    raise ParseError(
-                        no, f"category {cat} outside 1..{space.K}"
-                    )
             edges.append(Edge(eid, u, v, weights, cats))
             edge_lines.append(no)
         elif key in ("SOURCE", "TARGET"):
@@ -180,14 +181,12 @@ def _parse_graph(lines) -> GraphInstance:
             no, f"header promises {edge_count} edges, found {len(edges)}"
         )
 
-    def build(k):
-        return GraphInstance(nodes, edges[:k], spaces, source, target, num_real)
-
     try:
-        return build(len(edges))
-    except OrdparetoError as exc:
+        return GraphInstance(nodes, edges, spaces, source, target, num_real)
+    except InstanceError as exc:
         terminal_no = target_no if 1 <= source <= nodes else source_no
-        raise _located(exc, build, edge_lines, terminal_no) from None
+        line = terminal_no if exc.record is None else edge_lines[exc.record]
+        raise ParseError(line, str(exc)) from None
 
 
 def _parse_knapsack(lines) -> KnapsackInstance:
@@ -196,11 +195,7 @@ def _parse_knapsack(lines) -> KnapsackInstance:
         raise ParseError(no, "KNAPSACK header needs <items> <capacity> <K>")
     item_count = _int(head[1], no)
     capacity = _int(head[2], no)
-    K = _int(head[3], no)
-    if K < 1:
-        raise ParseError(no, "need at least one category")
-    _check_components(K, no)
-    space = CategorySpace(K)
+    (space,) = _spaces(0, [_int(head[3], no)], no)
 
     items: list[Item] = []
     item_lines: list[int] = []
@@ -219,37 +214,11 @@ def _parse_knapsack(lines) -> KnapsackInstance:
             no, f"header promises {item_count} items, found {len(items)}"
         )
 
-    def build(k):
-        return KnapsackInstance(items[:k], capacity, space)
-
     try:
-        return build(len(items))
-    except OrdparetoError as exc:
-        raise _located(exc, build, item_lines, no) from None
-
-
-def _located(
-    exc: OrdparetoError, build, lines: list[int], fallback: int
-) -> ParseError:
-    """``exc`` at the line of the record that makes the instance invalid.
-
-    ``build(k)`` validates an instance of the first k records, whose lines
-    are ``lines``; ``build(len(lines))`` raised ``exc``. A record is checked
-    on its own or against the records before it, so every prefix longer
-    than an invalid one is invalid too, and bisection finds the shortest.
-    If no record is needed to fail, the fault is in the other data and is
-    reported at ``fallback``. Runs on the error path only.
-    """
-    lo, hi = 0, len(lines)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        try:
-            build(mid)
-        except OrdparetoError as shorter:
-            exc, hi = shorter, mid
-        else:
-            lo = mid + 1
-    return ParseError(lines[lo - 1] if lo else fallback, str(exc))
+        return KnapsackInstance(items, capacity, space)
+    except InstanceError as exc:
+        line = no if exc.record is None else item_lines[exc.record]
+        raise ParseError(line, str(exc)) from None
 
 
 def emit_instance(inst: GraphInstance | KnapsackInstance) -> str:

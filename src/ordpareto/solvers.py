@@ -13,7 +13,9 @@ frontier values by it again as ``Fraction``s when the entries are built.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +25,6 @@ from ordpareto.core import (
     B_HEAD,
     CategorySpace,
     ConeMatrix,
-    InvalidCategoryError,
     OrdparetoError,
     counting_vector,
     ordinal_vector,
@@ -31,6 +32,18 @@ from ordpareto.core import (
 
 OK = "ok"
 UNREACHABLE = "unreachable"
+
+
+class InstanceError(OrdparetoError):
+    """An instance that breaks the rules of its problem.
+
+    ``record`` is the index of the edge or item at fault, or ``None`` when
+    the fault lies in the terminals or the capacity.
+    """
+
+    def __init__(self, message: str, record: int | None = None):
+        super().__init__(message)
+        self.record = record
 
 
 @dataclass(frozen=True)
@@ -60,45 +73,42 @@ class GraphInstance:
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "spaces", tuple(self.spaces))
+        for node in (self.source, self.target):
+            if not 1 <= node <= self.nodes:
+                raise InstanceError(f"terminal node {node} out of range")
         seen = set()
-        for e in self.edges:
+        for i, e in enumerate(self.edges):
             if e.id in seen:
-                raise OrdparetoError(f"duplicate edge id {e.id}")
+                raise InstanceError(f"duplicate edge id {e.id}", i)
             seen.add(e.id)
             for node in (e.tail, e.head):
                 if not 1 <= node <= self.nodes:
-                    raise OrdparetoError(
-                        f"edge {e.id} touches node {node} outside 1..{self.nodes}"
+                    raise InstanceError(
+                        f"edge {e.id} touches node {node} outside 1..{self.nodes}", i
                     )
             if len(e.weights) != self.num_real:
-                raise OrdparetoError(
-                    f"edge {e.id} has {len(e.weights)} weights, expected {self.num_real}"
+                raise InstanceError(
+                    f"edge {e.id} has {len(e.weights)} weights, expected {self.num_real}",
+                    i,
                 )
             if not all(isinstance(w, (int, Fraction)) for w in e.weights):
-                raise OrdparetoError(
-                    f"edge {e.id} has a weight that is neither an int nor a Fraction"
+                raise InstanceError(
+                    f"edge {e.id} has a weight that is neither an int nor a Fraction",
+                    i,
                 )
             if any(w < 0 for w in e.weights):
-                raise OrdparetoError(f"edge {e.id} has a negative weight")
+                raise InstanceError(f"edge {e.id} has a negative weight", i)
             if len(e.categories) != len(self.spaces):
-                raise OrdparetoError(
+                raise InstanceError(
                     f"edge {e.id} has {len(e.categories)} categories, "
-                    f"expected {len(self.spaces)}"
+                    f"expected {len(self.spaces)}",
+                    i,
                 )
             for cat, space in zip(e.categories, self.spaces):
                 if not 1 <= cat <= space.K:
-                    raise InvalidCategoryError(
-                        f"edge {e.id}: category {cat} outside 1..{space.K}"
+                    raise InstanceError(
+                        f"edge {e.id}: category {cat} outside 1..{space.K}", i
                     )
-        for node in (self.source, self.target):
-            if not 1 <= node <= self.nodes:
-                raise OrdparetoError(f"terminal node {node} out of range")
-
-    def edge_by_id(self, edge_id: int) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise OrdparetoError(f"no edge with id {edge_id}")
 
 
 @dataclass(frozen=True)
@@ -117,19 +127,20 @@ class KnapsackInstance:
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
         if self.capacity < 0:
-            raise OrdparetoError(f"capacity must be nonnegative: {self.capacity}")
+            raise InstanceError(f"capacity must be nonnegative: {self.capacity}")
         seen = set()
-        for item in self.items:
+        for i, item in enumerate(self.items):
             if item.id in seen:
-                raise OrdparetoError(f"duplicate item id {item.id}")
+                raise InstanceError(f"duplicate item id {item.id}", i)
             seen.add(item.id)
             if item.weight <= 0:
-                raise OrdparetoError(
-                    f"item {item.id}: consumption must be positive"
+                raise InstanceError(
+                    f"item {item.id}: consumption must be positive", i
                 )
             if not 1 <= item.category <= self.space.K:
-                raise InvalidCategoryError(
-                    f"item {item.id}: category {item.category} outside 1..{self.space.K}"
+                raise InstanceError(
+                    f"item {item.id}: category {item.category} outside 1..{self.space.K}",
+                    i,
                 )
 
 
@@ -254,11 +265,20 @@ def _solve_paths(
         return SolveResult(UNREACHABLE)
     edges = {e.id: e for e in g.edges}
     n = len(scales)
+    # str() refuses an int with more digits than the interpreter's limit (0
+    # for none), so a value that could not be printed is refused here.
+    digits = sys.get_int_max_str_digits()
+    too_long = _digit_bound(digits)
     entries = []
     # Each component is scaled by a positive constant, so the int values
     # sort in the order of the values reported.
     for scaled in sorted(frontier):
         value = tuple(map(Fraction, scaled[:n], scales)) + scaled[n:]
+        if any(max(v.numerator, v.denominator) >= too_long for v in value[:n]):
+            raise OrdparetoError(
+                f"a frontier value has more than {digits} digits "
+                "(Python's int-to-str limit)"
+            )
         rep_edges = [edges[i] for i in frontier[scaled][0]]
         countings = tuple(
             counting_vector((e.categories[l] for e in rep_edges), space)
@@ -274,6 +294,13 @@ def _solve_paths(
             )
         )
     return SolveResult(OK, tuple(entries))
+
+
+@functools.cache
+def _digit_bound(digits: int) -> int | float:
+    """The least int with more than ``digits`` digits; ``math.inf`` for 0,
+    which means no limit. Cached: 10**4300 takes about 40 us to build."""
+    return 10**digits if digits else math.inf
 
 
 def _scale(g: GraphInstance, j: int) -> int:

@@ -17,10 +17,13 @@ from ordpareto.fileio import (
     emit_result,
     parse_instance,
 )
+from ordpareto.core import CategorySpace, OrdparetoError
 from ordpareto.solvers import (
+    Edge,
     GraphInstance,
     KnapsackInstance,
     solve_knapsack,
+    solve_mixed,
     solve_shortest_path,
     solve_weighted_counting,
 )
@@ -309,6 +312,16 @@ class TestErrorContract:
         err = self.solve(capsys, tmp_path, text + "SOURCE 1\nTARGET 3\n", "mixed")
         assert err.startswith("error: line 5: duplicate edge id 1")
 
+    def test_edge_category_out_of_range(self, capsys, tmp_path):
+        text = GRAPH_HEAD + "EDGE 1 1 2 1 1\n\nEDGE 2 2 3 1 3\n"
+        err = self.solve(capsys, tmp_path, text + "SOURCE 1\nTARGET 3\n", "mixed")
+        assert err == "error: line 5: edge 2: category 3 outside 1..2\n"
+
+    def test_bad_terminal_is_reported_before_a_bad_edge(self, capsys, tmp_path):
+        text = GRAPH_HEAD + "EDGE 1 1 9 1 1\nEDGE 2 2 3 1 2\n"
+        err = self.solve(capsys, tmp_path, text + "SOURCE 1\nTARGET 7\n", "mixed")
+        assert err == "error: line 6: terminal node 7 out of range\n"
+
     def test_terminal_out_of_range(self, capsys, tmp_path):
         text = GRAPH_HEAD + GOOD_EDGES + "SOURCE 1\nTARGET 7\n"
         err = self.solve(capsys, tmp_path, text, "mixed")
@@ -318,6 +331,11 @@ class TestErrorContract:
         text = "KNAPSACK 3 10 2\nITEM 1 2 1\nITEM 2 3 2\nITEM 1 4 1\n"
         err = self.solve(capsys, tmp_path, text, "knapsack")
         assert err.startswith("error: line 4: duplicate item id 1")
+
+    def test_item_category_out_of_range(self, capsys, tmp_path):
+        text = "KNAPSACK 2 10 2\nITEM 1 2 1\n# comment\nITEM 2 3 0\n"
+        err = self.solve(capsys, tmp_path, text, "knapsack")
+        assert err == "error: line 4: item 2: category 0 outside 1..2\n"
 
     def test_item_weight_not_positive(self, capsys, tmp_path):
         text = "KNAPSACK 2 10 2\nITEM 1 2 1\nITEM 2 0 2\n"
@@ -419,6 +437,63 @@ class TestErrorContract:
         monkeypatch.setattr(sys, "stdin", io.StringIO("1 2\n"))
         assert main(["scalarize", "--weights", weights]) == 1
         assert capsys.readouterr().err.startswith("error: not rational weights")
+
+
+class TestValueDigitLimit:
+    """A frontier value with more digits than Python converts to a string
+    ends in an error line, not a traceback. Each denominator below has 999
+    digits and passes the parser's bound; their product does not print."""
+
+    DENOMINATORS = (7**1182, 11**959, 13**896, 17**811, 19**781)
+
+    def chain(self, tmp_path, n):
+        lines = [f"GRAPH {n + 1} {n}", "OBJECTIVES real=1 ordinal=2"]
+        for i, d in enumerate(self.DENOMINATORS[:n], start=1):
+            lines.append(f"EDGE {i} {i} {i + 1} 1/{d} 1")
+        path = tmp_path / "chain.graph"
+        path.write_text("\n".join(lines + ["SOURCE 1", f"TARGET {n + 1}", ""]))
+        return str(path)
+
+    @pytest.mark.parametrize("problem", ["mixed", "wtop"])
+    def test_five_edges_are_refused(self, capsys, tmp_path, problem):
+        assert main(["solve", problem, self.chain(tmp_path, 5)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: a frontier value has more than 4300 digits "
+            "(Python's int-to-str limit)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "problem, value", [("mixed", "ctilde=({w},4,0)"), ("wtop", "ctildew=({w},0)")]
+    )
+    def test_four_edges_are_printed(self, capsys, tmp_path, problem, value):
+        w = sum(Fraction(1, d) for d in self.DENOMINATORS[:4])
+        assert main(["solve", problem, self.chain(tmp_path, 4)]) == 0
+        assert capsys.readouterr().out == (
+            f"w=({w}) c=(4,0) {value.format(w=w)} o=(eta1,eta1,eta1,eta1) "
+            "path=e1,e2,e3,e4\n"
+        )
+
+    @pytest.mark.parametrize(
+        "weight",
+        [
+            Fraction(10**4300 - 1),
+            Fraction(1, 10**4300 - 1),
+            Fraction(10**4300),
+            Fraction(1, 10**4300),
+        ],
+    )
+    def test_the_bound_is_pythons_own(self, weight):
+        edges = (Edge(1, 1, 2, (weight,), (1,)),)
+        g = GraphInstance(2, edges, (CategorySpace(2),), 1, 2, 1)
+        if max(weight.numerator, weight.denominator) < 10**4300:
+            assert str(weight) in emit_result(solve_mixed(g))
+        else:
+            with pytest.raises(ValueError):
+                str(weight)
+            with pytest.raises(OrdparetoError, match="more than 4300 digits"):
+                solve_mixed(g)
 
 
 class TestWtopValueTypes:

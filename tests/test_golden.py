@@ -1,9 +1,12 @@
-"""Golden CLI output on the sample instances.
+"""Golden CLI output on the sample instances and on malformed files.
 
 Every file in ``instances/`` is run through ``solve`` with each problem,
 output format and mode, and through ``oracle-check`` with and without
-``--sampled``; stdout, stderr and the exit code must match
-``golden/instances.json`` byte for byte. Refactors must not change them.
+``--sampled``. Every file in ``golden/malformed/`` (one per validation rule
+of the parser and the instances, and two with several faults) is run
+through ``solve knapsack`` (``.txt``) or ``solve mixed`` (``.graph``).
+Stdout, stderr and the exit code must match ``golden/instances.json`` byte
+for byte. Refactors must not change them.
 After an intended output change, rewrite the expected file with
 ``PYTHONPATH=src python tests/test_golden.py`` and review its diff.
 """
@@ -21,6 +24,7 @@ from ordpareto import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "instances.json"
+MALFORMED = Path(__file__).resolve().parent / "golden" / "malformed"
 
 
 def _cases() -> list[list[str]]:
@@ -35,6 +39,9 @@ def _cases() -> list[list[str]]:
                     )
         cases.append(["oracle-check", instance])
         cases.append(["oracle-check", instance, "--sampled"])
+    for path in sorted(MALFORMED.iterdir()):
+        problem = "knapsack" if path.suffix == ".txt" else "mixed"
+        cases.append(["solve", problem, f"tests/golden/malformed/{path.name}"])
     return cases
 
 

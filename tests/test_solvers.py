@@ -30,6 +30,7 @@ from ordpareto.solvers import (
     UNREACHABLE,
     Edge,
     GraphInstance,
+    InstanceError,
     Item,
     KnapsackInstance,
     ResultEntry,
@@ -97,9 +98,10 @@ class TestShortestPath:
     def test_entry_consistency(self):
         g = routes_k3()
         res = solve_shortest_path(g, all_efficient=True)
+        edge_by_id = {e.id: e for e in g.edges}
         for entry in res.entries:
             for path in entry.solutions:
-                cats = [g.edge_by_id(eid).categories[0] for eid in path]
+                cats = [edge_by_id[eid].categories[0] for eid in path]
                 c = counting_vector(cats, g.spaces[0])
                 assert entry.countings == (c,)
                 assert entry.value == tail_transform(c)
@@ -285,11 +287,12 @@ class TestWeightedCounting:
     def test_against_enumeration(self):
         g = routes_weighted()
         feasible = enumerate_paths(g)
+        edge_by_id = {e.id: e for e in g.edges}
         outcomes = {}
         for sol in feasible.solutions:
             cw = [Fraction(0), Fraction(0)]
             for eid in sol.elements:
-                e = g.edge_by_id(eid)
+                e = edge_by_id[eid]
                 cw[e.categories[0] - 1] += e.weights[0]
             outcomes[sol.elements] = (cw[0] + cw[1], cw[1])
         frontier = {
@@ -388,6 +391,56 @@ class TestRationalWeights:
             GraphInstance(2, edges, (CategorySpace(2),), 1, 2, 1)
 
 
+class TestInstanceErrors:
+    """Each check names the edge or item at fault by its index, or no record
+    when the terminals or the capacity are at fault."""
+
+    GOOD = Edge(1, 1, 2, (Fraction(1),), (1,))
+
+    @pytest.mark.parametrize(
+        "edge, match",
+        [
+            (Edge(1, 2, 3, (Fraction(1),), (2,)), "duplicate edge id 1"),
+            (Edge(2, 2, 9, (Fraction(1),), (2,)), "edge 2 touches node 9 outside 1..3"),
+            (Edge(2, 2, 3, (), (2,)), "edge 2 has 0 weights, expected 1"),
+            (Edge(2, 2, 3, (0.5,), (2,)), "edge 2 has a weight that is neither"),
+            (Edge(2, 2, 3, (Fraction(-1),), (2,)), "edge 2 has a negative weight"),
+            (Edge(2, 2, 3, (Fraction(1),), (1, 2)), "edge 2 has 2 categories, expected 1"),
+            (Edge(2, 2, 3, (Fraction(1),), (3,)), "edge 2: category 3 outside 1..2"),
+        ],
+    )
+    def test_edge_fault_names_its_index(self, edge, match):
+        with pytest.raises(InstanceError, match=match) as info:
+            GraphInstance(3, (self.GOOD, edge), (CategorySpace(2),), 1, 3, 1)
+        assert info.value.record == 1
+
+    @pytest.mark.parametrize("source, target", [(0, 3), (1, 4)])
+    def test_terminal_fault_has_no_record(self, source, target):
+        bad = Edge(2, 2, 9, (Fraction(1),), (3,))
+        with pytest.raises(InstanceError, match="terminal node") as info:
+            GraphInstance(3, (self.GOOD, bad), (CategorySpace(2),), source, target, 1)
+        assert info.value.record is None
+
+    @pytest.mark.parametrize(
+        "item, match",
+        [
+            (Item(1, 2, 2), "duplicate item id 1"),
+            (Item(2, 0, 2), "item 2: consumption must be positive"),
+            (Item(2, 2, 3), "item 2: category 3 outside 1..2"),
+        ],
+    )
+    def test_item_fault_names_its_index(self, item, match):
+        with pytest.raises(InstanceError, match=match) as info:
+            KnapsackInstance((Item(1, 2, 1), item), 5, CategorySpace(2))
+        assert info.value.record == 1
+
+    def test_capacity_fault_has_no_record(self):
+        items = (Item(1, 2, 1), Item(1, 0, 3))
+        with pytest.raises(InstanceError, match="capacity must be nonnegative") as info:
+            KnapsackInstance(items, -1, CategorySpace(2))
+        assert info.value.record is None
+
+
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -430,9 +483,10 @@ def weighted_grid(rng, num_real):
 def brute_force(g, value_of, all_efficient):
     """The SolveResult a path solver must return, from every simple path's
     value summed in Fractions."""
+    edge_by_id = {e.id: e for e in g.edges}
     by_value = {}
     for sol in enumerate_paths(g).solutions:
-        edges = [g.edge_by_id(i) for i in sol.elements]
+        edges = [edge_by_id[i] for i in sol.elements]
         by_value.setdefault(value_of(g, edges), []).append(sol.elements)
     entries = []
     for value in sorted(by_value):
@@ -442,7 +496,7 @@ def brute_force(g, value_of, all_efficient):
         ):
             continue
         sols = sorted(by_value[value])
-        rep = [g.edge_by_id(i) for i in sols[0]]
+        rep = [edge_by_id[i] for i in sols[0]]
         counts = counting_vector((e.categories[0] for e in rep), g.spaces[0])
         weights = tuple(
             sum((e.weights[j] for e in rep), Fraction(0)) for j in range(g.num_real)
