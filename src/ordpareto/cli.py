@@ -17,6 +17,7 @@ from ordpareto.core import (
     A_TAIL,
     ConeMatrix,
     OrdparetoError,
+    check_printable,
     head_transform,
     inverse_transform,
     tail_transform,
@@ -69,20 +70,23 @@ def _read_int_vectors(stream) -> list[tuple[int, ...]]:
 
 
 def _format_vec(v) -> str:
+    check_printable(v, "an output value")
     return " ".join(str(x) for x in v)
+
+
+def _write_lines(lines: list[str]) -> int:
+    """Write a subcommand's whole output and return its exit code, 0. The
+    lines are formatted first, so a value refused there leaves stdout empty."""
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
+    return 0
 
 
 def _cmd_transform(args) -> int:
     vectors = _read_int_vectors(sys.stdin)
-    for v in vectors:
-        if args.inverse:
-            out = inverse_transform(v)
-        elif args.head:
-            out = head_transform(v)
-        else:
-            out = tail_transform(v)
-        print(_format_vec(out))
-    return 0
+    transform = inverse_transform if args.inverse else (
+        head_transform if args.head else tail_transform
+    )
+    return _write_lines([_format_vec(transform(v)) for v in vectors])
 
 
 def _cmd_filter(args) -> int:
@@ -93,9 +97,7 @@ def _cmd_filter(args) -> int:
     else:
         kind = A_TAIL if args.cone == "tail" else A_HEAD
         kept = cone_filter(ps, ConeMatrix(len(vectors[0]), kind), args.sense)
-    for p in kept.points:
-        print(_format_vec(p))
-    return 0
+    return _write_lines([_format_vec(p) for p in kept.points])
 
 
 def _load_instance(path: str):
@@ -146,24 +148,23 @@ def _cmd_scalarize(args) -> int:
         raise OrdparetoError(f"not rational weights: {args.weights!r}") from None
     vectors = _read_int_vectors(sys.stdin)
     value, argmins = weighted_sum_solve(PointSet(tuple(vectors)), weights)
-    print(f"minimum {value}")
-    for p in argmins.points:
-        print(_format_vec(p))
-    return 0
+    lines = [f"minimum {_format_vec((value,))}"]
+    return _write_lines(lines + [_format_vec(p) for p in argmins.points])
 
 
 def _cmd_wsd(args) -> int:
     vectors = _read_int_vectors(sys.stdin)
     ps = pareto_filter(PointSet(tuple(vectors)))
+    lines = []
     for cell in weight_space_decomposition(ps):
-        print(f"value {_format_vec(cell.value)}")
-        for v in cell.vertices:
-            print(f"  lambda-vertex {_format_vec(v)}")
-        for mu in cell.mu_vertices:
-            print(f"  mu-vertex {_format_vec(mu)}")
-        for h in cell.halfspaces:
-            print(f"  halfspace {_format_vec(h.coeffs)} <= {h.rhs}")
-    return 0
+        lines.append(f"value {_format_vec(cell.value)}")
+        lines += [f"  lambda-vertex {_format_vec(v)}" for v in cell.vertices]
+        lines += [f"  mu-vertex {_format_vec(mu)}" for mu in cell.mu_vertices]
+        lines += [
+            f"  halfspace {_format_vec(h.coeffs)} <= {_format_vec((h.rhs,))}"
+            for h in cell.halfspaces
+        ]
+    return _write_lines(lines)
 
 
 def _cmd_oracle_check(args) -> int:

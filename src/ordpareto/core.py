@@ -12,10 +12,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import sub
+from operator import ge, le, sub
 from typing import Iterable, Sequence
 
 
@@ -167,6 +169,53 @@ def weakly_pareto_dominates(u: Sequence, v: Sequence) -> bool:
 def pareto_dominates(u: Sequence, v: Sequence) -> bool:
     """Componentwise <= with u != v."""
     return tuple(u) != tuple(v) and weakly_pareto_dominates(u, v)
+
+
+def check_sense(sense: str) -> None:
+    if sense not in ("min", "max"):
+        raise OrdparetoError(f"sense must be 'min' or 'max': {sense!r}")
+
+
+def pareto_front(values: Sequence[Sequence], sense: str = "min") -> list[int]:
+    """Indices of the equal-length values without a strict Pareto dominator
+    (componentwise <= for ``"min"``, >= for ``"max"``), in lexicographic
+    order of their values (descending for ``"max"``).
+
+    One sorted sweep (Kung, Luccio & Preparata 1975): dominators sort first,
+    so each value is tested against the distinct values kept before it. A
+    value equal to the last kept one is kept untested: equal values share one
+    fate, and the weak test against the other kept values is strict.
+    """
+    check_sense(sense)
+    weakly = le if sense == "min" else ge
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=sense == "max")
+    keep: list[int] = []
+    front: list[Sequence] = []
+    for i in order:
+        v = values[i]
+        if front and v == front[-1]:
+            keep.append(i)
+        elif not any(all(map(weakly, u, v)) for u in front):
+            front.append(v)
+            keep.append(i)
+    return keep
+
+
+def check_printable(numbers: Iterable, what: str) -> None:
+    """Refuse, naming ``what``, an int or Fraction whose numerator or
+    denominator has more digits than ``str`` converts."""
+    digits = sys.get_int_max_str_digits()
+    too_long = _digit_bound(digits)
+    if any(max(abs(x.numerator), x.denominator) >= too_long for x in numbers):
+        raise OrdparetoError(
+            f"{what} has more than {digits} digits (Python's int-to-str limit)"
+        )
+
+
+@functools.cache  # 10**4300 takes about 40 us to build
+def _digit_bound(digits: int) -> int | float:
+    """The least int with more than ``digits`` digits; infinity for 0."""
+    return 10**digits if digits else float("inf")
 
 
 @dataclass(frozen=True)
@@ -369,12 +418,13 @@ class ConeMatrix:
         return (d[0],) + tuple(map(sub, d[1:], d))  # B_head
 
     def matmul(self, other: "ConeMatrix") -> tuple[tuple[int, ...], ...]:
+        """The rows of the product ``self @ other``."""
         if self.K != other.K:
             raise DimensionMismatchError(
                 f"matrix dimensions differ: {self.K} vs {other.K}"
             )
-        cols = list(zip(*other.rows()))
-        return tuple(self.apply(col) for col in cols)
+        cols = zip(*other.rows())
+        return tuple(zip(*(self.apply(col) for col in cols)))
 
 
 def cone_member(

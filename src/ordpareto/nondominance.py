@@ -1,8 +1,12 @@
 """Non-dominated subsets of finite point sets under Pareto, tail and head cones.
 
-The filters work on :class:`PointSet`, a list of integer vectors with stable
-ids. Duplicated values are all retained by the filters; collapsing
-value-equal *solutions* is the solvers' job.
+The filters work on :class:`PointSet`, a list of equal-length integer
+vectors. :func:`pareto_filter` and the precondition of :func:`is_supported`
+run on :func:`ordpareto.core.pareto_front`, the one Pareto filter for finite
+sets; :func:`cone_filter` tests cone dominance pairwise from its definition,
+so :func:`mapping_check` compares two independent computations. Duplicated
+values are all retained by the filters; collapsing value-equal *solutions*
+is the solvers' job.
 """
 
 from __future__ import annotations
@@ -13,11 +17,11 @@ from operator import sub
 from typing import Sequence
 
 from ordpareto.core import (
-    A_TAIL,
     ConeMatrix,
     DimensionMismatchError,
     OrdparetoError,
-    pareto_dominates,
+    check_sense,
+    pareto_front,
 )
 from ordpareto.simplex import OPTIMAL, solve_lp
 
@@ -27,36 +31,19 @@ class EmptyPointSetError(OrdparetoError):
 
 @dataclass(frozen=True)
 class PointSet:
-    """A finite list of equal-length integer vectors with stable ids."""
+    """A finite list of equal-length integer vectors. Points carry no ids:
+    equal points are equal values, so a filter sorts its result by point."""
 
     points: tuple[tuple[int, ...], ...]
-    ids: tuple = ()
 
     def __post_init__(self):
         points = tuple(tuple(p) for p in self.points)
         object.__setattr__(self, "points", points)
-        ids = self.ids or tuple(range(len(points)))
-        if len(ids) != len(points):
-            raise OrdparetoError(
-                f"{len(ids)} ids for {len(points)} points"
-            )
-        if len(set(ids)) != len(ids):
-            raise OrdparetoError("point ids must be unique")
-        object.__setattr__(self, "ids", tuple(ids))
-        if points:
-            dim = len(points[0])
-            if any(len(p) != dim for p in points):
-                raise DimensionMismatchError("points have differing lengths")
-
-    def __len__(self) -> int:
-        return len(self.points)
+        if len({len(p) for p in points}) > 1:
+            raise DimensionMismatchError("points have differing lengths")
 
     def _sorted(self, keep: list[int]) -> "PointSet":
-        order = sorted(keep, key=lambda i: (self.points[i], self.ids[i]))
-        return PointSet(
-            tuple(self.points[i] for i in order),
-            tuple(self.ids[i] for i in order),
-        )
+        return PointSet(tuple(sorted(self.points[i] for i in keep)))
 
 
 def _require_nonempty(ps: PointSet) -> None:
@@ -64,26 +51,11 @@ def _require_nonempty(ps: PointSet) -> None:
         raise EmptyPointSetError("point set is empty")
 
 
-def _check_sense(sense: str) -> None:
-    if sense not in ("min", "max"):
-        raise OrdparetoError(f"sense must be 'min' or 'max': {sense!r}")
-
-
-def _pareto_dominated(p: tuple, pts: Sequence[tuple], sense: str) -> bool:
-    if sense == "min":
-        return any(pareto_dominates(q, p) for q in pts)
-    return any(pareto_dominates(p, q) for q in pts)
-
-
 def pareto_filter(ps: PointSet, sense: str = "min") -> PointSet:
     """Keep the points without a strict Pareto dominator, sorted
     lexicographically. Duplicates of a retained value are all retained."""
     _require_nonempty(ps)
-    _check_sense(sense)
-    pts = ps.points
-    return ps._sorted(
-        [i for i, p in enumerate(pts) if not _pareto_dominated(p, pts, sense)]
-    )
+    return ps._sorted(pareto_front(ps.points, sense))
 
 
 def cone_filter(ps: PointSet, cone: ConeMatrix, sense: str = "min") -> PointSet:
@@ -94,7 +66,7 @@ def cone_filter(ps: PointSet, cone: ConeMatrix, sense: str = "min") -> PointSet:
     the non-dominance mapping theorem; it never transforms the points.
     """
     _require_nonempty(ps)
-    _check_sense(sense)
+    check_sense(sense)
 
     def dominates(u, y):
         if sense == "max":
@@ -109,12 +81,6 @@ def cone_filter(ps: PointSet, cone: ConeMatrix, sense: str = "min") -> PointSet:
     return ps._sorted(keep)
 
 
-def tail_filter(ps: PointSet) -> PointSet:
-    """Cone filter under the ordinal (tail) cone, minimization."""
-    dim = len(ps.points[0]) if ps.points else 1
-    return cone_filter(ps, ConeMatrix(dim, A_TAIL), "min")
-
-
 def mapping_check(ps: PointSet, cone: ConeMatrix) -> bool:
     """Verify the non-dominance mapping on one point set.
 
@@ -125,7 +91,7 @@ def mapping_check(ps: PointSet, cone: ConeMatrix) -> bool:
     """
     _require_nonempty(ps)
     left = sorted(cone.apply(p) for p in cone_filter(ps, cone).points)
-    transformed = PointSet(tuple(cone.apply(p) for p in ps.points), ps.ids)
+    transformed = PointSet(tuple(cone.apply(p) for p in ps.points))
     right = sorted(pareto_filter(transformed).points)
     return left == right
 
@@ -133,10 +99,8 @@ def mapping_check(ps: PointSet, cone: ConeMatrix) -> bool:
 def is_supported(y: Sequence[int], ps: PointSet, sense: str = "min") -> bool:
     """Whether :func:`supporting_weights` finds weights for y. Requires y to
     be a Pareto-non-dominated point of ps (precondition error otherwise)."""
-    _require_nonempty(ps)
-    _check_sense(sense)
     y = tuple(y)
-    if y not in ps.points or _pareto_dominated(y, ps.points, sense):
+    if y not in pareto_filter(ps, sense).points:
         raise OrdparetoError(f"{y} is not non-dominated in the point set")
     return supporting_weights(y, ps, sense) is not None
 
@@ -153,8 +117,11 @@ def supporting_weights(
     maximization); weights exist iff the optimum t is positive.
     """
     _require_nonempty(ps)
+    check_sense(sense)
     y = tuple(y)
     k = len(y)
+    if k != len(ps.points[0]):
+        raise DimensionMismatchError(f"{y} does not match the points' dimension")
     # Variables: lambda_1..lambda_k, t; all >= 0 in the LP, strict
     # positivity of lambda is captured by t > 0 at the optimum.
     c = [0] * k + [1]

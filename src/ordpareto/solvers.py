@@ -13,9 +13,7 @@ frontier values by it again as ``Fraction``s when the entries are built.
 
 from __future__ import annotations
 
-import functools
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +24,10 @@ from ordpareto.core import (
     CategorySpace,
     ConeMatrix,
     OrdparetoError,
+    check_printable,
     counting_vector,
     ordinal_vector,
+    pareto_front,
 )
 
 OK = "ok"
@@ -265,20 +265,12 @@ def _solve_paths(
         return SolveResult(UNREACHABLE)
     edges = {e.id: e for e in g.edges}
     n = len(scales)
-    # str() refuses an int with more digits than the interpreter's limit (0
-    # for none), so a value that could not be printed is refused here.
-    digits = sys.get_int_max_str_digits()
-    too_long = _digit_bound(digits)
     entries = []
     # Each component is scaled by a positive constant, so the int values
     # sort in the order of the values reported.
     for scaled in sorted(frontier):
         value = tuple(map(Fraction, scaled[:n], scales)) + scaled[n:]
-        if any(max(v.numerator, v.denominator) >= too_long for v in value[:n]):
-            raise OrdparetoError(
-                f"a frontier value has more than {digits} digits "
-                "(Python's int-to-str limit)"
-            )
+        check_printable(value[:n], "a frontier value")
         rep_edges = [edges[i] for i in frontier[scaled][0]]
         countings = tuple(
             counting_vector((e.categories[l] for e in rep_edges), space)
@@ -294,13 +286,6 @@ def _solve_paths(
             )
         )
     return SolveResult(OK, tuple(entries))
-
-
-@functools.cache
-def _digit_bound(digits: int) -> int | float:
-    """The least int with more than ``digits`` digits; ``math.inf`` for 0,
-    which means no limit. Cached: 10**4300 takes about 40 us to build."""
-    return 10**digits if digits else math.inf
 
 
 def _scale(g: GraphInstance, j: int) -> int:
@@ -418,14 +403,11 @@ def solve_knapsack(
                         kept.append(pair)
                 states[head] = kept
 
-    # Descending order puts every head after the heads weakly above it.
-    frontier: list[tuple[int, ...]] = []
-    for head in sorted(states, reverse=True):
-        if not any(all(a <= b for a, b in zip(head, other)) for other in frontier):
-            frontier.append(head)
+    heads = list(states)
     head_inverse = ConeMatrix(K, B_HEAD)
     entries = []
-    for head in reversed(frontier):
+    for i in reversed(pareto_front(heads, "max")):  # ascending heads
+        head = heads[i]
         sols = sorted(s for _, s in states[head])
         counts = head_inverse.apply(head)
         entries.append(

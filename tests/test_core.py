@@ -26,6 +26,7 @@ from ordpareto.core import (
     numeric_value_tail_form,
     ordinal_vector,
     pareto_dominates,
+    pareto_front,
     tail_dominates,
     tail_transform,
     weakly_tail_dominates,
@@ -186,6 +187,62 @@ class TestDominance:
             checked += 1
 
 
+def definitional_front(values, sense):
+    """The indices the kernel must keep, by O(n^2) pairwise tests."""
+    if sense == "min":
+        return [i for i, v in enumerate(values)
+                if not any(pareto_dominates(u, v) for u in values)]
+    return [i for i, v in enumerate(values)
+            if not any(pareto_dominates(v, u) for u in values)]
+
+
+# Coordinates in 0..2 make duplicates and ties in every coordinate common.
+crowded_sets = st.integers(1, 5).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers(0, 2), min_size=k, max_size=k).map(tuple),
+        min_size=1,
+        max_size=30,
+    )
+)
+
+
+class TestParetoFront:
+    def check(self, values, sense):
+        keep = pareto_front(values, sense)
+        assert sorted(keep) == definitional_front(values, sense)
+        kept = [values[i] for i in keep]
+        assert kept == sorted(kept, reverse=sense == "max")
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_matches_definition_on_seeded_sets(self, sense):
+        rng = random.Random(2024)
+        for _ in range(400):
+            k = rng.randint(1, 5)
+            top = rng.choice((1, 2, 4, 20))
+            n = rng.randint(1, 40)
+            values = [tuple(rng.randint(0, top) for _ in range(k)) for _ in range(n)]
+            self.check(values, sense)
+
+    @given(crowded_sets, st.sampled_from(["min", "max"]))
+    def test_matches_definition_with_duplicates(self, values, sense):
+        self.check(values, sense)
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_one_point(self, sense, k):
+        assert pareto_front([tuple(range(k))], sense) == [0]
+
+    def test_duplicates_share_one_fate(self):
+        values = [(1, 2), (2, 1), (1, 2), (2, 2), (2, 2), (0, 5), (2, 1)]
+        assert pareto_front(values) == [5, 0, 2, 1, 6]
+        assert pareto_front(values, "max") == [3, 4, 5]
+
+    def test_empty_and_bad_sense(self):
+        assert pareto_front([]) == []
+        with pytest.raises(OrdparetoError, match="sense"):
+            pareto_front([(1, 2)], "bogus")
+
+
 class TestNumericValues:
     def test_example_values(self):
         nu_a = NumericalRepresentation((1, 2, 5))
@@ -285,6 +342,22 @@ class TestConeMatrices:
             b = ConeMatrix(k, b_kind)
             assert a.matmul(b) == identity
             assert b.matmul(a) == identity
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_product_matches_rows(self, k):
+        kinds = (A_TAIL, B_TAIL, A_HEAD, B_HEAD)
+        for a_kind in kinds:
+            for b_kind in kinds:
+                a, b = ConeMatrix(k, a_kind), ConeMatrix(k, b_kind)
+                expected = tuple(
+                    tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b.rows()))
+                    for row in a.rows()
+                )
+                assert a.matmul(b) == expected
+
+    def test_product_is_not_transposed(self):
+        a = ConeMatrix(3, A_TAIL)
+        assert a.matmul(a) == ((1, 2, 3), (0, 1, 2), (0, 0, 1))
 
     def test_head_is_transpose_of_tail(self):
         a = ConeMatrix(4, A_TAIL).rows()

@@ -438,6 +438,38 @@ class TestErrorContract:
         assert main(["scalarize", "--weights", weights]) == 1
         assert capsys.readouterr().err.startswith("error: not rational weights")
 
+    # Each output below holds a value with more digits than str() converts;
+    # each input token has at most 4300. The first line of a transform and
+    # the first cells of a wsd are printable, and must not be written either.
+    NINES = "9" * 4300
+    WIDE = 10**2199 + 7
+    P, Q, R = 7**1800, 11**1500, 13**1400  # weights 1/PQ + Y/QR + Z/RP = 1
+    Z = -R * pow(Q, -1, P) % P
+    Y = (P * Q * R - R - Z * Q) // P
+
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (["transform"], f"1 2\n{NINES} {NINES}\n"),
+            (["transform", "--head"], f"1 2\n{NINES} {NINES}\n"),
+            (["wsd"], f"{WIDE} 1 2\n3 {WIDE} 1\n2 3 {WIDE}\n"),
+            (["scalarize", "--weights", f"1/{P * Q},{Y}/{Q * R},{Z}/{R * P}"], "1 2 3\n"),
+        ],
+        ids=["transform", "transform-head", "wsd", "scalarize"],
+    )
+    def test_unprintable_output_value(self, capsys, monkeypatch, argv, stdin):
+        import io
+        import sys
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: an output value has more than 4300 digits "
+            "(Python's int-to-str limit)\n"
+        )
+
 
 class TestValueDigitLimit:
     """A frontier value with more digits than Python converts to a string

@@ -1,12 +1,15 @@
-"""Golden CLI output on the sample instances and on malformed files.
+"""Golden CLI output on the sample instances, malformed files and stdin vectors.
 
 Every file in ``instances/`` is run through ``solve`` with each problem,
 output format and mode, and through ``oracle-check`` with and without
 ``--sampled``. Every file in ``golden/malformed/`` (one per validation rule
 of the parser and the instances, and two with several faults) is run
 through ``solve knapsack`` (``.txt``) or ``solve mixed`` (``.graph``).
-Stdout, stderr and the exit code must match ``golden/instances.json`` byte
-for byte. Refactors must not change them.
+The subcommands that read vectors (``filter``, ``transform``, ``scalarize``
+and ``wsd``) run on the files in ``golden/stdin/``; such a case ends in
+``< FILE``, which the runner feeds to stdin as a shell would. Stdout,
+stderr and the exit code must match ``golden/instances.json`` byte for
+byte. Refactors must not change them.
 After an intended output change, rewrite the expected file with
 ``PYTHONPATH=src python tests/test_golden.py`` and review its diff.
 """
@@ -42,13 +45,36 @@ def _cases() -> list[list[str]]:
     for path in sorted(MALFORMED.iterdir()):
         problem = "knapsack" if path.suffix == ".txt" else "mixed"
         cases.append(["solve", problem, f"tests/golden/malformed/{path.name}"])
+    for points in ("points_k3.txt", "points_k4.txt"):
+        for cone in ("pareto", "tail", "head"):
+            for sense in ("min", "max"):
+                cases.append(_stdin(points, "filter", "--cone", cone, "--sense", sense))
+    cases.append(_stdin("counts_k4.txt", "transform"))
+    cases.append(_stdin("counts_k4.txt", "transform", "--head"))
+    cases.append(_stdin("tails_k4.txt", "transform", "--inverse"))
+    for weights in ("1/2,1/3,1/6", "1/3,1/3,1/3"):
+        cases.append(_stdin("points_k3.txt", "scalarize", "--weights", weights))
+    cases.append(_stdin("points_k4.txt", "scalarize", "--weights", "1/10,2/10,3/10,4/10"))
+    cases.append(_stdin("wsd_k2.txt", "wsd"))
+    cases.append(_stdin("wsd_k3.txt", "wsd"))
     return cases
+
+
+def _stdin(name: str, *argv: str) -> list[str]:
+    return [*argv, "<", f"tests/golden/stdin/{name}"]
 
 
 def _run(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    saved = sys.stdin
+    if "<" in argv:
+        argv, stdin = argv[: argv.index("<")], argv[-1]
+        sys.stdin = io.StringIO(Path(stdin).read_text())
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordpareto.core import A_TAIL, ConeMatrix, OrdparetoError, tail_transform
+from ordpareto.core import (
+    A_TAIL,
+    ConeMatrix,
+    DimensionMismatchError,
+    OrdparetoError,
+    tail_transform,
+)
 from ordpareto.nondominance import (
     EmptyPointSetError,
     PointSet,
@@ -13,7 +19,6 @@ from ordpareto.nondominance import (
     mapping_check,
     pareto_filter,
     supporting_weights,
-    tail_filter,
 )
 
 from conftest import random_point_set
@@ -84,10 +89,6 @@ class TestConeFilter:
         kept = cone_filter(PointSet(((1, 2, 3),)), ConeMatrix(3, A_TAIL))
         assert kept.points == ((1, 2, 3),)
 
-    def test_tail_filter_convenience(self):
-        counts = ((1, 1, 1), (1, 0, 1))
-        assert tail_filter(PointSet(counts)).points == ((1, 0, 1),)
-
 
 class TestMappingCheck:
     def test_routes_instance(self):
@@ -151,6 +152,14 @@ class TestSupportedness:
 
     def test_unsupported_has_no_witness(self):
         assert supporting_weights((4, 1), self.Y) is None
+
+    def test_witness_rejects_unknown_sense(self):
+        with pytest.raises(OrdparetoError, match="sense"):
+            supporting_weights((2, 2), self.Y, "bogus")
+
+    def test_witness_rejects_point_of_other_length(self):
+        with pytest.raises(DimensionMismatchError):
+            supporting_weights((1,), PointSet(((1, 2), (2, 1))))
 
     @settings(deadline=None, max_examples=25)
     @given(point_sets)

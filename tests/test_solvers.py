@@ -153,6 +153,21 @@ class TestAgainstOracle:
             }
             assert got == expected
 
+    def test_knapsack_entries_match_oracle_heads(self):
+        # Many items per category, so heads tie and repeat across subsets.
+        rng = random.Random(53)
+        for _ in range(40):
+            k = random_knapsack(rng, max_items=11, max_k=5)
+            efficient = oracle_efficient_set(enumerate_subsets(k), "head")
+            by_head = {}
+            for s in efficient:
+                by_head.setdefault(head_transform(s.counting), []).append(s.elements)
+            res = solve_knapsack(k)
+            assert res.values() == tuple(sorted(by_head))
+            for e in res.entries:
+                assert e.representative == min(by_head[e.value])
+                assert head_transform(e.countings[0]) == e.value
+
     def test_knapsack_all_efficient_matches_oracle_solutions(self):
         rng = random.Random(52)
         for _ in range(60):
