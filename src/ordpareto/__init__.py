@@ -31,7 +31,6 @@ from ordpareto.nondominance import (
     PointSet,
     cone_filter,
     is_supported,
-    mapping_check,
     pareto_filter,
 )
 from ordpareto.solvers import (
@@ -53,6 +52,7 @@ from ordpareto.scalarization import (
 from ordpareto.oracle import (
     enumerate_paths,
     enumerate_subsets,
+    mapping_check,
     oracle_efficient_set,
 )
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from ordpareto.core import (
     A_HEAD,
@@ -27,6 +26,7 @@ from ordpareto.fileio import (
     TEXT,
     emit_result,
     parse_instance,
+    read_weight,
 )
 from ordpareto.nondominance import PointSet, cone_filter, pareto_filter
 from ordpareto.oracle import (
@@ -56,11 +56,12 @@ def _read_int_vectors(stream) -> list[tuple[int, ...]]:
         if not line:
             continue
         try:
-            vectors.append(tuple(map(int, line.replace(",", " ").split())))
+            vector = tuple(map(int, line.replace(",", " ").split()))
         except ValueError:
-            raise OrdparetoError(
-                f"line {no}: not an integer vector: {line!r}"
-            ) from None
+            vector = ()
+        if not vector:
+            raise OrdparetoError(f"line {no}: not an integer vector: {line!r}")
+        vectors.append(vector)
     if not vectors:
         raise OrdparetoError("no vectors on stdin")
     dim = len(vectors[0])
@@ -143,9 +144,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_scalarize(args) -> int:
     try:
-        weights = [Fraction(t) for t in args.weights.replace(",", " ").split()]
-    except (ValueError, ZeroDivisionError):
-        raise OrdparetoError(f"not rational weights: {args.weights!r}") from None
+        weights = [read_weight(t) for t in args.weights.replace(",", " ").split()]
+    except OrdparetoError as exc:
+        raise OrdparetoError(f"not rational weights: {exc}") from None
     vectors = _read_int_vectors(sys.stdin)
     value, argmins = weighted_sum_solve(PointSet(tuple(vectors)), weights)
     lines = [f"minimum {_format_vec((value,))}"]

@@ -61,7 +61,8 @@ class ParseError(OrdparetoError):
         super().__init__(f"line {line_no}: {reason}")
 
 
-def _fraction(token: str, line_no: int) -> Fraction:
+def read_weight(token: str) -> Fraction:
+    """A rational 'a/b' or decimal token, with at most MAX_WEIGHT_DIGITS digits."""
     try:
         # Fraction("1e999999999") would build 10**999999999 before the
         # size check below, so a longer exponent is refused unparsed.
@@ -69,9 +70,9 @@ def _fraction(token: str, line_no: int) -> Fraction:
         too_long = at >= 0 and abs(int(token[at + 1 :])) > MAX_WEIGHT_DIGITS
         value = None if too_long else Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(line_no, f"not a rational number: {token!r}") from None
+        raise OrdparetoError(f"not a rational number: {token!r}") from None
     if value is None or max(abs(value.numerator), value.denominator) >= _WEIGHT_LIMIT:
-        raise ParseError(line_no, f"weight has more than {MAX_WEIGHT_DIGITS} digits")
+        raise OrdparetoError(f"weight has more than {MAX_WEIGHT_DIGITS} digits")
     return value
 
 
@@ -155,9 +156,10 @@ def _parse_graph(lines) -> GraphInstance:
             eid = _int(tokens[1], no)
             u = _int(tokens[2], no)
             v = _int(tokens[3], no)
-            weights = tuple(
-                _fraction(t, no) for t in tokens[4 : 4 + num_real]
-            )
+            try:
+                weights = tuple(map(read_weight, tokens[4 : 4 + num_real]))
+            except OrdparetoError as exc:
+                raise ParseError(no, str(exc)) from None
             cats = tuple(_int(t, no) for t in tokens[4 + num_real :])
             edges.append(Edge(eid, u, v, weights, cats))
             edge_lines.append(no)

@@ -1,19 +1,20 @@
 """Non-dominated subsets of finite point sets under Pareto, tail and head cones.
 
 The filters work on :class:`PointSet`, a list of equal-length integer
-vectors. :func:`pareto_filter` and the precondition of :func:`is_supported`
-run on :func:`ordpareto.core.pareto_front`, the one Pareto filter for finite
-sets; :func:`cone_filter` tests cone dominance pairwise from its definition,
-so :func:`mapping_check` compares two independent computations. Duplicated
-values are all retained by the filters; collapsing value-equal *solutions*
-is the solvers' job.
+vectors, and all run on :func:`ordpareto.core.pareto_front`, the one Pareto
+filter for finite sets: :func:`pareto_filter` and the precondition of
+:func:`is_supported` on the points, :func:`cone_filter` on their images
+under the cone matrix (the paper's non-dominance mapping theorem). The
+pairwise definition of cone dominance lives in :mod:`ordpareto.oracle`,
+whose ``mapping_check`` compares it with this module. Duplicated values are
+all retained by the filters; collapsing value-equal *solutions* is the
+solvers' job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 from typing import Sequence
 
 from ordpareto.core import (
@@ -59,41 +60,16 @@ def pareto_filter(ps: PointSet, sense: str = "min") -> PointSet:
 
 
 def cone_filter(ps: PointSet, cone: ConeMatrix, sense: str = "min") -> PointSet:
-    """Keep the points not cone-dominated by any other point.
+    """Keep the points not cone-dominated by any other point, sorted
+    lexicographically; duplicates share one fate.
 
-    Dominance is evaluated directly from the definition: u dominates y
-    (minimization) iff A(y - u) >= 0 and u != y. This is the oracle side of
-    the non-dominance mapping theorem; it never transforms the points.
+    Through the non-dominance mapping theorem: A is invertible, so u
+    cone-dominates y (A(y - u) >= 0 and u != y, for minimization) exactly
+    when Au Pareto-dominates Ay. One image per point and one sweep of
+    :func:`ordpareto.core.pareto_front` replace the pairwise test.
     """
     _require_nonempty(ps)
-    check_sense(sense)
-
-    def dominates(u, y):
-        if sense == "max":
-            u, y = y, u
-        return u != y and min(cone.apply(tuple(map(sub, y, u)))) >= 0
-
-    keep = [
-        i
-        for i, p in enumerate(ps.points)
-        if not any(dominates(q, p) for q in ps.points)
-    ]
-    return ps._sorted(keep)
-
-
-def mapping_check(ps: PointSet, cone: ConeMatrix) -> bool:
-    """Verify the non-dominance mapping on one point set.
-
-    Compares, as multisets of values, the transformed cone-non-dominated
-    points with the Pareto-non-dominated points of the transformed set. The
-    two sides are computed independently and must agree whenever the cone
-    matrix has full rank (true for the tail matrix by construction).
-    """
-    _require_nonempty(ps)
-    left = sorted(cone.apply(p) for p in cone_filter(ps, cone).points)
-    transformed = PointSet(tuple(cone.apply(p) for p in ps.points))
-    right = sorted(pareto_filter(transformed).points)
-    return left == right
+    return ps._sorted(pareto_front([cone.apply(p) for p in ps.points], sense))
 
 
 def is_supported(y: Sequence[int], ps: PointSet, sense: str = "min") -> bool:
@@ -124,33 +100,17 @@ def supporting_weights(
         raise DimensionMismatchError(f"{y} does not match the points' dimension")
     # Variables: lambda_1..lambda_k, t; all >= 0 in the LP, strict
     # positivity of lambda is captured by t > 0 at the optimum.
-    c = [0] * k + [1]
-    rows: list[list[int]] = []
-    b: list[int] = []
-    for other in ps.points:
-        if tuple(other) == y:
-            continue
-        if sense == "max":
-            rows.append([o - a for a, o in zip(y, other)] + [0])
-        else:
-            rows.append([a - o for a, o in zip(y, other)] + [0])
-        b.append(0)
-    for i in range(k):
-        row = [0] * (k + 1)
-        row[i] = -1
-        row[k] = 1
-        rows.append(row)  # t - lambda_i <= 0
-        b.append(0)
-    ones = [1] * k + [0]
-    rows.append(ones)
-    b.append(1)
-    rows.append([-v for v in ones])
-    b.append(-1)
-    # Cap t so the LP stays bounded.
-    rows.append([0] * k + [1])
-    b.append(1)
-
-    status, objective, x = solve_lp(c, rows, b)
+    sign = -1 if sense == "max" else 1
+    rows = [  # lambda.(y - y') <= 0, reversed for maximization
+        [sign * (a - o) for a, o in zip(y, other)] + [0]
+        for other in ps.points
+        if other != y
+    ]
+    # t <= lambda_i for each i; sum(lambda) = 1; t <= 1 keeps the LP bounded.
+    rows += [[-1 if j == i else 0 for j in range(k)] + [1] for i in range(k)]
+    rows += [[1] * k + [0], [-1] * k + [0], [0] * k + [1]]
+    b = [0] * (len(rows) - 3) + [1, -1, 1]
+    status, objective, x = solve_lp([0] * k + [1], rows, b)
     if status != OPTIMAL or objective <= 0:
         return None
     return tuple(x[:k])

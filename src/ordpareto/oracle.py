@@ -1,8 +1,11 @@
 """Brute-force ground truth by exhaustive enumeration.
 
 Enumerates every simple s-t path (or every capacity-feasible subset) and
-filters for efficiency directly from the dominance definitions. Used in the
-test suite to validate the solvers and the filters at desk scale.
+filters for efficiency directly from the dominance definitions. Finite
+point sets are filtered by cone dominance the same way, pairwise, so
+:func:`mapping_check` compares the Pareto kernel with an independent
+computation. Used in the test suite to validate the solvers and the
+filters at desk scale.
 """
 
 from __future__ import annotations
@@ -12,8 +15,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ordpareto.core import (
+    ConeMatrix,
     NumericalRepresentation,
     OrdparetoError,
+    check_sense,
+    cone_member,
     counting_vector,
     dominance_certificate,
     head_dominates,
@@ -22,6 +28,7 @@ from ordpareto.core import (
     weakly_tail_dominates,
     DOMINATES,
 )
+from ordpareto.nondominance import PointSet, pareto_filter
 from ordpareto.solvers import GraphInstance, KnapsackInstance
 
 PATHS = "paths"
@@ -180,16 +187,39 @@ def oracle_efficient_set(
         raise OrdparetoError("feasible enumeration is empty")
     sols = feasible.solutions
     rng = random.Random(seed)
-    if concept == TAIL:
-        dominates = lambda a, b: tail_dominates(a.counting, b.counting)
-    elif concept == HEAD:
-        dominates = lambda a, b: head_dominates(a.counting, b.counting)
-    elif concept == ORDINAL_SAMPLED:
-        dominates = lambda a, b: _ordinal_dominates_sampled(
-            a.counting, b.counting, rng
-        )
-    else:
+    relations = {
+        TAIL: tail_dominates,
+        HEAD: head_dominates,
+        ORDINAL_SAMPLED: lambda u, v: _ordinal_dominates_sampled(u, v, rng),
+    }
+    if concept not in relations:
         raise OrdparetoError(f"unknown dominance concept: {concept!r}")
+    dominates = relations[concept]
     return tuple(
-        s for s in sols if not any(dominates(other, s) for other in sols)
+        s for s in sols if not any(dominates(o.counting, s.counting) for o in sols)
     )
+
+
+def definitional_cone_filter(
+    ps: PointSet, cone: ConeMatrix, sense: str = "min"
+) -> PointSet:
+    """The points not cone-dominated by any other point, sorted, by testing
+    every ordered pair from the definition: u dominates y iff y - u (u - y
+    for maximization) is a nonzero member of the cone {d : Ad >= 0}."""
+    check_sense(sense)
+    sign = 1 if sense == "min" else -1
+
+    def dominated(y):
+        diffs = ([sign * (a - b) for a, b in zip(y, u)] for u in ps.points)
+        return any(cone_member(d, cone, strict=True) for d in diffs)
+
+    return PointSet(tuple(sorted(p for p in ps.points if not dominated(p))))
+
+
+def mapping_check(ps: PointSet, cone: ConeMatrix) -> bool:
+    """The non-dominance mapping theorem on one point set: the images of the
+    points :func:`definitional_cone_filter` keeps equal, as a multiset, the
+    Pareto filter of all images. Only the second side runs the Pareto kernel."""
+    right = pareto_filter(PointSet(tuple(map(cone.apply, ps.points)))).points
+    left = sorted(map(cone.apply, definitional_cone_filter(ps, cone).points))
+    return left == list(right)

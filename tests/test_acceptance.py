@@ -32,12 +32,12 @@ from ordpareto.fileio import parse_instance
 from ordpareto.nondominance import (
     PointSet,
     is_supported,
-    mapping_check,
     pareto_filter,
 )
 from ordpareto.oracle import (
     enumerate_paths,
     enumerate_subsets,
+    mapping_check,
     oracle_efficient_set,
 )
 from ordpareto.scalarization import lambda_to_mu, weight_space_decomposition

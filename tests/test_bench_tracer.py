@@ -37,3 +37,18 @@ def test_tracer_wraps_every_traced_name():
     assert tracer.counters["solvers.frontier_values"] == 1
     for module, attr, original, _ in tracer._swaps:
         assert getattr(module, attr) is original
+
+
+def test_tracer_counts_the_cone_filter(monkeypatch):
+    worker = load_worker()
+    tracer = worker.Tracer(cli)
+    points = ["1 0 1", "1 1 1", "0 2 0", "0 2 0", "2 1 0", "2 2 0"]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(points) + "\n"))
+    out = io.StringIO()
+    with tracer.installed(), contextlib.redirect_stdout(out):
+        assert tracer.main(["filter", "--cone", "tail"]) == 0
+    kept = out.getvalue().splitlines()
+    assert kept == ["0 2 0", "0 2 0", "1 0 1", "2 1 0"]
+    assert "nondominance.cone_filter" in {span[0] for span in tracer.spans}
+    assert tracer.counters["nondominance.points_in"] == len(points)
+    assert tracer.counters["nondominance.points_kept"] == len(kept)

@@ -447,13 +447,35 @@ class TestErrorContract:
     Z = -R * pow(Q, -1, P) % P
     Y = (P * Q * R - R - Z * Q) // P
 
+    # The weights are read as instance weights are: "1e999999999" would
+    # build 10**999999999, and the denominator of "1e-5000" has more digits
+    # than an error message can print; the last weights have up to 3122.
+    @pytest.mark.parametrize(
+        "weights",
+        ["1e999999999,1", "1e-5000,1", f"1/{P * Q},{Y}/{Q * R},{Z}/{R * P}"],
+        ids=["huge-exponent", "tiny-exponent", "long-denominators"],
+    )
+    def test_scalarize_weight_digits(self, capsys, monkeypatch, weights):
+        import io
+        import sys
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1 2\n"))
+        assert main(["scalarize", "--weights", weights]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: not rational weights: weight has more than "
+            f"{MAX_WEIGHT_DIGITS} digits\n"
+        )
+
     @pytest.mark.parametrize(
         "argv, stdin",
         [
             (["transform"], f"1 2\n{NINES} {NINES}\n"),
             (["transform", "--head"], f"1 2\n{NINES} {NINES}\n"),
             (["wsd"], f"{WIDE} 1 2\n3 {WIDE} 1\n2 3 {WIDE}\n"),
-            (["scalarize", "--weights", f"1/{P * Q},{Y}/{Q * R},{Z}/{R * P}"], "1 2 3\n"),
+            # minimum NINES - 2/3, whose numerator 3 * NINES - 2 has 4301 digits
+            (["scalarize", "--weights", "1/3,2/3"], f"{NINES} {int(NINES) - 1}\n"),
         ],
         ids=["transform", "transform-head", "wsd", "scalarize"],
     )

@@ -4,8 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ordpareto import core, nondominance
 from ordpareto.core import (
+    A_HEAD,
     A_TAIL,
+    B_HEAD,
+    B_TAIL,
     ConeMatrix,
     DimensionMismatchError,
     OrdparetoError,
@@ -16,10 +20,10 @@ from ordpareto.nondominance import (
     PointSet,
     cone_filter,
     is_supported,
-    mapping_check,
     pareto_filter,
     supporting_weights,
 )
+from ordpareto.oracle import definitional_cone_filter, mapping_check
 
 from conftest import random_point_set
 
@@ -30,6 +34,15 @@ point_sets = st.integers(1, 5).flatmap(
         max_size=20,
     )
 )
+# Coordinates in 0..2 make duplicates and ties frequent.
+crowded_point_sets = st.integers(1, 5).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers(0, 2), min_size=k, max_size=k).map(tuple),
+        min_size=1,
+        max_size=20,
+    )
+)
+KINDS = (A_TAIL, B_TAIL, A_HEAD, B_HEAD)
 
 
 class TestParetoFilter:
@@ -89,6 +102,28 @@ class TestConeFilter:
         kept = cone_filter(PointSet(((1, 2, 3),)), ConeMatrix(3, A_TAIL))
         assert kept.points == ((1, 2, 3),)
 
+    @given(
+        crowded_point_sets,
+        st.sampled_from(KINDS),
+        st.sampled_from(("min", "max")),
+    )
+    def test_theorem_filter_matches_definition(self, pts, kind, sense):
+        ps, cone = PointSet(tuple(pts)), ConeMatrix(len(pts[0]), kind)
+        assert cone_filter(ps, cone, sense) == definitional_cone_filter(
+            ps, cone, sense
+        )
+
+    def test_theorem_filter_matches_definition_seeded(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            pts = random_point_set(rng, max_k=5, max_n=30, max_coord=2)
+            ps = PointSet(tuple(pts))
+            for kind in KINDS:
+                cone = ConeMatrix(len(pts[0]), kind)
+                for sense in ("min", "max"):
+                    expected = definitional_cone_filter(ps, cone, sense)
+                    assert cone_filter(ps, cone, sense) == expected
+
 
 class TestMappingCheck:
     def test_routes_instance(self):
@@ -104,6 +139,17 @@ class TestMappingCheck:
             pts = random_point_set(rng)
             cone = ConeMatrix(len(pts[0]), A_TAIL)
             assert mapping_check(PointSet(tuple(pts)), cone)
+
+    def test_definitional_side_does_not_use_the_kernel(self, monkeypatch):
+        # A kernel that keeps every point breaks the Pareto side only, so
+        # the check must fail on a set with a dominated point.
+        def keep_all(values, sense="min"):
+            return sorted(range(len(values)), key=values.__getitem__)
+
+        monkeypatch.setattr(core, "pareto_front", keep_all)
+        monkeypatch.setattr(nondominance, "pareto_front", keep_all)
+        counts = ((1, 0, 1), (1, 1, 1))
+        assert not mapping_check(PointSet(counts), ConeMatrix(3, A_TAIL))
 
 
 class TestSupportedness:
