@@ -20,6 +20,7 @@ from ordpareto.core import (
     head_transform,
     inverse_transform,
     tail_transform,
+    too_many_digits,
 )
 from ordpareto.fileio import (
     FORMATS,
@@ -55,9 +56,13 @@ def _read_int_vectors(stream) -> list[tuple[int, ...]]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        tokens = line.replace(",", " ").split()
         try:
-            vector = tuple(map(int, line.replace(",", " ").split()))
+            vector = tuple(map(int, tokens))
         except ValueError:
+            reason = next(filter(None, map(too_many_digits, tokens)), "")
+            if reason:
+                raise OrdparetoError(f"line {no}: {reason}") from None
             vector = ()
         if not vector:
             raise OrdparetoError(f"line {no}: not an integer vector: {line!r}")

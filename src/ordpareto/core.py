@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from operator import ge, le, sub
 from typing import Iterable, Sequence
 
@@ -201,21 +202,40 @@ def pareto_front(values: Sequence[Sequence], sense: str = "min") -> list[int]:
     return keep
 
 
+def scale_to_ints(values: Sequence[int | Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the denominators of ints or Fractions, and each value
+    times it, as an int."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def check_printable(numbers: Iterable, what: str) -> None:
     """Refuse, naming ``what``, an int or Fraction whose numerator or
     denominator has more digits than ``str`` converts."""
-    digits = sys.get_int_max_str_digits()
+    digits = sys.get_int_max_str_digits()  # 0 switches the limit off
     too_long = _digit_bound(digits)
-    if any(max(abs(x.numerator), x.denominator) >= too_long for x in numbers):
+    if digits and any(
+        max(abs(x.numerator), x.denominator) >= too_long for x in numbers
+    ):
         raise OrdparetoError(
             f"{what} has more than {digits} digits (Python's int-to-str limit)"
         )
 
 
 @functools.cache  # 10**4300 takes about 40 us to build
-def _digit_bound(digits: int) -> int | float:
-    """The least int with more than ``digits`` digits; infinity for 0."""
-    return 10**digits if digits else float("inf")
+def _digit_bound(digits: int) -> int:
+    """The least int with more than ``digits`` digits."""
+    return 10**digits
+
+
+def too_many_digits(token: str) -> str:
+    """A short reason if ``token`` has more digits than ``int`` converts
+    from str, else "". ``int`` and ``Fraction`` raise for such a token the
+    ``ValueError`` of a malformed one, and echoing it would print them all."""
+    digits = sys.get_int_max_str_digits()
+    if digits and sum(map(str.isdecimal, token)) > digits:
+        return f"integer has more than {digits} digits (Python's str-to-int limit)"
+    return ""
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import json
 from fractions import Fraction
 from typing import Sequence
 
-from ordpareto.core import CategorySpace, OrdparetoError
+from ordpareto.core import CategorySpace, OrdparetoError, too_many_digits
 from ordpareto.solvers import (
     Edge,
     GraphInstance,
@@ -70,7 +70,9 @@ def read_weight(token: str) -> Fraction:
         too_long = at >= 0 and abs(int(token[at + 1 :])) > MAX_WEIGHT_DIGITS
         value = None if too_long else Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise OrdparetoError(f"not a rational number: {token!r}") from None
+        if not too_many_digits(token):
+            raise OrdparetoError(f"not a rational number: {token!r}") from None
+        value = None
     if value is None or max(abs(value.numerator), value.denominator) >= _WEIGHT_LIMIT:
         raise OrdparetoError(f"weight has more than {MAX_WEIGHT_DIGITS} digits")
     return value
@@ -80,7 +82,8 @@ def _int(token: str, line_no: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(line_no, f"not an integer: {token!r}") from None
+        reason = too_many_digits(token) or f"not an integer: {token!r}"
+        raise ParseError(line_no, reason) from None
 
 
 def _spaces(num_real: int, ks: list[int], line_no: int) -> tuple[CategorySpace, ...]:

@@ -88,9 +88,11 @@ def supporting_weights(
     weighted-sum optimum over the point set, or None if no such weights
     exist.
 
-    Decided exactly: maximize t subject to lambda_i >= t, sum(lambda) = 1
+    Decided exactly: maximize t subject to lambda_i >= t, sum(lambda) <= 1
     and lambda.(y - y') <= 0 for every y' in the set (reversed for
-    maximization); weights exist iff the optimum t is positive.
+    maximization); weights exist iff the optimum t is positive. The origin
+    is feasible, and an optimum with t > 0 has sum(lambda) = 1, since
+    scaling lambda and t by 1 / sum(lambda) keeps every row and raises t.
     """
     _require_nonempty(ps)
     check_sense(sense)
@@ -106,10 +108,10 @@ def supporting_weights(
         for other in ps.points
         if other != y
     ]
-    # t <= lambda_i for each i; sum(lambda) = 1; t <= 1 keeps the LP bounded.
+    # t <= lambda_i for each i; sum(lambda) <= 1 keeps the LP bounded.
     rows += [[-1 if j == i else 0 for j in range(k)] + [1] for i in range(k)]
-    rows += [[1] * k + [0], [-1] * k + [0], [0] * k + [1]]
-    b = [0] * (len(rows) - 3) + [1, -1, 1]
+    rows.append([1] * k + [0])
+    b = [0] * (len(rows) - 1) + [1]
     status, objective, x = solve_lp([0] * k + [1], rows, b)
     if status != OPTIMAL or objective <= 0:
         return None

@@ -13,19 +13,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
-from ordpareto.core import DimensionMismatchError, OrdparetoError
+from ordpareto.core import DimensionMismatchError, OrdparetoError, scale_to_ints
 from ordpareto.nondominance import PointSet, supporting_weights
 
 
-def _as_fractions(weights: Sequence) -> tuple[Fraction, ...]:
-    return tuple(Fraction(w) for w in weights)
+def _as_fractions(weights: Sequence, name: str) -> tuple[Fraction, ...]:
+    # Exact input only, as for edge weights: the float 0.1 is not 1/10.
+    weights = tuple(weights)
+    if not all(isinstance(w, (int, Fraction)) for w in weights):
+        raise OrdparetoError(f"{name} weights must be ints or Fractions")
+    return tuple(map(Fraction, weights))
 
 
 def check_lambda(weights: Sequence) -> tuple[Fraction, ...]:
     """Validate a lambda vector: strictly positive, summing to one."""
-    w = _as_fractions(weights)
+    w = _as_fractions(weights, "lambda")
     if any(x <= 0 for x in w):
         raise OrdparetoError(f"lambda weights must be strictly positive: {w}")
     if sum(w) != 1:
@@ -35,7 +40,7 @@ def check_lambda(weights: Sequence) -> tuple[Fraction, ...]:
 
 def check_mu(weights: Sequence) -> tuple[Fraction, ...]:
     """Validate a mu vector: strictly increasing, positive, summing to one."""
-    w = _as_fractions(weights)
+    w = _as_fractions(weights, "mu")
     if any(x <= 0 for x in w):
         raise OrdparetoError(f"mu weights must be strictly positive: {w}")
     if any(a >= b for a, b in zip(w, w[1:])):
@@ -56,12 +61,13 @@ def weighted_sum_solve(
         raise DimensionMismatchError(
             f"{len(lam)} weights for points of dimension {len(ps.points[0])}"
         )
-    values = [
-        sum(l * y for l, y in zip(lam, point)) for point in ps.points
-    ]
+    # Scaled to ints by the lcm of the weights' denominators, a positive
+    # constant, which keeps the argmins.
+    scale, ints = scale_to_ints(lam)
+    values = [sum(map(mul, ints, point)) for point in ps.points]
     best = min(values)
     keep = [i for i, v in enumerate(values) if v == best]
-    return best, ps._sorted(keep)
+    return Fraction(best, scale), ps._sorted(keep)
 
 
 def _prefix_normalize(lam: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -13,7 +13,6 @@ frontier values by it again as ``Fraction``s when the entries are built.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +27,7 @@ from ordpareto.core import (
     counting_vector,
     ordinal_vector,
     pareto_front,
+    scale_to_ints,
 )
 
 OK = "ok"
@@ -288,16 +288,6 @@ def _solve_paths(
     return SolveResult(OK, tuple(entries))
 
 
-def _scale(g: GraphInstance, j: int) -> int:
-    """The lcm of the denominators of real objective ``j``'s edge weights:
-    times it, every weight of the objective is an int."""
-    return math.lcm(*(e.weights[j].denominator for e in g.edges))
-
-
-def _scaled(w: Fraction | int, scale: int) -> int:
-    return w.numerator * (scale // w.denominator)
-
-
 def solve_shortest_path(
     g: GraphInstance, all_efficient: bool = False
 ) -> SolveResult:
@@ -322,15 +312,18 @@ def solve_mixed(g: GraphInstance, all_efficient: bool = False) -> SolveResult:
         raise OrdparetoError("need at least one objective")
     # Each edge costs its scaled real weights followed by one binary tail
     # vector per ordinal objective (ones up to the edge's category).
-    scales = tuple(_scale(g, j) for j in range(g.num_real))
+    scaled = [
+        scale_to_ints([e.weights[j] for e in g.edges]) for j in range(g.num_real)
+    ]
+    scales = tuple(scale for scale, _ in scaled)
     cost = {
-        e.id: tuple(map(_scaled, e.weights, scales))
+        e.id: tuple(ints[i] for _, ints in scaled)
         + tuple(
             1 if j <= cat else 0
             for cat, space in zip(e.categories, g.spaces)
             for j in range(1, space.K + 1)
         )
-        for e in g.edges
+        for i, e in enumerate(g.edges)
     }
     zero = (0,) * (g.num_real + sum(s.K for s in g.spaces))
     return _solve_paths(g, cost, zero, scales, all_efficient)
@@ -351,13 +344,10 @@ def solve_weighted_counting(
             "ordinal objective per edge"
         )
     K = g.spaces[0].K
-    scale = _scale(g, 0)
+    scale, weights = scale_to_ints([e.weights[0] for e in g.edges])
     cost = {
-        e.id: tuple(
-            _scaled(e.weights[0], scale) if j <= e.categories[0] else 0
-            for j in range(1, K + 1)
-        )
-        for e in g.edges
+        e.id: tuple(w if j <= e.categories[0] else 0 for j in range(1, K + 1))
+        for e, w in zip(g.edges, weights)
     }
     return _solve_paths(g, cost, (0,) * K, (scale,) * K, all_efficient)
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from ordpareto.core import (
     InvalidTailVectorError,
     NumericalRepresentation,
     OrdparetoError,
+    check_printable,
     cone_member,
     counting_vector,
     dominance_certificate,
@@ -27,8 +29,10 @@ from ordpareto.core import (
     ordinal_vector,
     pareto_dominates,
     pareto_front,
+    scale_to_ints,
     tail_dominates,
     tail_transform,
+    too_many_digits,
     weakly_tail_dominates,
 )
 
@@ -241,6 +245,35 @@ class TestParetoFront:
         assert pareto_front([]) == []
         with pytest.raises(OrdparetoError, match="sense"):
             pareto_front([(1, 2)], "bogus")
+
+
+class TestScaleToInts:
+    def test_lcm_and_ints(self):
+        values = [Fraction(1, 6), 3, Fraction(-5, 4), Fraction(0)]
+        assert scale_to_ints(values) == (12, [2, 36, -15, 0])
+
+    def test_ints_and_empty(self):
+        assert scale_to_ints([4, -2]) == (1, [4, -2])
+        assert scale_to_ints([]) == (1, [])
+
+
+class TestDigitLimit:
+    def test_tokens_over_the_limit(self):
+        digits = sys.get_int_max_str_digits()
+        assert too_many_digits("7" * digits) == ""
+        assert too_many_digits("1_" * digits + "1") != ""
+        assert str(digits) in too_many_digits("-" + "0" * digits + "1")
+
+    def test_no_limit(self):
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert too_many_digits("7" * (digits + 1)) == ""
+            check_printable([10**digits, Fraction(1, 10**digits)], "a value")
+        finally:
+            sys.set_int_max_str_digits(digits)
+        with pytest.raises(OrdparetoError, match="a value has more than"):
+            check_printable([10**digits], "a value")
 
 
 class TestNumericValues:

@@ -347,14 +347,27 @@ class TestErrorContract:
         err = self.solve(capsys, tmp_path, text, "knapsack")
         assert err.startswith("error: line 1: capacity must be nonnegative")
 
+    # The last three have more digits than int() converts from str, which
+    # raises the ValueError of a malformed token.
     @pytest.mark.parametrize(
-        "weight", ["1e5000", "1e-1001", "1e99999999999", "1/" + "7" * 1001, "1" * 1001]
+        "weight",
+        ["1e5000", "1e-1001", "1e99999999999", "1/" + "7" * 1001, "1" * 1001]
+        + ["7" * 4301, "1/" + "7" * 4301, "1e" + "7" * 4301],
     )
     def test_weight_with_too_many_digits(self, capsys, tmp_path, weight):
         text = GRAPH_HEAD + f"EDGE 1 1 2 1 1\nEDGE 2 2 3 {weight} 2\n"
         err = self.solve(capsys, tmp_path, text + "SOURCE 1\nTARGET 3\n", "mixed")
-        assert err.startswith(
-            f"error: line 4: weight has more than {MAX_WEIGHT_DIGITS} digits"
+        assert err == (
+            f"error: line 4: weight has more than {MAX_WEIGHT_DIGITS} digits\n"
+        )
+
+    def test_integer_with_too_many_digits(self, capsys, tmp_path):
+        text = GRAPH_HEAD + f"EDGE 1 1 2 1 {'0' * 4300}1\n"
+        err = self.solve(capsys, tmp_path, text + "SOURCE 1\nTARGET 2\n", "mixed")
+        digits = sys.get_int_max_str_digits()
+        assert err == (
+            f"error: line 3: integer has more than {digits} digits "
+            "(Python's str-to-int limit)\n"
         )
 
     def test_weight_with_most_digits_is_solved(self, capsys, tmp_path):
@@ -428,6 +441,19 @@ class TestErrorContract:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: line 3: not an integer vector")
+
+    @pytest.mark.parametrize("argv", [["filter"], ["transform"], ["wsd"]])
+    def test_stdin_integer_with_too_many_digits(self, capsys, monkeypatch, argv):
+        import io
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1 2\n3 %04301d\n" % 9))
+        assert main(argv) == 1
+        digits = sys.get_int_max_str_digits()
+        assert capsys.readouterr() == (
+            "",
+            f"error: line 2: integer has more than {digits} digits "
+            "(Python's str-to-int limit)\n",
+        )
 
     @pytest.mark.parametrize("weights", ["1/0", "1/2,abc"])
     def test_bad_scalarize_weights(self, capsys, monkeypatch, weights):

@@ -59,6 +59,7 @@ def _cases() -> list[list[str]]:
     cases.append(_stdin("wsd_k3.txt", "wsd"))
     for argv in (["filter"], ["filter", "--cone", "tail"], ["wsd"]):
         cases.append(_stdin("empty_vector.txt", *argv))
+    cases.append(_stdin("long_integer.txt", "filter"))
     return cases
 
 

@@ -4,13 +4,33 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _scan(predicate) -> list[str]:
+    """``module:line`` of every node under ``src/`` that ``predicate`` accepts."""
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules, "no modules found under src/"
+    return [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if predicate(node)
+    ]
+
+
 def test_no_assert_statements_in_src():
     # ``python -O`` strips asserts, so invariants must raise explicitly.
-    found = [
-        f"{path.relative_to(SRC)}:{node.lineno}"
-        for path in sorted(SRC.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Assert)
-    ]
-    assert sorted(SRC.rglob("*.py")), "no modules found under src/"
-    assert found == []
+    assert _scan(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def _is_float(node) -> bool:
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (float, complex))
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "float"
+    )
+
+
+def test_no_floats_in_src():
+    # All arithmetic is exact: no float literal and no float(...) call.
+    assert _scan(_is_float) == []

@@ -75,6 +75,16 @@ class TestWeightConversion:
         with pytest.raises(OrdparetoError):
             check_mu([Fraction(1, 2), Fraction(1, 2)])
 
+    @pytest.mark.parametrize("check", [check_lambda, check_mu])
+    @pytest.mark.parametrize("weights", [[0.25, 0.75], ["1/4", "3/4"]])
+    def test_weights_must_be_exact(self, check, weights):
+        # 0.25 and 0.75 are exact binary fractions, so only the type fails.
+        with pytest.raises(OrdparetoError, match="must be ints or Fractions"):
+            check(weights)
+        assert check([Fraction(1, 4), Fraction(3, 4)]) == (
+            Fraction(1, 4), Fraction(3, 4)
+        )
+
     @given(
         st.integers(1, 5).flatmap(
             lambda k: st.lists(st.integers(1, 30), min_size=k, max_size=k)
