@@ -17,6 +17,7 @@ from ordpareto.core import (
     ConeMatrix,
     OrdparetoError,
     check_printable,
+    excerpt,
     head_transform,
     inverse_transform,
     tail_transform,
@@ -65,7 +66,7 @@ def _read_int_vectors(stream) -> list[tuple[int, ...]]:
                 raise OrdparetoError(f"line {no}: {reason}") from None
             vector = ()
         if not vector:
-            raise OrdparetoError(f"line {no}: not an integer vector: {line!r}")
+            raise OrdparetoError(f"line {no}: not an integer vector: {excerpt(line)}")
         vectors.append(vector)
     if not vectors:
         raise OrdparetoError("no vectors on stdin")

@@ -238,6 +238,11 @@ def too_many_digits(token: str) -> str:
     return ""
 
 
+def excerpt(text: str) -> str:
+    """``repr(text)`` for an error line, cut after 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}…"
+
+
 @dataclass(frozen=True)
 class NumericalRepresentation:
     """Strictly increasing nonnegative integer values, one per category."""

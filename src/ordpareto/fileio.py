@@ -30,7 +30,7 @@ import json
 from fractions import Fraction
 from typing import Sequence
 
-from ordpareto.core import CategorySpace, OrdparetoError, too_many_digits
+from ordpareto.core import CategorySpace, OrdparetoError, excerpt, too_many_digits
 from ordpareto.solvers import (
     Edge,
     GraphInstance,
@@ -71,7 +71,7 @@ def read_weight(token: str) -> Fraction:
         value = None if too_long else Fraction(token)
     except (ValueError, ZeroDivisionError):
         if not too_many_digits(token):
-            raise OrdparetoError(f"not a rational number: {token!r}") from None
+            raise OrdparetoError(f"not a rational number: {excerpt(token)}") from None
         value = None
     if value is None or max(abs(value.numerator), value.denominator) >= _WEIGHT_LIMIT:
         raise OrdparetoError(f"weight has more than {MAX_WEIGHT_DIGITS} digits")
@@ -82,7 +82,7 @@ def _int(token: str, line_no: int) -> int:
     try:
         return int(token)
     except ValueError:
-        reason = too_many_digits(token) or f"not an integer: {token!r}"
+        reason = too_many_digits(token) or f"not an integer: {excerpt(token)}"
         raise ParseError(line_no, reason) from None
 
 
@@ -112,7 +112,7 @@ def parse_instance(text: str) -> GraphInstance | KnapsackInstance:
         return _parse_graph(lines)
     if head[0] == "KNAPSACK":
         return _parse_knapsack(lines)
-    raise ParseError(no, f"expected GRAPH or KNAPSACK header, got {head[0]!r}")
+    raise ParseError(no, f"expected GRAPH or KNAPSACK header, got {excerpt(head[0])}")
 
 
 def _parse_graph(lines) -> GraphInstance:
@@ -141,7 +141,7 @@ def _parse_graph(lines) -> GraphInstance:
                 elif token.startswith("ordinal="):
                     ks = [_int(k, no) for k in token[8:].split(",") if k]
                 else:
-                    raise ParseError(no, f"unknown OBJECTIVES field {token!r}")
+                    raise ParseError(no, f"unknown OBJECTIVES field {excerpt(token)}")
             if num_real < 0:
                 raise ParseError(no, "real objective count must be >= 0")
             spaces = _spaces(num_real, ks, no)
@@ -174,7 +174,7 @@ def _parse_graph(lines) -> GraphInstance:
             else:
                 target, target_no = _int(tokens[1], no), no
         else:
-            raise ParseError(no, f"unknown record {key!r}")
+            raise ParseError(no, f"unknown record {excerpt(key)}")
 
     no = lines[0][0]
     if not saw_objectives:
@@ -206,7 +206,7 @@ def _parse_knapsack(lines) -> KnapsackInstance:
     item_lines: list[int] = []
     for no, tokens in lines[1:]:
         if tokens[0] != "ITEM":
-            raise ParseError(no, f"unknown record {tokens[0]!r}")
+            raise ParseError(no, f"unknown record {excerpt(tokens[0])}")
         if len(tokens) != 4:
             raise ParseError(no, "ITEM needs <id> <consumption> <category>")
         items.append(

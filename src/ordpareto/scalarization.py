@@ -32,9 +32,9 @@ def check_lambda(weights: Sequence) -> tuple[Fraction, ...]:
     """Validate a lambda vector: strictly positive, summing to one."""
     w = _as_fractions(weights, "lambda")
     if any(x <= 0 for x in w):
-        raise OrdparetoError(f"lambda weights must be strictly positive: {w}")
+        raise OrdparetoError("lambda weights must be strictly positive")
     if sum(w) != 1:
-        raise OrdparetoError(f"lambda weights must sum to 1: {w}")
+        raise OrdparetoError("lambda weights must sum to 1")
     return w
 
 
@@ -42,11 +42,11 @@ def check_mu(weights: Sequence) -> tuple[Fraction, ...]:
     """Validate a mu vector: strictly increasing, positive, summing to one."""
     w = _as_fractions(weights, "mu")
     if any(x <= 0 for x in w):
-        raise OrdparetoError(f"mu weights must be strictly positive: {w}")
+        raise OrdparetoError("mu weights must be strictly positive")
     if any(a >= b for a, b in zip(w, w[1:])):
-        raise OrdparetoError(f"mu weights must be strictly increasing: {w}")
+        raise OrdparetoError("mu weights must be strictly increasing")
     if sum(w) != 1:
-        raise OrdparetoError(f"mu weights must sum to 1: {w}")
+        raise OrdparetoError("mu weights must sum to 1")
     return w
 
 

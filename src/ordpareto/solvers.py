@@ -188,61 +188,54 @@ def _multiobjective_shortest_paths(
     int value of the empty path (callers scale rational weights to ints).
     Returns a map from each non-dominated cost vector at the target to the
     sorted edge-id paths attaining it (only the smallest unless
-    ``all_efficient``). Labels carry their node sequence, so cyclic
-    extensions are never generated; dominated labels are pruned at every
-    node, so the values kept at a node never dominate one another.
+    ``all_efficient``). A label is a node, a value and an edge-id path.
+
+    Labels need no visited set. When a walk first returns to a node, that
+    node still holds the walk's prefix to it or a value dominating it (a
+    tie swaps in only a smaller path), so a cycle of positive cost leaves
+    the walk strictly dominated. The tail transform adds 1 per edge to each
+    ordinal block's first component, so only ``wtop``, or ``mixed`` with no
+    ordinal block, has zero-cost cycles, and such a walk ties its prefix,
+    a smaller path. Only ``all_efficient`` keeps ties, so only its ties
+    reached by a zero-cost edge test for a cycle.
     """
     outgoing: dict[int, list[Edge]] = {}
-    for e in g.edges:
+    for e in sorted(g.edges, key=lambda e: e.id):
         outgoing.setdefault(e.tail, []).append(e)
-    for edges in outgoing.values():
-        edges.sort(key=lambda e: e.id)
+    head = {e.id: e.head for e in g.edges}
+    free = {i for i, c in cost.items() if not any(c)}  # zero-cost edge ids
 
-    # labels[node]: value -> list of (edge-id path, visited node frozenset)
-    labels: dict[int, dict[tuple, list[tuple[tuple[int, ...], frozenset]]]] = {
-        g.source: {zero: [((), frozenset([g.source]))]}
-    }
-    queue: deque[tuple[int, tuple, tuple[int, ...], frozenset]] = deque(
-        [(g.source, zero, (), frozenset([g.source]))]
-    )
-
+    # labels[node]: value -> edge-id paths
+    labels: dict[int, dict[tuple, list[tuple[int, ...]]]] = {g.source: {zero: [()]}}
+    queue: deque[tuple[int, tuple, tuple[int, ...]]] = deque([(g.source, zero, ())])
     while queue:
-        node, value, path, visited = queue.popleft()
-        current = labels.get(node, {})
-        if value not in current or (path, visited) not in current[value]:
+        node, value, path = queue.popleft()
+        if path not in labels[node].get(value, ()):
             continue  # label was pruned after being queued
         for edge in outgoing.get(node, ()):
-            if edge.head in visited:
-                continue
             new_value = tuple(map(add, value, cost[edge.id]))
             new_path = path + (edge.id,)
-            new_visited = visited | {edge.head}
             bucket = labels.setdefault(edge.head, {})
             entries = bucket.get(new_value)
-            if entries is not None:
-                # A value dominating this one would dominate its equal in
-                # the bucket, so only the paths need comparing.
-                if all_efficient:
-                    if (new_path, new_visited) in entries:
-                        continue
-                    entries.append((new_path, new_visited))
-                else:
-                    if new_path >= entries[0][0]:
-                        continue
-                    bucket[new_value] = [(new_path, new_visited)]
-            else:
-                # No bucket value equals new_value, so <= is strict here.
+            # A value dominating new_value would dominate its equal in the
+            # bucket, so a tie compares paths only; otherwise <= is strict.
+            if entries is None:
                 if any(all(map(le, other, new_value)) for other in bucket):
                     continue
                 for other in [o for o in bucket if all(map(le, new_value, o))]:
                     del bucket[other]
-                bucket[new_value] = [(new_path, new_visited)]
-            queue.append((edge.head, new_value, new_path, new_visited))
+                bucket[new_value] = [new_path]
+            elif not all_efficient:
+                if new_path >= entries[0]:
+                    continue
+                entries[0] = new_path
+            elif edge.id in free and edge.head in (g.source, *map(head.get, path)):
+                continue  # closes a zero-cost cycle
+            else:
+                entries.append(new_path)
+            queue.append((edge.head, new_value, new_path))
 
-    return {
-        value: sorted(p for p, _ in entries)[: None if all_efficient else 1]
-        for value, entries in labels.get(g.target, {}).items()
-    }
+    return {value: sorted(paths) for value, paths in labels.get(g.target, {}).items()}
 
 
 def _solve_paths(

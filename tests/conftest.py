@@ -1,4 +1,5 @@
 import random
+import signal
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,25 @@ from ordpareto.core import CategorySpace
 from ordpareto.solvers import Edge, GraphInstance, Item, KnapsackInstance
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
+
+# Wall-clock limit per test, so that a search that never ends fails its
+# test instead of hanging the suite. The slowest test takes a few seconds.
+TIME_LIMIT_S = 60
+
+
+def _expire(signum, frame):
+    raise TimeoutError(f"test ran longer than {TIME_LIMIT_S} s")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def routes_k3() -> GraphInstance:

@@ -442,6 +442,16 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.startswith("error: line 3: not an integer vector")
 
+    def test_long_bad_stdin_line_is_cut(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1 2\n" + "x" * 3000 + "\n"))
+        assert main(["filter"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"error: line 2: not an integer vector: {'x' * 40!r}…\n",
+        )
+
     @pytest.mark.parametrize("argv", [["filter"], ["transform"], ["wsd"]])
     def test_stdin_integer_with_too_many_digits(self, capsys, monkeypatch, argv):
         import io

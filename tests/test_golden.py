@@ -52,7 +52,7 @@ def _cases() -> list[list[str]]:
     cases.append(_stdin("counts_k4.txt", "transform"))
     cases.append(_stdin("counts_k4.txt", "transform", "--head"))
     cases.append(_stdin("tails_k4.txt", "transform", "--inverse"))
-    for weights in ("1/2,1/3,1/6", "1/3,1/3,1/3"):
+    for weights in ("1/2,1/3,1/6", "1/3,1/3,1/3", "1/3,1/3"):
         cases.append(_stdin("points_k3.txt", "scalarize", "--weights", weights))
     cases.append(_stdin("points_k4.txt", "scalarize", "--weights", "1/10,2/10,3/10,4/10"))
     cases.append(_stdin("wsd_k2.txt", "wsd"))

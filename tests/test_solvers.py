@@ -495,14 +495,54 @@ def weighted_grid(rng, num_real):
     )
 
 
+def random_digraph(rng, num_real, ordinal):
+    """A digraph on 1-5 nodes with self-loops, parallel edges and weight-0
+    cycles, one of them through the source, which may be the target. Half
+    the edges weigh 0 in every real objective; ``ordinal`` adds one
+    objective of 1-3 categories."""
+    nodes = rng.randint(1, 5)
+    K = rng.randint(1, 3)
+    source, target = rng.randint(1, nodes), rng.randint(1, nodes)
+    arcs = [
+        (rng.randint(1, nodes), rng.randint(1, nodes))
+        for _ in range(rng.randint(0, 3 * nodes))
+    ]
+    free = [rng.random() < 0.5 for _ in arcs] + [True, True]
+    other = rng.randint(1, nodes)
+    arcs += [(source, other), (other, source)]
+    edges = tuple(
+        Edge(
+            i,
+            u,
+            v,
+            tuple(0 if zero else random_weight(rng) for _ in range(num_real)),
+            (rng.randint(1, K),) * ordinal,
+        )
+        for i, ((u, v), zero) in enumerate(zip(arcs, free), start=1)
+    )
+    spaces = (CategorySpace(K),) * ordinal
+    return GraphInstance(nodes, edges, spaces, source, target, num_real)
+
+
 def brute_force(g, value_of, all_efficient):
     """The SolveResult a path solver must return, from every simple path's
     value summed in Fractions."""
     edge_by_id = {e.id: e for e in g.edges}
+    # Simple paths depend on the edges' ends only, so the oracle enumerates
+    # them on a copy with one single-category objective.
+    shape = GraphInstance(
+        g.nodes,
+        tuple(Edge(e.id, e.tail, e.head, (), (1,)) for e in g.edges),
+        (CategorySpace(1),),
+        g.source,
+        g.target,
+    )
     by_value = {}
-    for sol in enumerate_paths(g).solutions:
+    for sol in enumerate_paths(shape).solutions:
         edges = [edge_by_id[i] for i in sol.elements]
         by_value.setdefault(value_of(g, edges), []).append(sol.elements)
+    if not by_value:
+        return SolveResult(UNREACHABLE)
     entries = []
     for value in sorted(by_value):
         if any(
@@ -512,15 +552,15 @@ def brute_force(g, value_of, all_efficient):
             continue
         sols = sorted(by_value[value])
         rep = [edge_by_id[i] for i in sols[0]]
-        counts = counting_vector((e.categories[0] for e in rep), g.spaces[0])
+        countings = countings_of(g, rep)
         weights = tuple(
             sum((e.weights[j] for e in rep), Fraction(0)) for j in range(g.num_real)
         )
         entries.append(
             ResultEntry(
                 value,
-                (counts,),
-                (ordinal_vector(counts),),
+                countings,
+                tuple(map(ordinal_vector, countings)),
                 weights,
                 tuple(sols if all_efficient else sols[:1]),
             )
@@ -528,12 +568,20 @@ def brute_force(g, value_of, all_efficient):
     return SolveResult(OK, tuple(entries))
 
 
+def countings_of(g, edges):
+    return tuple(
+        counting_vector((e.categories[l] for e in edges), space)
+        for l, space in enumerate(g.spaces)
+    )
+
+
 def mixed_value(g, edges):
     weights = tuple(
         sum((e.weights[j] for e in edges), Fraction(0)) for j in range(g.num_real)
     )
-    counts = counting_vector((e.categories[0] for e in edges), g.spaces[0])
-    return weights + tail_transform(counts)
+    return weights + tuple(
+        c for counts in countings_of(g, edges) for c in tail_transform(counts)
+    )
 
 
 def wtop_value(g, edges):
@@ -557,11 +605,17 @@ class TestIntegerSearch:
         self, solver, num_real, value_of, all_efficient
     ):
         rng = random.Random(47)
-        for _ in range(40):
-            g = weighted_grid(rng, num_real)
+        graphs = [weighted_grid(rng, num_real) for _ in range(40)]
+        graphs += [
+            random_digraph(
+                rng, num_real, solver is solve_weighted_counting or i % 4 > 0
+            )
+            for i in range(200)
+        ]
+        for g in graphs:
             res = solver(g, all_efficient)
             assert res == brute_force(g, value_of, all_efficient)
-            K = g.spaces[0].K
+            K = sum(space.K for space in g.spaces)
             types = (
                 (Fraction,) * num_real + (int,) * K
                 if solver is solve_mixed
@@ -570,6 +624,37 @@ class TestIntegerSearch:
             for entry in res.entries:
                 assert tuple(map(type, entry.value)) == types
                 assert all(type(w) is Fraction for w in entry.weights)
+
+    # solver, real objectives, objectives' categories, value of every path
+    ZERO_CYCLES = [
+        (solve_weighted_counting, 1, (2,), (Fraction(0),) * 2),
+        (solve_mixed, 1, (), (Fraction(0),)),
+    ]
+
+    @pytest.mark.parametrize(
+        "solver, num_real, ks, zero",
+        ZERO_CYCLES,
+        ids=[c[0].__name__ for c in ZERO_CYCLES],
+    )
+    def test_zero_weight_cycles_add_no_walks(self, solver, num_real, ks, zero):
+        # Every edge costs zero, so each walk ties the simple paths (1, 4)
+        # and (5,); the walks (1, 2, 1, 4) through the 2-cycle 1-2-1 and
+        # (1, 3, 4) through the self-loop at 2 sort before both.
+        arcs = ((1, 2), (2, 1), (2, 2), (2, 3), (1, 3))
+        g = GraphInstance(
+            3,
+            tuple(
+                Edge(i, u, v, (0,) * num_real, (1,) * len(ks))
+                for i, (u, v) in enumerate(arcs, start=1)
+            ),
+            tuple(map(CategorySpace, ks)),
+            1,
+            3,
+            num_real,
+        )
+        (entry,) = solver(g, True).entries
+        assert (entry.value, entry.solutions) == (zero, ((1, 4), (5,)))
+        assert solver(g).entries[0].solutions == ((1, 4),)
 
     def test_label_search_sees_ints_only(self, monkeypatch):
         calls = []
