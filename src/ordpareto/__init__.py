@@ -23,8 +23,6 @@ from ordpareto.core import (
     pareto_dominates,
     tail_dominates,
     tail_transform,
-    weakly_head_dominates,
-    weakly_pareto_dominates,
     weakly_tail_dominates,
 )
 from ordpareto.nondominance import (
@@ -76,9 +74,7 @@ __all__ = [
     "tail_dominates",
     "weakly_tail_dominates",
     "head_dominates",
-    "weakly_head_dominates",
     "pareto_dominates",
-    "weakly_pareto_dominates",
     "numeric_value",
     "dominance_certificate",
     "cone_member",

@@ -190,7 +190,7 @@ def _cmd_oracle_check(args) -> int:
         res = solve_shortest_path(inst)
         solver_values = set(res.values())
         feasible = enumerate_paths(inst)
-        if feasible.solutions:
+        if feasible:
             concept = ORDINAL_SAMPLED if args.sampled else "tail"
             oracle = oracle_efficient_set(feasible, concept)
             oracle_values = {tail_transform(s.counting) for s in oracle}

@@ -40,33 +40,17 @@ class InvalidTailVectorError(OrdparetoError):
 
 @dataclass(frozen=True)
 class CategorySpace:
-    """The ordered set of categories of one ordinal objective.
-
-    ``labels[0]`` names the most preferred category. Default labels are
-    ``eta1 .. etaK``.
-    """
+    """The K ordered categories ``eta1 .. etaK`` of one ordinal objective;
+    ``eta1`` is the most preferred."""
 
     K: int
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.K < 1:
-            raise OrdparetoError(f"need at least one category, got K={self.K}")
-        labels = self.labels or tuple(f"eta{i}" for i in range(1, self.K + 1))
-        if len(labels) != self.K:
-            raise OrdparetoError(
-                f"expected {self.K} labels, got {len(labels)}"
-            )
-        if len(set(labels)) != self.K:
-            raise OrdparetoError("category labels must be pairwise distinct")
-        object.__setattr__(self, "labels", labels)
+            raise OrdparetoError(f"need at least one category, got K={excerpt(self.K)}")
 
     def label(self, index: int) -> str:
-        if not 1 <= index <= self.K:
-            raise InvalidCategoryError(
-                f"category index {index} outside 1..{self.K}"
-            )
-        return self.labels[index - 1]
+        return f"eta{index}"
 
 
 def _check_same_length(u: Sequence, v: Sequence) -> None:
@@ -106,8 +90,9 @@ def ordinal_vector(counts: Sequence[int]) -> tuple[int, ...]:
 
 
 def _check_counts(counts: Sequence[int]) -> None:
-    if any(c < 0 for c in counts):
-        raise OrdparetoError(f"counting vector has negative entry: {counts}")
+    for j, c in enumerate(counts, start=1):
+        if c < 0:
+            raise OrdparetoError(f"counting vector has a negative entry at index {j}")
 
 
 def tail_transform(counts: Sequence[int]) -> tuple[int, ...]:
@@ -124,11 +109,11 @@ def inverse_transform(tails: Sequence[int]) -> tuple[int, ...]:
     """
     K = len(tails)
     if K and tails[-1] < 0:
-        raise InvalidTailVectorError(f"negative tail entry: {tails}")
+        raise InvalidTailVectorError(f"negative tail entry at index {K}")
     for j in range(K - 1):
         if tails[j] < tails[j + 1]:
             raise InvalidTailVectorError(
-                f"tail vector not non-increasing at index {j + 1}: {tails}"
+                f"tail vector not non-increasing at index {j + 1}"
             )
     return ConeMatrix(K, B_TAIL).apply(tails) if K else ()
 
@@ -150,26 +135,16 @@ def tail_dominates(u: Sequence[int], v: Sequence[int]) -> bool:
     return tuple(u) != tuple(v) and weakly_tail_dominates(u, v)
 
 
-def weakly_head_dominates(u: Sequence[int], v: Sequence[int]) -> bool:
-    """True iff every prefix sum of u is >= the matching prefix sum of v."""
-    _check_same_length(u, v)
-    return all(hu >= hv for hu, hv in zip(head_transform(u), head_transform(v)))
-
-
 def head_dominates(u: Sequence[int], v: Sequence[int]) -> bool:
-    """Strict head-dominance: weak head-dominance plus u != v."""
-    return tuple(u) != tuple(v) and weakly_head_dominates(u, v)
-
-
-def weakly_pareto_dominates(u: Sequence, v: Sequence) -> bool:
-    """Componentwise <=."""
+    """Strict head-dominance: prefix sums of u >= those of v, and u != v."""
     _check_same_length(u, v)
-    return all(a <= b for a, b in zip(u, v))
+    return tuple(u) != tuple(v) and all(map(ge, head_transform(u), head_transform(v)))
 
 
 def pareto_dominates(u: Sequence, v: Sequence) -> bool:
     """Componentwise <= with u != v."""
-    return tuple(u) != tuple(v) and weakly_pareto_dominates(u, v)
+    _check_same_length(u, v)
+    return tuple(u) != tuple(v) and all(map(le, u, v))
 
 
 def check_sense(sense: str) -> None:
@@ -238,9 +213,12 @@ def too_many_digits(token: str) -> str:
     return ""
 
 
-def excerpt(text: str) -> str:
-    """``repr(text)`` for an error line, cut after 40 characters."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}…"
+def excerpt(token: str | int) -> str:
+    """A str token's ``repr`` or an int's digits for an error line, cut
+    after 40 characters."""
+    text = str(token)
+    show = repr if isinstance(token, str) else str
+    return show(text) if len(text) <= 40 else f"{show(text[:40])}…"
 
 
 @dataclass(frozen=True)
@@ -441,15 +419,6 @@ class ConeMatrix:
         if self.kind == B_TAIL:
             return tuple(map(sub, d, d[1:])) + (d[-1],)
         return (d[0],) + tuple(map(sub, d[1:], d))  # B_head
-
-    def matmul(self, other: "ConeMatrix") -> tuple[tuple[int, ...], ...]:
-        """The rows of the product ``self @ other``."""
-        if self.K != other.K:
-            raise DimensionMismatchError(
-                f"matrix dimensions differ: {self.K} vs {other.K}"
-            )
-        cols = zip(*other.rows())
-        return tuple(zip(*(self.apply(col) for col in cols)))
 
 
 def cone_member(

@@ -50,7 +50,7 @@ FORMATS = (TEXT, JSON, PLOTDATA)
 # Well below the 4300 digits Python converts between int and str.
 MAX_WEIGHT_DIGITS = 1000
 _WEIGHT_LIMIT = 10**MAX_WEIGHT_DIGITS
-# Each category costs a label and a value component on every edge or item.
+# Every real objective and every category adds a component to each value.
 MAX_COMPONENTS = 1000
 
 
@@ -87,8 +87,9 @@ def _int(token: str, line_no: int) -> int:
 
 
 def _spaces(num_real: int, ks: list[int], line_no: int) -> tuple[CategorySpace, ...]:
-    """The category spaces of an OBJECTIVES or KNAPSACK line, bounded before
-    any of them builds its labels; a K below 1 is refused by CategorySpace."""
+    """The category spaces of an OBJECTIVES or KNAPSACK line, refused if
+    their values would have more than MAX_COMPONENTS components; a K below
+    1 is refused by CategorySpace."""
     if num_real + sum(max(k, 0) for k in ks) > MAX_COMPONENTS:
         raise ParseError(line_no, f"more than {MAX_COMPONENTS} value components")
     try:
@@ -183,7 +184,7 @@ def _parse_graph(lines) -> GraphInstance:
         raise ParseError(no, "missing SOURCE or TARGET line")
     if len(edges) != edge_count:
         raise ParseError(
-            no, f"header promises {edge_count} edges, found {len(edges)}"
+            no, f"header promises {excerpt(edge_count)} edges, found {len(edges)}"
         )
 
     try:
@@ -216,7 +217,7 @@ def _parse_knapsack(lines) -> KnapsackInstance:
     no = lines[0][0]
     if len(items) != item_count:
         raise ParseError(
-            no, f"header promises {item_count} items, found {len(items)}"
+            no, f"header promises {excerpt(item_count)} items, found {len(items)}"
         )
 
     try:

@@ -31,9 +31,6 @@ from ordpareto.core import (
 from ordpareto.nondominance import PointSet, pareto_filter
 from ordpareto.solvers import GraphInstance, KnapsackInstance
 
-PATHS = "paths"
-SUBSETS = "subsets"
-
 TAIL = "tail"
 HEAD = "head"
 ORDINAL_SAMPLED = "ordinal-sampled"
@@ -54,15 +51,9 @@ class EnumeratedSolution:
     counting: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class EnumeratedFeasibleSet:
-    solutions: tuple[EnumeratedSolution, ...]
-    provenance: str
-
-
 def enumerate_paths(
     g: GraphInstance, limit: int = DEFAULT_NODE_LIMIT
-) -> EnumeratedFeasibleSet:
+) -> tuple[EnumeratedSolution, ...]:
     """All simple s-t paths by DFS with visited-set backtracking."""
     if g.nodes > limit:
         raise InstanceTooLargeError(
@@ -100,12 +91,12 @@ def enumerate_paths(
         found.append(EnumeratedSolution((), (0,) * space.K))
     else:
         dfs(g.source, [], [], {g.source})
-    return EnumeratedFeasibleSet(tuple(found), PATHS)
+    return tuple(found)
 
 
 def enumerate_subsets(
     k: KnapsackInstance, limit: int = DEFAULT_ITEM_LIMIT
-) -> EnumeratedFeasibleSet:
+) -> tuple[EnumeratedSolution, ...]:
     """All item subsets within capacity, the empty subset included."""
     if len(k.items) > limit:
         raise InstanceTooLargeError(
@@ -132,7 +123,7 @@ def enumerate_subsets(
             chosen.pop()
 
     extend(0, [], [], 0)
-    return EnumeratedFeasibleSet(tuple(found), SUBSETS)
+    return tuple(found)
 
 
 def sample_representation(rng: random.Random, K: int) -> NumericalRepresentation:
@@ -172,7 +163,7 @@ def _ordinal_dominates_sampled(
 
 
 def oracle_efficient_set(
-    feasible: EnumeratedFeasibleSet,
+    feasible: tuple[EnumeratedSolution, ...],
     concept: str = TAIL,
     seed: int = SAMPLE_SEED,
 ) -> tuple[EnumeratedSolution, ...]:
@@ -183,9 +174,8 @@ def oracle_efficient_set(
     validates every verdict against dominance certificates and ``seed``-
     reproducible random numerical representations.
     """
-    if not feasible.solutions:
+    if not feasible:
         raise OrdparetoError("feasible enumeration is empty")
-    sols = feasible.solutions
     rng = random.Random(seed)
     relations = {
         TAIL: tail_dominates,
@@ -196,7 +186,7 @@ def oracle_efficient_set(
         raise OrdparetoError(f"unknown dominance concept: {concept!r}")
     dominates = relations[concept]
     return tuple(
-        s for s in sols if not any(dominates(o.counting, s.counting) for o in sols)
+        s for s in feasible if not any(dominates(o.counting, s.counting) for o in feasible)
     )
 
 

@@ -25,6 +25,7 @@ from ordpareto.core import (
     OrdparetoError,
     check_printable,
     counting_vector,
+    excerpt,
     ordinal_vector,
     pareto_front,
     scale_to_ints,
@@ -75,39 +76,41 @@ class GraphInstance:
         object.__setattr__(self, "spaces", tuple(self.spaces))
         for node in (self.source, self.target):
             if not 1 <= node <= self.nodes:
-                raise InstanceError(f"terminal node {node} out of range")
+                raise InstanceError(f"terminal node {excerpt(node)} out of range")
         seen = set()
         for i, e in enumerate(self.edges):
             if e.id in seen:
-                raise InstanceError(f"duplicate edge id {e.id}", i)
+                raise InstanceError(f"duplicate edge id {excerpt(e.id)}", i)
             seen.add(e.id)
             for node in (e.tail, e.head):
                 if not 1 <= node <= self.nodes:
                     raise InstanceError(
-                        f"edge {e.id} touches node {node} outside 1..{self.nodes}", i
+                        f"edge {excerpt(e.id)} touches node {excerpt(node)} "
+                        f"outside 1..{excerpt(self.nodes)}", i
                     )
             if len(e.weights) != self.num_real:
                 raise InstanceError(
-                    f"edge {e.id} has {len(e.weights)} weights, expected {self.num_real}",
+                    f"edge {excerpt(e.id)} has {len(e.weights)} weights, expected {self.num_real}",
                     i,
                 )
             if not all(isinstance(w, (int, Fraction)) for w in e.weights):
                 raise InstanceError(
-                    f"edge {e.id} has a weight that is neither an int nor a Fraction",
+                    f"edge {excerpt(e.id)} has a weight that is neither an int nor a Fraction",
                     i,
                 )
             if any(w < 0 for w in e.weights):
-                raise InstanceError(f"edge {e.id} has a negative weight", i)
+                raise InstanceError(f"edge {excerpt(e.id)} has a negative weight", i)
             if len(e.categories) != len(self.spaces):
                 raise InstanceError(
-                    f"edge {e.id} has {len(e.categories)} categories, "
+                    f"edge {excerpt(e.id)} has {len(e.categories)} categories, "
                     f"expected {len(self.spaces)}",
                     i,
                 )
             for cat, space in zip(e.categories, self.spaces):
                 if not 1 <= cat <= space.K:
                     raise InstanceError(
-                        f"edge {e.id}: category {cat} outside 1..{space.K}", i
+                        f"edge {excerpt(e.id)}: category {excerpt(cat)} "
+                        f"outside 1..{excerpt(space.K)}", i
                     )
 
 
@@ -127,20 +130,20 @@ class KnapsackInstance:
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
         if self.capacity < 0:
-            raise InstanceError(f"capacity must be nonnegative: {self.capacity}")
+            raise InstanceError(f"capacity must be nonnegative: {excerpt(self.capacity)}")
         seen = set()
         for i, item in enumerate(self.items):
             if item.id in seen:
-                raise InstanceError(f"duplicate item id {item.id}", i)
+                raise InstanceError(f"duplicate item id {excerpt(item.id)}", i)
             seen.add(item.id)
             if item.weight <= 0:
                 raise InstanceError(
-                    f"item {item.id}: consumption must be positive", i
+                    f"item {excerpt(item.id)}: consumption must be positive", i
                 )
             if not 1 <= item.category <= self.space.K:
                 raise InstanceError(
-                    f"item {item.id}: category {item.category} outside 1..{self.space.K}",
-                    i,
+                    f"item {excerpt(item.id)}: category {excerpt(item.category)} "
+                    f"outside 1..{excerpt(self.space.K)}", i
                 )
 
 

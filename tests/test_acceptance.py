@@ -68,14 +68,14 @@ def test_criterion_01_instance_table_regression(capsys):
     start = time.perf_counter()
     g = parse_instance((INSTANCE_DIR / "routes_k3.graph").read_text())
     feasible = enumerate_paths(g)
-    by_path = {s.elements: s.counting for s in feasible.solutions}
+    by_path = {s.elements: s.counting for s in feasible}
     assert len(by_path) == 6
     space = g.spaces[0]
     for path, ordinal, counts, tails in ROUTES_K3_TABLE:
         c = by_path[path]
         assert c == counts
         assert tail_transform(c) == tails
-        labels = tuple(space.labels[i - 1] for i in ordinal_vector(c))
+        labels = tuple(space.label(i) for i in ordinal_vector(c))
         assert labels == ordinal
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -190,8 +190,8 @@ def test_criterion_08_matrix_identities(capsys):
         for a_kind, b_kind in ((A_TAIL, B_TAIL), (A_HEAD, B_HEAD)):
             a = ConeMatrix(k, a_kind)
             b = ConeMatrix(k, b_kind)
-            assert a.matmul(b) == identity
-            assert b.matmul(a) == identity
+            assert tuple(a.apply(b.apply(e)) for e in identity) == identity
+            assert tuple(b.apply(a.apply(e)) for e in identity) == identity
     with capsys.disabled():
         report(8, "A.B = B.A = I for the tail and head pairs, K=1..10")
 
@@ -221,7 +221,7 @@ def test_criterion_10_oracle_equivalence(capsys):
         g = random_graph(rng, max_nodes=8)
         res = solve_shortest_path(g)
         feasible = enumerate_paths(g)
-        if not feasible.solutions:
+        if not feasible:
             assert res.status == UNREACHABLE
             continue
         reachable += 1

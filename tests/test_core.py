@@ -1,10 +1,14 @@
 import random
+import subprocess
 import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ordpareto
 from ordpareto.core import (
     A_HEAD,
     A_TAIL,
@@ -72,7 +76,24 @@ class TestCountingAndOrdinal:
 
     def test_labels(self):
         space = CategorySpace(3)
-        assert space.labels == ("eta1", "eta2", "eta3")
+        assert [space.label(i) for i in (1, 2, 3)] == ["eta1", "eta2", "eta3"]
+
+    def test_space_builds_no_labels(self):
+        # A space that built its K labels up front would need tens of GB
+        # here, so it runs in a child process under an address-space cap.
+        script = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+            from ordpareto.core import CategorySpace
+            print(CategorySpace(10**9).label(10**9))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=Path(ordpareto.__file__).resolve().parents[1],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "eta1000000000\n"
 
 
 class TestTransforms:
@@ -373,24 +394,8 @@ class TestConeMatrices:
         for a_kind, b_kind in ((A_TAIL, B_TAIL), (A_HEAD, B_HEAD)):
             a = ConeMatrix(k, a_kind)
             b = ConeMatrix(k, b_kind)
-            assert a.matmul(b) == identity
-            assert b.matmul(a) == identity
-
-    @pytest.mark.parametrize("k", range(1, 6))
-    def test_product_matches_rows(self, k):
-        kinds = (A_TAIL, B_TAIL, A_HEAD, B_HEAD)
-        for a_kind in kinds:
-            for b_kind in kinds:
-                a, b = ConeMatrix(k, a_kind), ConeMatrix(k, b_kind)
-                expected = tuple(
-                    tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b.rows()))
-                    for row in a.rows()
-                )
-                assert a.matmul(b) == expected
-
-    def test_product_is_not_transposed(self):
-        a = ConeMatrix(3, A_TAIL)
-        assert a.matmul(a) == ((1, 2, 3), (0, 1, 2), (0, 0, 1))
+            assert tuple(a.apply(b.apply(e)) for e in identity) == identity
+            assert tuple(b.apply(a.apply(e)) for e in identity) == identity
 
     def test_head_is_transpose_of_tail(self):
         a = ConeMatrix(4, A_TAIL).rows()

@@ -370,6 +370,135 @@ class TestErrorContract:
             "(Python's str-to-int limit)\n"
         )
 
+    BIG = "9" * 4000  # an int token within str-to-int's digit limit
+    CUT = "9" * 40 + "…"
+
+    @pytest.mark.parametrize(
+        "problem, text, expected",
+        [
+            (
+                "mixed",
+                f"GRAPH 3 {BIG}\nOBJECTIVES real=1 ordinal=2\n" + GOOD_EDGES
+                + "SOURCE 1\nTARGET 3\n",
+                f"line 1: header promises {CUT} edges, found 2",
+            ),
+            (
+                "mixed",
+                GRAPH_HEAD + GOOD_EDGES + f"SOURCE {BIG}\nTARGET 3\n",
+                f"line 5: terminal node {CUT} out of range",
+            ),
+            (
+                "mixed",
+                f"GRAPH 3 2\nOBJECTIVES real=1 ordinal=-{BIG}\n",
+                f"line 2: need at least one category, got K=-{CUT[1:]}",
+            ),
+            (
+                "mixed",
+                GRAPH_HEAD + f"EDGE {BIG} 1 2 1 1\nEDGE {BIG} 2 3 1 2\n"
+                + "SOURCE 1\nTARGET 3\n",
+                f"line 4: duplicate edge id {CUT}",
+            ),
+            (
+                "mixed",
+                GRAPH_HEAD + f"EDGE {BIG} 1 {BIG} 1 1\nEDGE 2 2 3 1 2\n"
+                + "SOURCE 1\nTARGET 3\n",
+                f"line 3: edge {CUT} touches node {CUT} outside 1..3",
+            ),
+            (
+                "mixed",
+                f"GRAPH {BIG} 2\nOBJECTIVES real=1 ordinal=2\n"
+                + "EDGE 1 0 2 1 1\nEDGE 2 2 3 1 2\nSOURCE 1\nTARGET 3\n",
+                f"line 3: edge 1 touches node 0 outside 1..{CUT}",
+            ),
+            (
+                "mixed",
+                GRAPH_HEAD + f"EDGE {BIG} 1 2 -1 1\nEDGE 2 2 3 1 2\n"
+                + "SOURCE 1\nTARGET 3\n",
+                f"line 3: edge {CUT} has a negative weight",
+            ),
+            (
+                "mixed",
+                GRAPH_HEAD + f"EDGE {BIG} 1 2 1 {BIG}\nEDGE 2 2 3 1 2\n"
+                + "SOURCE 1\nTARGET 3\n",
+                f"line 3: edge {CUT}: category {CUT} outside 1..2",
+            ),
+            (
+                "knapsack",
+                f"KNAPSACK 1 -{BIG} 2\nITEM 1 2 1\n",
+                f"line 1: capacity must be nonnegative: -{CUT[1:]}",
+            ),
+            (
+                "knapsack",
+                f"KNAPSACK {BIG} 10 2\nITEM 1 2 1\n",
+                f"line 1: header promises {CUT} items, found 1",
+            ),
+            (
+                "knapsack",
+                f"KNAPSACK 1 10 -{BIG}\nITEM 1 2 1\n",
+                f"line 1: need at least one category, got K=-{CUT[1:]}",
+            ),
+            (
+                "knapsack",
+                f"KNAPSACK 2 10 2\nITEM {BIG} 2 1\nITEM {BIG} 3 2\n",
+                f"line 3: duplicate item id {CUT}",
+            ),
+            (
+                "knapsack",
+                f"KNAPSACK 1 10 2\nITEM {BIG} 0 1\n",
+                f"line 2: item {CUT}: consumption must be positive",
+            ),
+            (
+                "knapsack",
+                f"KNAPSACK 1 10 2\nITEM {BIG} 2 {BIG}\n",
+                f"line 2: item {CUT}: category {CUT} outside 1..2",
+            ),
+        ],
+        ids=[
+            "edge-count", "source", "graph-k", "edge-id", "edge-node", "nodes",
+            "edge-weight", "edge-category", "capacity", "item-count",
+            "knapsack-k", "item-id", "item-consumption", "item-category",
+        ],
+    )
+    def test_long_int_is_cut(self, capsys, tmp_path, problem, text, expected):
+        err = self.solve(capsys, tmp_path, text, problem)
+        assert err == f"error: {expected}\n"
+        assert len(err) <= 201
+
+    @pytest.mark.parametrize(
+        "argv, line, expected",
+        [
+            (
+                ["transform"],
+                "1 " * 4999 + "-1",
+                "counting vector has a negative entry at index 5000",
+            ),
+            (
+                ["transform", "--head"],
+                "-1 " * 5000,
+                "counting vector has a negative entry at index 1",
+            ),
+            (
+                ["transform", "--inverse"],
+                " ".join(map(str, range(5000))),
+                "tail vector not non-increasing at index 1",
+            ),
+            (
+                ["transform", "--inverse"],
+                "0 " * 4999 + "-1",
+                "negative tail entry at index 5000",
+            ),
+        ],
+        ids=["counts", "head-counts", "tails-order", "tails-sign"],
+    )
+    def test_long_vector_is_not_echoed(
+        self, capsys, monkeypatch, argv, line, expected
+    ):
+        import io
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {expected}\n")
+
     def test_weight_with_most_digits_is_solved(self, capsys, tmp_path):
         path = tmp_path / "long.graph"
         path.write_text(
@@ -380,8 +509,8 @@ class TestErrorContract:
         assert f"w=({10 ** (MAX_WEIGHT_DIGITS - 1)})" in capsys.readouterr().out
 
     def test_huge_k_is_refused_before_allocation(self):
-        # Building K category labels exhausts memory here, so the parse runs
-        # in a child process under an address-space cap.
+        # Solving with K-component values exhausts memory here, so the parse
+        # runs in a child process under an address-space cap.
         script = textwrap.dedent("""
             import contextlib, io, json, resource, tempfile
             resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))

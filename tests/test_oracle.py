@@ -18,9 +18,8 @@ from conftest import random_graph, routes_k3
 class TestEnumeratePaths:
     def test_routes_has_six_paths(self):
         feasible = enumerate_paths(routes_k3())
-        assert len(feasible.solutions) == 6
-        assert feasible.provenance == "paths"
-        elements = {s.elements for s in feasible.solutions}
+        assert len(feasible) == 6
+        elements = {s.elements for s in feasible}
         assert elements == {
             (1, 2, 5),
             (4, 5),
@@ -34,7 +33,7 @@ class TestEnumeratePaths:
         g = GraphInstance(
             3, (Edge(1, 1, 2, (), (1,)),), (CategorySpace(2),), 1, 3, 0
         )
-        assert enumerate_paths(g).solutions == ()
+        assert enumerate_paths(g) == ()
 
     def test_size_limit(self):
         edges = tuple(
@@ -43,7 +42,7 @@ class TestEnumeratePaths:
         g = GraphInstance(13, edges, (CategorySpace(1),), 1, 13, 0)
         with pytest.raises(InstanceTooLargeError):
             enumerate_paths(g)
-        assert len(enumerate_paths(g, limit=13).solutions) == 1
+        assert len(enumerate_paths(g, limit=13)) == 1
 
     def test_dag_count_matches_dp(self):
         rng = random.Random(3131)
@@ -67,24 +66,24 @@ class TestEnumeratePaths:
                 counts[u] = sum(
                     counts[e.tail] for e in edges if e.head == u
                 )
-            assert len(enumerate_paths(g).solutions) == counts[nodes]
+            assert len(enumerate_paths(g)) == counts[nodes]
 
 
 class TestEnumerateSubsets:
     def test_three_items(self):
         items = (Item(1, 2, 1), Item(2, 3, 2), Item(3, 4, 1))
         k = KnapsackInstance(items, 5, CategorySpace(2))
-        subsets = {s.elements for s in enumerate_subsets(k).solutions}
+        subsets = {s.elements for s in enumerate_subsets(k)}
         assert subsets == {(), (1,), (2,), (3,), (1, 2)}
 
     def test_capacity_zero(self):
         k = KnapsackInstance((Item(1, 1, 1),), 0, CategorySpace(1))
-        assert {s.elements for s in enumerate_subsets(k).solutions} == {()}
+        assert {s.elements for s in enumerate_subsets(k)} == {()}
 
     def test_unconstrained_counts_all_subsets(self):
         items = tuple(Item(i, 1, 1) for i in range(1, 7))
         k = KnapsackInstance(items, 6, CategorySpace(1))
-        assert len(enumerate_subsets(k).solutions) == 64
+        assert len(enumerate_subsets(k)) == 64
 
     def test_size_limit(self):
         items = tuple(Item(i, 1, 1) for i in range(1, 22))
@@ -124,7 +123,7 @@ class TestEfficientSet:
             2, (Edge(1, 1, 2, (), (1,)),), (CategorySpace(1),), 1, 2, 0
         )
         feasible = enumerate_paths(g)
-        assert oracle_efficient_set(feasible, "tail") == feasible.solutions
+        assert oracle_efficient_set(feasible, "tail") == feasible
 
     def test_unknown_concept(self):
         feasible = enumerate_paths(routes_k3())
@@ -137,7 +136,7 @@ class TestEfficientSet:
         for _ in range(40):
             g = random_graph(rng, max_nodes=6)
             feasible = enumerate_paths(g)
-            if not feasible.solutions:
+            if not feasible:
                 continue
             tested += 1
             assert oracle_efficient_set(

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import re
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +56,28 @@ def test_parse_inverts_emit(inst):
     assert parse_instance(emit_instance(inst)) == inst
 
 
+def assert_contract(code, out, err):
+    """Exit 0 with empty stderr, or exit 1 with one short ``error:`` line."""
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1, (code, out)
+        assert re.fullmatch(r"error: [^\n]+\n", err)
+        assert len(err) <= 201, err  # 200 characters and the newline
+
+
+def run(argv, stdin=""):
+    """``main(argv)`` on ``stdin``: its exit code, stdout and stderr."""
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
 BASES = [p.read_text() for p in sorted(INSTANCE_DIR.iterdir())]
 # Single characters only: a few inserted digits keep every number small.
 CHARS = st.sampled_from(list("0123456789 -/.e#,=\n\tEGRAPHSOUTCIMKNx") + ["é"])
@@ -101,13 +124,37 @@ def test_mutated_instances_exit_0_or_one_error_line(tmp_path_factory):
         argv = command + [str(path)]
         if all_efficient and command[0] == "solve":
             argv.append("--all-efficient")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        if code == 0:
-            assert err.getvalue() == ""
-        else:
-            assert code == 1, (code, out.getvalue())
-            assert re.fullmatch(r"error: [^\n]+\n", err.getvalue())
+        assert_contract(*run(argv))
 
     check()
+
+
+STDIN_CHARS = st.sampled_from(list("0123456789 -,#\n\tx/"))
+
+
+@st.composite
+def stdin_texts(draw):
+    """A few lines of small integers after up to three character edits."""
+    dim = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-3, 9), min_size=dim, max_size=dim)
+    text = "".join(" ".join(map(str, r)) + "\n" for r in draw(st.lists(row, max_size=5)))
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(text)))
+        text = text[:pos] + draw(STDIN_CHARS) + text[pos + draw(st.integers(0, 1)):]
+    return text
+
+
+STDIN_COMMANDS = [
+    ["filter", "--cone", cone, "--sense", sense]
+    for cone in ("pareto", "tail", "head")
+    for sense in ("min", "max")
+]
+STDIN_COMMANDS += [["transform"], ["transform", "--inverse"], ["transform", "--head"]]
+STDIN_COMMANDS += [["scalarize", "--weights", w] for w in ("1", "1/2,1/2", "1/6,1/3,1/2")]
+STDIN_COMMANDS += [["wsd"]]
+
+
+@PROPERTY
+@given(stdin_texts(), st.sampled_from(STDIN_COMMANDS))
+def test_stdin_exits_0_or_one_error_line(text, command):
+    assert_contract(*run(command, text))

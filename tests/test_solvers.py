@@ -120,7 +120,7 @@ class TestAgainstOracle:
             g = random_graph(rng)
             res = solve_shortest_path(g)
             feasible = enumerate_paths(g)
-            if not feasible.solutions:
+            if not feasible:
                 assert res.status == UNREACHABLE
                 continue
             nonempty += 1
@@ -143,7 +143,7 @@ class TestAgainstOracle:
         for _ in range(30):
             g = random_graph(rng, max_nodes=6)
             feasible = enumerate_paths(g)
-            if not feasible.solutions:
+            if not feasible:
                 continue
             res = solve_shortest_path(g, all_efficient=True)
             got = {s for e in res.entries for s in e.solutions}
@@ -304,7 +304,7 @@ class TestWeightedCounting:
         feasible = enumerate_paths(g)
         edge_by_id = {e.id: e for e in g.edges}
         outcomes = {}
-        for sol in feasible.solutions:
+        for sol in feasible:
             cw = [Fraction(0), Fraction(0)]
             for eid in sol.elements:
                 e = edge_by_id[eid]
@@ -538,7 +538,7 @@ def brute_force(g, value_of, all_efficient):
         g.target,
     )
     by_value = {}
-    for sol in enumerate_paths(shape).solutions:
+    for sol in enumerate_paths(shape):
         edges = [edge_by_id[i] for i in sol.elements]
         by_value.setdefault(value_of(g, edges), []).append(sol.elements)
     if not by_value:
