@@ -57,6 +57,8 @@ def _cases() -> list[list[str]]:
     cases.append(_stdin("points_k4.txt", "scalarize", "--weights", "1/10,2/10,3/10,4/10"))
     cases.append(_stdin("wsd_k2.txt", "wsd"))
     cases.append(_stdin("wsd_k3.txt", "wsd"))
+    cases.append(_stdin("wsd_k3_degenerate.txt", "wsd"))
+    cases.append(_stdin("points_k4.txt", "wsd"))
     for argv in (["filter"], ["filter", "--cone", "tail"], ["wsd"]):
         cases.append(_stdin("empty_vector.txt", *argv))
     cases.append(_stdin("long_integer.txt", "filter"))
