@@ -215,8 +215,11 @@ def too_many_digits(token: str) -> str:
 
 def excerpt(token: str | int) -> str:
     """A str token's ``repr`` or an int's digits for an error line, cut
-    after 40 characters."""
-    text = str(token)
+    after 40 characters; an int too long for ``str`` is named by its size."""
+    try:
+        text = str(token)
+    except ValueError:  # beyond Python's int-to-str digit limit
+        return f"an int of more than {sys.get_int_max_str_digits()} digits"
     show = repr if isinstance(token, str) else str
     return show(text) if len(text) <= 40 else f"{show(text[:40])}…"
 

@@ -77,7 +77,7 @@ def is_supported(y: Sequence[int], ps: PointSet, sense: str = "min") -> bool:
     be a Pareto-non-dominated point of ps (precondition error otherwise)."""
     y = tuple(y)
     if y not in pareto_filter(ps, sense).points:
-        raise OrdparetoError(f"{y} is not non-dominated in the point set")
+        raise OrdparetoError("the point is not non-dominated in the point set")
     return supporting_weights(y, ps, sense) is not None
 
 
@@ -97,9 +97,9 @@ def supporting_weights(
     _require_nonempty(ps)
     check_sense(sense)
     y = tuple(y)
-    k = len(y)
-    if k != len(ps.points[0]):
-        raise DimensionMismatchError(f"{y} does not match the points' dimension")
+    k, n = len(y), len(ps.points[0])
+    if k != n:
+        raise DimensionMismatchError(f"point of dimension {k}, points of dimension {n}")
     # Variables: lambda_1..lambda_k, t; all >= 0 in the LP, strict
     # positivity of lambda is captured by t > 0 at the optimum.
     sign = -1 if sense == "max" else 1

@@ -4,16 +4,18 @@ Two weight conventions coexist: lambda weights act on tail vectors, mu
 weights act directly on counting vectors. The two are linked by prefix
 summation plus a positive normalization, so their argmin sets coincide.
 All arithmetic is in exact rationals; cell boundaries are measure zero and
-would be misclassified by floats.
+would be misclassified by floats. For K in {2, 3} the decomposition's cells
+decide which values are supported (those whose cell meets the open
+simplex); for other K the LP of ``supporting_weights`` decides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from itertools import combinations
-from operator import mul
+from itertools import accumulate
+from math import gcd, lcm
+from operator import mul, sub
 from typing import Sequence
 
 from ordpareto.core import DimensionMismatchError, OrdparetoError, scale_to_ints
@@ -70,18 +72,14 @@ def weighted_sum_solve(
     return Fraction(best, scale), ps._sorted(keep)
 
 
-def _prefix_normalize(lam: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    # lambda_to_mu without validation; also maps boundary weights.
+def _prefix_normalize(lam: Sequence) -> tuple[Fraction, ...]:
+    # lambda_to_mu without validation; also maps boundary weights, and
+    # int numerators over a common denominator, which cancels.
     K = len(lam)
     denom = sum((K - j) * lam[j] for j in range(K))
     if denom == 0:
         raise OrdparetoError("degenerate weight vector")
-    acc = Fraction(0)
-    out = []
-    for l in lam:
-        acc += l
-        out.append(acc / denom)
-    return tuple(out)
+    return tuple(Fraction(p, denom) for p in accumulate(lam))
 
 
 def lambda_to_mu(weights: Sequence) -> tuple[Fraction, ...]:
@@ -111,9 +109,6 @@ class Halfspace:
     coeffs: tuple[Fraction, ...]
     rhs: Fraction
 
-    def contains(self, lam: Sequence[Fraction]) -> bool:
-        return sum(c * l for c, l in zip(self.coeffs, lam)) <= self.rhs
-
 
 @dataclass(frozen=True)
 class WeightCell:
@@ -130,21 +125,13 @@ class WeightCell:
     vertices: tuple[tuple[Fraction, ...], ...] = ()
     mu_vertices: tuple[tuple[Fraction, ...], ...] = ()
 
-    def contains(self, lam: Sequence) -> bool:
-        lam = check_lambda(lam)
-        return all(h.contains(lam) for h in self.halfspaces)
-
-
-def _lift(projected: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(projected) + (1 - sum(projected),)
-
 
 def _cell_vertices_k2(
     normals: Sequence[tuple[int, ...]],
-) -> list[tuple[Fraction, ...]]:
+) -> list[tuple[int, int]]:
     # One free coordinate x = lambda_1 in [0, 1]; each d.(x, 1-x) <= 0 is
     # (d0 - d1) x <= -d1. Intersect the intervals, keeping each bound as an
-    # integer pair (numerator, denominator > 0).
+    # integer pair (numerator, denominator > 0), which is what is returned.
     lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
     for d0, d1 in normals:
         a, b = d0 - d1, -d1
@@ -158,52 +145,54 @@ def _cell_vertices_k2(
             return []
     if lo_n * hi_d > hi_n * lo_d:
         return []
-    lo, hi = Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
-    return [(lo,)] if lo == hi else [(lo,), (hi,)]
+    lo, hi = (lo_n, lo_d), (hi_n, hi_d)
+    return [lo] if lo_n * hi_d == hi_n * lo_d else [lo, hi]
 
 
 def _cell_vertices_k3(
     normals: Sequence[tuple[int, ...]],
-) -> list[tuple[Fraction, ...]]:
+) -> list[tuple[int, int, int]]:
     # Work in (x, y) = (lambda_1, lambda_2), lambda_3 = 1 - x - y. Each
-    # d.lambda <= 0 becomes a line a x + b y <= c; the simplex contributes
-    # x >= 0, y >= 0, x + y <= 1. Enumerate pairwise line intersections
-    # (xn / det, yn / det) with det > 0 and keep the feasible ones, all in
-    # integers; only the survivors become fractions.
+    # d.lambda <= 0 becomes a line a x + b y <= c. Clip the simplex triangle
+    # by each in turn (Sutherland-Hodgman), keeping the corners in
+    # counterclockwise order as integer homogeneous (x, y, w), w > 0.
     lines = [(d0 - d2, d1 - d2, -d2) for d0, d1, d2 in normals]
-    lines += [(-1, 0, 0), (0, -1, 0), (1, 1, 1)]
-    vertices: list[tuple[Fraction, Fraction]] = []
-    for (a1, b1, c1), (a2, b2, c2) in combinations(lines, 2):
-        det = a1 * b2 - a2 * b1
-        if det == 0:
+    poly = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
+    for a, b, c in lines:
+        f = [a * x + b * y - c * w for x, y, w in poly]
+        if max(f) <= 0:
             continue
-        xn = c1 * b2 - c2 * b1
-        yn = a1 * c2 - a2 * c1
-        if det < 0:
-            det, xn, yn = -det, -xn, -yn
-        if all(a * xn + b * yn <= c * det for a, b, c in lines):
-            v = (Fraction(xn, det), Fraction(yn, det))
-            if v not in vertices:
-                vertices.append(v)
-    if len(vertices) <= 2:
-        return [tuple(v) for v in vertices]
-    # Order counterclockwise around the centroid; exact comparisons only
-    # (half-plane split, then cross products), no trig.
-    cx = sum(v[0] for v in vertices) / len(vertices)
-    cy = sum(v[1] for v in vertices) / len(vertices)
+        clipped = []
+        for i, q in enumerate(poly):
+            if f[i - 1] * f[i] < 0:  # edge poly[i-1] -> q crosses the line
+                v = [f[i] * s - f[i - 1] * t for s, t in zip(poly[i - 1], q)]
+                g = gcd(*v) if v[2] > 0 else -gcd(*v)
+                clipped.append((v[0] // g, v[1] // g, v[2] // g))
+            if f[i] <= 0:
+                clipped.append(q)
+        poly = list(dict.fromkeys(clipped))  # a clipped segment repeats a corner
+        if not poly:
+            return []
+    if len(poly) == 2:
+        # In the order a pairwise line scan finds them: by the first two
+        # tight, non-parallel lines, the simplex's x, y >= 0, x + y <= 1 last.
+        lines += [(-1, 0, 0), (0, -1, 0), (1, 1, 1)]
 
-    def half(v):
-        dx, dy = v[0] - cx, v[1] - cy
-        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+        def first_pair(corner):
+            x, y, w = corner
+            tight = [i for i, (a, b, c) in enumerate(lines) if a * x + b * y == c * w]
+            (a, b, _), i = lines[tight[0]], tight[0]
+            return i, next(j for j in tight if a * lines[j][1] != b * lines[j][0])
 
-    def cmp(v, w):
-        if half(v) != half(w):
-            return half(v) - half(w)
-        c = (v[0] - cx) * (w[1] - cy) - (v[1] - cy) * (w[0] - cx)
-        return 0 if c == 0 else (-1 if c > 0 else 1)
-
-    vertices.sort(key=cmp_to_key(cmp))
-    return [tuple(v) for v in vertices]
+        poly.sort(key=first_pair)
+    elif len(poly) > 2:  # start at the least angle around the centroid
+        n, common = len(poly), lcm(*(w for _, _, w in poly))
+        scaled = [(x * (common // w), y * (common // w)) for x, y, w in poly]
+        cx, cy = map(sum, zip(*scaled))  # n times the centroid, over common
+        upper = [n * y > cy or (n * y == cy and n * x > cx) for x, y in scaled]
+        start = next(i for i in range(n) if upper[i] and not upper[i - 1])
+        poly = poly[start:] + poly[:start]
+    return poly
 
 
 def weight_space_decomposition(ps: PointSet) -> list[WeightCell]:
@@ -211,9 +200,11 @@ def weight_space_decomposition(ps: PointSet) -> list[WeightCell]:
 
     ``ps`` must already be Pareto-non-dominated (tail space, minimization).
     Each cell is the exact polyhedron of weights under which its value is
-    weighted-sum minimal, intersected with the simplex. For K in {2, 3} the
-    cell's vertices (and their mu-space images) are enumerated; for larger K
-    only the halfspace description is returned.
+    weighted-sum minimal, intersected with the simplex. For K in {2, 3}
+    every value's cell is enumerated by its vertices (and their mu-space
+    images), and the cells decide supportedness, no LP is solved; for other
+    K the LP of :func:`supporting_weights` decides it and only the
+    halfspace description is returned.
     """
     if not ps.points:
         raise OrdparetoError("point set is empty")
@@ -221,21 +212,25 @@ def weight_space_decomposition(ps: PointSet) -> list[WeightCell]:
     values = sorted(set(ps.points))
     cells: list[WeightCell] = []
     for y in values:
-        if supporting_weights(y, ps) is None:
-            continue
-        normals = [
-            tuple(a - b for a, b in zip(y, other)) for other in values if other != y
-        ]
-        halfspaces = tuple(
-            Halfspace(tuple(Fraction(a) for a in d), Fraction(0)) for d in normals
-        )
-        vertices: tuple = ()
-        mu_vertices: tuple = ()
+        normals = [tuple(map(sub, y, other)) for other in values if other != y]
+        vertices = mu_vertices = ()
         if K in (2, 3):
             enum = _cell_vertices_k2 if K == 2 else _cell_vertices_k3
-            vertices = tuple(enum(normals))
+            corners = enum(normals)
+            # Int numerators of the full lambda over each corner's w.
+            lifted = [c[:-1] + (c[-1] - sum(c[:-1]),) for c in corners]
+            # The centroid of the corners lies in the cell's relative
+            # interior, so y is supported iff it is strictly positive, that
+            # is iff each lambda_i (>= 0 on the simplex) is positive at a corner.
+            if not lifted or not all(map(any, zip(*lifted))):
+                continue
+            vertices = tuple(tuple(Fraction(v, c[-1]) for v in c[:-1]) for c in corners)
             # Boundary vertices included: the mu map extends continuously.
-            mu_vertices = tuple(_prefix_normalize(_lift(v)) for v in vertices)
+            mu_vertices = tuple(map(_prefix_normalize, lifted))
+        elif supporting_weights(y, ps) is None:
+            continue
+        halfspaces = tuple(
+            Halfspace(tuple(map(Fraction, d)), Fraction(0)) for d in normals
+        )
         cells.append(WeightCell(tuple(y), halfspaces, vertices, mu_vertices))
     return cells
-

@@ -52,3 +52,19 @@ def test_tracer_counts_the_cone_filter(monkeypatch):
     assert "nondominance.cone_filter" in {span[0] for span in tracer.spans}
     assert tracer.counters["nondominance.points_in"] == len(points)
     assert tracer.counters["nondominance.points_kept"] == len(kept)
+
+
+def test_tracer_counts_wsd_cells_without_an_lp(monkeypatch):
+    worker = load_worker()
+    tracer = worker.Tracer(cli)
+    points = ROOT / "tests" / "golden" / "stdin" / "wsd_k3.txt"
+    monkeypatch.setattr("sys.stdin", io.StringIO(points.read_text()))
+    out = io.StringIO()
+    with tracer.installed(), contextlib.redirect_stdout(out):
+        assert tracer.main(["wsd"]) == 0
+    values = [line for line in out.getvalue().splitlines() if line.startswith("value ")]
+    names = {span[0] for span in tracer.spans}
+    assert "scalarization.weight_space_decomposition" in names
+    assert tracer.counters["scalarization.cells"] == len(values) > 0
+    assert "simplex.solve_lp" not in names
+    assert "nondominance.supporting_weights" not in names

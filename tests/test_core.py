@@ -296,6 +296,12 @@ class TestDigitLimit:
         with pytest.raises(OrdparetoError, match="a value has more than"):
             check_printable([10**digits], "a value")
 
+    def test_category_space_names_a_huge_k_by_its_size(self):
+        digits = sys.get_int_max_str_digits()
+        with pytest.raises(OrdparetoError, match=f"more than {digits} digits") as info:
+            CategorySpace(-(10**5000))
+        assert len(str(info.value)) <= 200
+
 
 class TestNumericValues:
     def test_example_values(self):

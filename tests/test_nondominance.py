@@ -207,6 +207,19 @@ class TestSupportedness:
         with pytest.raises(DimensionMismatchError):
             supporting_weights((1,), PointSet(((1, 2), (2, 1))))
 
+    def test_errors_name_dimensions_not_the_point(self):
+        # A 3000-component point would make a 9 KB line if it were echoed.
+        y = tuple(range(3000))
+        ps = PointSet(((0,) * 3000,))
+        with pytest.raises(OrdparetoError, match="not non-dominated") as info:
+            is_supported(y, ps)
+        assert len(str(info.value)) <= 200
+        with pytest.raises(
+            DimensionMismatchError, match="dimension 3000, points of dimension 2"
+        ) as info:
+            supporting_weights(y, PointSet(((1, 2), (2, 1))))
+        assert len(str(info.value)) <= 200
+
     @settings(deadline=None, max_examples=25)
     @given(point_sets)
     def test_witnesses_on_random_sets(self, pts):

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
+from operator import sub
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ordpareto import cli, scalarization
 from ordpareto.core import OrdparetoError, tail_transform
 from ordpareto.nondominance import PointSet, pareto_filter, supporting_weights
 from ordpareto.scalarization import (
@@ -17,6 +23,13 @@ from ordpareto.scalarization import (
 )
 
 ROUTES_TAILS = PointSet(((2, 1, 1), (2, 2, 0), (3, 1, 0)))
+
+
+def contains(cell, lam) -> bool:
+    # Whether lam satisfies every halfspace of the cell.
+    return all(
+        sum(c * l for c, l in zip(h.coeffs, lam)) <= h.rhs for h in cell.halfspaces
+    )
 
 
 def random_lambda(rng: random.Random, k: int) -> tuple[Fraction, ...]:
@@ -159,10 +172,10 @@ class TestWeightSpaceDecomposition:
                 winners = classify(lam)
                 for value, cell in cells.items():
                     if value in winners:
-                        assert cell.contains(lam)
+                        assert contains(cell, lam)
                         covered += 1
                     else:
-                        assert not cell.contains(lam)
+                        assert not contains(cell, lam)
         assert covered > 0
 
     def test_single_point_cell_is_whole_simplex(self):
@@ -170,7 +183,7 @@ class TestWeightSpaceDecomposition:
         assert len(cells) == 1
         rng = random.Random(5)
         for _ in range(20):
-            assert cells[0].contains(random_lambda(rng, 3))
+            assert contains(cells[0], random_lambda(rng, 3))
 
     def test_unsupported_point_has_no_cell(self):
         ps = PointSet(((4, 1), (5, 0), (2, 2)))
@@ -179,7 +192,7 @@ class TestWeightSpaceDecomposition:
         # boundary between the two cells sits at lambda = (2/5, 3/5)
         boundary = (Fraction(2, 5), Fraction(3, 5))
         for cell in cells:
-            assert cell.contains(boundary)
+            assert contains(cell, boundary)
 
     def test_cells_match_supportedness(self):
         rng = random.Random(17)
@@ -203,7 +216,7 @@ class TestWeightSpaceDecomposition:
             hits = 0
             while hits < 20:
                 lam = random_lambda(rng, 3)
-                if not cell.contains(lam):
+                if not contains(cell, lam):
                     continue
                 hits += 1
                 value = sum(w * t for w, t in zip(lam, cell.value))
@@ -218,14 +231,14 @@ class TestWeightSpaceDecomposition:
         for i in range(1, 50):
             for j in range(1, 50 - i):
                 lam = (i * step, j * step, 1 - i * step - j * step)
-                assert any(cell.contains(lam) for cell in cells)
+                assert any(contains(cell, lam) for cell in cells)
 
     def test_k2_decomposition(self):
         ps = PointSet(((3, 0), (0, 3)))
         cells = weight_space_decomposition(ps)
         assert {c.value for c in cells} == {(3, 0), (0, 3)}
         half = (Fraction(1, 2), Fraction(1, 2))
-        assert all(cell.contains(half) for cell in cells)
+        assert all(contains(cell, half) for cell in cells)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_vertices_match_fraction_reference(self, k):
@@ -281,3 +294,103 @@ def _intersection(lines):
     if det == 0:
         return None
     return ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
+
+
+def pairwise_cell_vertices_k3(normals):
+    """The cell corners from every pair of boundary lines, as the library
+    once computed them: intersect each pair of lines a x + b y <= c in
+    (x, y) = (lambda_1, lambda_2), the simplex's x, y >= 0, x + y <= 1
+    last, keep the feasible points in the order found, and order three or
+    more counterclockwise around their centroid from the angle 0."""
+    lines = [(d0 - d2, d1 - d2, -d2) for d0, d1, d2 in normals]
+    lines += [(-1, 0, 0), (0, -1, 0), (1, 1, 1)]
+    vertices = []
+    for (a1, b1, c1), (a2, b2, c2) in combinations(lines, 2):
+        det = a1 * b2 - a2 * b1
+        if det == 0:
+            continue
+        xn, yn = c1 * b2 - c2 * b1, a1 * c2 - a2 * c1
+        if det < 0:
+            det, xn, yn = -det, -xn, -yn
+        if all(a * xn + b * yn <= c * det for a, b, c in lines):
+            v = (Fraction(xn, det), Fraction(yn, det))
+            if v not in vertices:
+                vertices.append(v)
+    if len(vertices) <= 2:
+        return vertices
+    cx = sum(v[0] for v in vertices) / len(vertices)
+    cy = sum(v[1] for v in vertices) / len(vertices)
+
+    def half(v):
+        dx, dy = v[0] - cx, v[1] - cy
+        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+
+    def cmp(v, w):
+        if half(v) != half(w):
+            return half(v) - half(w)
+        c = (v[0] - cx) * (w[1] - cy) - (v[1] - cy) * (w[0] - cx)
+        return 0 if c == 0 else (-1 if c > 0 else 1)
+
+    return sorted(vertices, key=cmp_to_key(cmp))
+
+
+class TestCellsAgainstTheLP:
+    """For K <= 3 the cells decide supportedness and the simplex is clipped;
+    the LP and the pairwise line scan are the independent sides."""
+
+    def test_seeded_sets(self):
+        rng = random.Random(2030)
+        by_size = dict.fromkeys(range(4), 0)  # cells by corner count, 3 for >= 3
+        for trial in range(2400):
+            k = 2 + trial % 2
+            top = rng.choice((2, 3, 5, 10, 20, 40))
+            pts = [
+                tuple(rng.randint(0, top) for _ in range(k))
+                for _ in range(rng.randint(1, 12))
+            ]
+            pts += rng.choices(pts, k=rng.randint(0, 3))  # duplicates
+            ps = PointSet(tuple(pts))
+            if trial % 4 >= 2:  # as the wsd command passes them
+                ps = pareto_filter(ps)
+            values = sorted(set(ps.points))
+            cells = weight_space_decomposition(ps)
+            assert [c.value for c in cells] == [
+                y for y in values if supporting_weights(y, ps) is not None
+            ]
+            if k == 2:
+                continue
+            # Every value's cell, kept or not, against the pairwise scan.
+            kept = {c.value: c.vertices for c in cells}
+            for y in values:
+                normals = [tuple(map(sub, y, other)) for other in values if other != y]
+                expected = pairwise_cell_vertices_k3(normals)
+                clipped = scalarization._cell_vertices_k3(normals)
+                fractions = [(Fraction(a, w), Fraction(b, w)) for a, b, w in clipped]
+                assert fractions == expected
+                if y in kept:
+                    assert list(kept[y]) == expected
+                by_size[min(len(expected), 3)] += 1
+        assert min(by_size.values()) >= 100, by_size
+
+    def test_wsd_solves_no_lp_for_k_up_to_3(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("supporting_weights called")
+
+        monkeypatch.setattr(scalarization, "supporting_weights", refuse)
+        for name in ("wsd_k2.txt", "wsd_k3.txt", "wsd_k3_degenerate.txt"):
+            path = Path(__file__).parent / "golden" / "stdin" / name
+            monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["wsd"]) == 0
+        calls = []
+
+        def count(*args):
+            calls.append(args)
+            return supporting_weights(*args)
+
+        monkeypatch.setattr(scalarization, "supporting_weights", count)
+        path = Path(__file__).parent / "golden" / "stdin" / "points_k4.txt"
+        monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["wsd"]) == 0
+        assert calls

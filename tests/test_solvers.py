@@ -455,6 +455,12 @@ class TestInstanceErrors:
             KnapsackInstance(items, -1, CategorySpace(2))
         assert info.value.record is None
 
+    def test_huge_capacity_is_named_by_its_size(self):
+        digits = sys.get_int_max_str_digits()
+        with pytest.raises(InstanceError, match=f"more than {digits} digits") as info:
+            KnapsackInstance((Item(1, 1, 1),), -(10**5000), CategorySpace(2))
+        assert len(str(info.value)) <= 200
+
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
