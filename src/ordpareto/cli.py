@@ -16,15 +16,16 @@ from ordpareto.core import (
     A_TAIL,
     ConeMatrix,
     OrdparetoError,
-    check_printable,
     excerpt,
     head_transform,
     inverse_transform,
     tail_transform,
     too_many_digits,
+    unprintable,
 )
 from ordpareto.fileio import (
     FORMATS,
+    PROBLEMS,
     TEXT,
     emit_result,
     parse_instance,
@@ -77,8 +78,10 @@ def _read_int_vectors(stream) -> list[tuple[int, ...]]:
 
 
 def _format_vec(v) -> str:
-    check_printable(v, "an output value")
-    return " ".join(str(x) for x in v)
+    try:
+        return " ".join(map(str, v))
+    except ValueError:  # raised by str() only past the digit limit
+        raise unprintable("an output value") from None
 
 
 def _write_lines(lines: list[str]) -> int:
@@ -122,29 +125,18 @@ def _cmd_solve(args) -> int:
         if not isinstance(inst, KnapsackInstance):
             raise OrdparetoError("instance file does not describe a knapsack")
         res = solve_knapsack(inst, args.all_efficient)
-        out = emit_result(
-            res,
-            args.format,
-            (inst.space,),
-            element_prefix="i",
-            value_key="chead",
-            solution_key="items",
-        )
-        sys.stdout.write(out)
-        return 0
-    if not isinstance(inst, GraphInstance):
-        raise OrdparetoError("instance file does not describe a graph")
-    if args.problem == "sp":
-        res = solve_shortest_path(inst, args.all_efficient)
-    elif args.problem == "mixed":
-        res = solve_mixed(inst, args.all_efficient)
-    else:  # wtop
-        res = solve_weighted_counting(inst, args.all_efficient)
-        sys.stdout.write(
-            emit_result(res, args.format, inst.spaces, value_key="ctildew")
-        )
-        return 0
-    sys.stdout.write(emit_result(res, args.format, inst.spaces))
+        spaces = (inst.space,)
+    else:
+        if not isinstance(inst, GraphInstance):
+            raise OrdparetoError("instance file does not describe a graph")
+        solve = {
+            "sp": solve_shortest_path,
+            "mixed": solve_mixed,
+            "wtop": solve_weighted_counting,
+        }[args.problem]
+        res = solve(inst, args.all_efficient)
+        spaces = inst.spaces
+    sys.stdout.write(emit_result(res, args.format, spaces, args.problem))
     return 0
 
 
@@ -230,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("solve", help="run an exact solver on an instance file")
-    p.add_argument("problem", choices=("sp", "knapsack", "mixed", "wtop"))
+    p.add_argument("problem", choices=PROBLEMS)
     p.add_argument("instance")
     p.add_argument("--all-efficient", action="store_true")
     p.add_argument("--format", choices=FORMATS, default=TEXT)

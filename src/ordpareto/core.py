@@ -12,7 +12,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -184,23 +183,13 @@ def scale_to_ints(values: Sequence[int | Fraction]) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def check_printable(numbers: Iterable, what: str) -> None:
-    """Refuse, naming ``what``, an int or Fraction whose numerator or
-    denominator has more digits than ``str`` converts."""
-    digits = sys.get_int_max_str_digits()  # 0 switches the limit off
-    too_long = _digit_bound(digits)
-    if digits and any(
-        max(abs(x.numerator), x.denominator) >= too_long for x in numbers
-    ):
-        raise OrdparetoError(
-            f"{what} has more than {digits} digits (Python's int-to-str limit)"
-        )
-
-
-@functools.cache  # 10**4300 takes about 40 us to build
-def _digit_bound(digits: int) -> int:
-    """The least int with more than ``digits`` digits."""
-    return 10**digits
+def unprintable(what: str) -> OrdparetoError:
+    """The error for ``what`` when ``str`` refuses one of its ints, whose
+    digits exceed ``sys.get_int_max_str_digits()``."""
+    return OrdparetoError(
+        f"{what} has more than {sys.get_int_max_str_digits()} digits "
+        "(Python's int-to-str limit)"
+    )
 
 
 def too_many_digits(token: str) -> str:

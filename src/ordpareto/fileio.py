@@ -30,7 +30,13 @@ import json
 from fractions import Fraction
 from typing import Sequence
 
-from ordpareto.core import CategorySpace, OrdparetoError, excerpt, too_many_digits
+from ordpareto.core import (
+    CategorySpace,
+    OrdparetoError,
+    excerpt,
+    too_many_digits,
+    unprintable,
+)
 from ordpareto.solvers import (
     Edge,
     GraphInstance,
@@ -46,6 +52,16 @@ JSON = "json"
 PLOTDATA = "plotdata"
 
 FORMATS = (TEXT, JSON, PLOTDATA)
+
+# Per problem, the text format's names for the transformed value, the
+# solution and each of its elements (edges or items).
+_NAMES = {
+    "sp": ("ctilde", "path", "e"),
+    "knapsack": ("chead", "items", "i"),
+    "mixed": ("ctilde", "path", "e"),
+    "wtop": ("ctildew", "path", "e"),
+}
+PROBLEMS = tuple(_NAMES)
 
 # Well below the 4300 digits Python converts between int and str.
 MAX_WEIGHT_DIGITS = 1000
@@ -262,48 +278,43 @@ def emit_result(
     res: SolveResult,
     fmt: str = TEXT,
     spaces: Sequence[CategorySpace] = (),
-    element_prefix: str = "e",
-    value_key: str = "ctilde",
-    solution_key: str = "path",
+    problem: str = "sp",
 ) -> str:
     """Serialize a solve result deterministically.
 
     ``spaces`` (one per ordinal objective) supplies the category labels for
-    the o-space image; ``element_prefix`` is 'e' for edges, 'i' for items;
-    ``value_key``/``solution_key`` name the transformed value and the
-    element list in the text format ('chead'/'items' for knapsack results).
+    the o-space image. ``problem`` (one of ``PROBLEMS``) names the value and
+    the solution in the text format: ``ctilde=``/``path=e1,..`` for ``sp``
+    and ``mixed``, ``ctildew=`` for ``wtop``, ``chead=``/``items=i1,..`` for
+    ``knapsack``. The whole output is built before it is returned; a value
+    whose numerator or denominator has more digits than ``str`` converts
+    (``sys.get_int_max_str_digits()``) is refused with an OrdparetoError.
     """
     if fmt not in FORMATS:
         raise OrdparetoError(f"unknown format {fmt!r}; choose from {FORMATS}")
-    if fmt == JSON:
-        return _emit_json(res, spaces)
-    if res.status == UNREACHABLE:
-        return "UNREACHABLE\n"
-    if fmt == PLOTDATA:
-        return (
-            "\n".join(
-                " ".join(str(v) for v in entry.value) for entry in res.entries
-            )
-            + "\n"
-        )
-    lines = []
-    for entry in res.entries:
-        parts = []
-        if entry.weights:
-            parts.append("w=" + _vec(entry.weights))
-        for counts in entry.countings:
-            parts.append("c=" + _vec(counts))
-        parts.append(value_key + "=" + _vec(entry.value))
-        for space, ordinal in zip(spaces, entry.ordinals):
-            parts.append("o=" + _vec(_ordinal_labels(space, ordinal)))
-        for sol in entry.solutions:
-            parts.append(
-                solution_key
-                + "="
-                + ",".join(element_prefix + str(i) for i in sol)
-            )
-        lines.append(" ".join(parts))
-    return "\n".join(sorted(lines)) + "\n"
+    if problem not in _NAMES:
+        raise OrdparetoError(f"unknown problem {problem!r}; choose from {PROBLEMS}")
+    value_key, solution_key, prefix = _NAMES[problem]
+    try:  # str() and json raise ValueError only past the digit limit
+        if fmt == JSON:
+            return _emit_json(res, spaces)
+        if res.status == UNREACHABLE:
+            return "UNREACHABLE\n"
+        if fmt == PLOTDATA:
+            return "\n".join(" ".join(map(str, e.value)) for e in res.entries) + "\n"
+        lines = []
+        for entry in res.entries:
+            parts = ["w=" + _vec(entry.weights)] if entry.weights else []
+            parts += ["c=" + _vec(counts) for counts in entry.countings]
+            parts.append(value_key + "=" + _vec(entry.value))
+            for space, ordinal in zip(spaces, entry.ordinals):
+                parts.append("o=" + _vec(_ordinal_labels(space, ordinal)))
+            for sol in entry.solutions:
+                parts.append(solution_key + "=" + ",".join(prefix + str(i) for i in sol))
+            lines.append(" ".join(parts))
+        return "\n".join(sorted(lines)) + "\n"
+    except ValueError:
+        raise unprintable("a frontier value") from None
 
 
 def _emit_json(res: SolveResult, spaces: Sequence[CategorySpace]) -> str:

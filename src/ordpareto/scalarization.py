@@ -19,7 +19,7 @@ from operator import mul, sub
 from typing import Sequence
 
 from ordpareto.core import DimensionMismatchError, OrdparetoError, scale_to_ints
-from ordpareto.nondominance import PointSet, supporting_weights
+from ordpareto.nondominance import PointSet, _require_nonempty, supporting_weights
 
 
 def _as_fractions(weights: Sequence, name: str) -> tuple[Fraction, ...]:
@@ -57,8 +57,7 @@ def weighted_sum_solve(
 ) -> tuple[Fraction, PointSet]:
     """Exact minimum of the weighted sum over a point set and all argmins."""
     lam = check_lambda(weights)
-    if not ps.points:
-        raise OrdparetoError("point set is empty")
+    _require_nonempty(ps)
     if len(lam) != len(ps.points[0]):
         raise DimensionMismatchError(
             f"{len(lam)} weights for points of dimension {len(ps.points[0])}"
@@ -206,8 +205,7 @@ def weight_space_decomposition(ps: PointSet) -> list[WeightCell]:
     K the LP of :func:`supporting_weights` decides it and only the
     halfspace description is returned.
     """
-    if not ps.points:
-        raise OrdparetoError("point set is empty")
+    _require_nonempty(ps)
     K = len(ps.points[0])
     values = sorted(set(ps.points))
     cells: list[WeightCell] = []

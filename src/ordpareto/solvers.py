@@ -23,7 +23,6 @@ from ordpareto.core import (
     CategorySpace,
     ConeMatrix,
     OrdparetoError,
-    check_printable,
     counting_vector,
     excerpt,
     ordinal_vector,
@@ -213,7 +212,11 @@ def _multiobjective_shortest_paths(
     queue: deque[tuple[int, tuple, tuple[int, ...]]] = deque([(g.source, zero, ())])
     while queue:
         node, value, path = queue.popleft()
-        if path not in labels[node].get(value, ()):
+        held = labels[node].get(value)
+        # An evicted value never returns, as the bucket keeps a value that
+        # dominates it. Only default mode replaces a value's path, so in
+        # all_efficient mode a value still present still holds this path.
+        if held is None or not all_efficient and held[0] != path:
             continue  # label was pruned after being queued
         for edge in outgoing.get(node, ()):
             new_value = tuple(map(add, value, cost[edge.id]))
@@ -266,7 +269,6 @@ def _solve_paths(
     # sort in the order of the values reported.
     for scaled in sorted(frontier):
         value = tuple(map(Fraction, scaled[:n], scales)) + scaled[n:]
-        check_printable(value[:n], "a frontier value")
         rep_edges = [edges[i] for i in frontier[scaled][0]]
         countings = tuple(
             counting_vector((e.categories[l] for e in rep_edges), space)

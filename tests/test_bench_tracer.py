@@ -13,6 +13,8 @@ import importlib.util
 import io
 from pathlib import Path
 
+import pytest
+
 from ordpareto import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,6 +39,25 @@ def test_tracer_wraps_every_traced_name():
     assert tracer.counters["solvers.frontier_values"] == 1
     for module, attr, original, _ in tracer._swaps:
         assert getattr(module, attr) is original
+
+
+@pytest.mark.parametrize(
+    "problem, instance, solver",
+    [
+        ("knapsack", "knapsack_k2.txt", "solvers.solve_knapsack"),
+        ("wtop", "routes_weighted.graph", "solvers.solve_weighted_counting"),
+    ],
+)
+def test_tracer_sees_the_one_emit_call(problem, instance, solver):
+    worker = load_worker()
+    tracer = worker.Tracer(cli)
+    out = io.StringIO()
+    with tracer.installed(), contextlib.redirect_stdout(out):
+        assert tracer.main(["solve", problem, str(ROOT / "instances" / instance)]) == 0
+    names = [span[0] for span in tracer.spans]
+    assert names.count("fileio.emit_result") == 1
+    assert solver in names
+    assert tracer.counters["fileio.output_bytes"] == len(out.getvalue().encode()) > 0
 
 
 def test_tracer_counts_the_cone_filter(monkeypatch):

@@ -20,7 +20,6 @@ from ordpareto.core import (
     InvalidTailVectorError,
     NumericalRepresentation,
     OrdparetoError,
-    check_printable,
     cone_member,
     counting_vector,
     dominance_certificate,
@@ -290,11 +289,8 @@ class TestDigitLimit:
         sys.set_int_max_str_digits(0)
         try:
             assert too_many_digits("7" * (digits + 1)) == ""
-            check_printable([10**digits, Fraction(1, 10**digits)], "a value")
         finally:
             sys.set_int_max_str_digits(digits)
-        with pytest.raises(OrdparetoError, match="a value has more than"):
-            check_printable([10**digits], "a value")
 
     def test_category_space_names_a_huge_k_by_its_size(self):
         digits = sys.get_int_max_str_digits()

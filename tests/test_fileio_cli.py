@@ -126,6 +126,13 @@ class TestEmitResult:
         second = emit_result(solve_shortest_path(g), "text", g.spaces)
         assert first == second
 
+    def test_unknown_format_and_problem(self):
+        res = solve_shortest_path(routes_k3())
+        with pytest.raises(OrdparetoError, match="unknown format 'xml'"):
+            emit_result(res, "xml")
+        with pytest.raises(OrdparetoError, match="unknown problem 'tsp'"):
+            emit_result(res, problem="tsp")
+
 
 class TestCli:
     def run(self, capsys, argv, stdin_text=None, monkeypatch=None):
@@ -673,14 +680,37 @@ class TestValueDigitLimit:
         path.write_text("\n".join(lines + ["SOURCE 1", f"TARGET {n + 1}", ""]))
         return str(path)
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "plotdata"])
     @pytest.mark.parametrize("problem", ["mixed", "wtop"])
-    def test_five_edges_are_refused(self, capsys, tmp_path, problem):
-        assert main(["solve", problem, self.chain(tmp_path, 5)]) == 1
+    def test_five_edges_are_refused(self, capsys, tmp_path, problem, fmt):
+        argv = ["solve", problem, self.chain(tmp_path, 5), "--format", fmt]
+        assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
             "error: a frontier value has more than 4300 digits "
             "(Python's int-to-str limit)\n"
+        )
+
+    def test_the_solver_returns_the_exact_value(self, tmp_path):
+        with open(self.chain(tmp_path, 5), encoding="utf-8") as fh:
+            res = solve_mixed(parse_instance(fh.read()))
+        w = sum(Fraction(1, d) for d in self.DENOMINATORS)
+        assert res.values() == ((w, 5, 0),)
+        assert type(res.values()[0][0]) is Fraction
+
+    def test_no_limit_prints_every_digit(self, capsys, tmp_path):
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert main(["solve", "mixed", self.chain(tmp_path, 5)]) == 0
+            w = str(sum(Fraction(1, d) for d in self.DENOMINATORS))
+        finally:
+            sys.set_int_max_str_digits(digits)
+        assert len(w) > digits
+        assert capsys.readouterr().out == (
+            f"w=({w}) c=(5,0) ctilde=({w},5,0) o=({','.join(['eta1'] * 5)}) "
+            "path=e1,e2,e3,e4,e5\n"
         )
 
     @pytest.mark.parametrize(
@@ -712,7 +742,7 @@ class TestValueDigitLimit:
             with pytest.raises(ValueError):
                 str(weight)
             with pytest.raises(OrdparetoError, match="more than 4300 digits"):
-                solve_mixed(g)
+                emit_result(solve_mixed(g))
 
 
 class TestWtopValueTypes:

@@ -12,7 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from ordpareto import cli, scalarization
 from ordpareto.core import OrdparetoError, tail_transform
-from ordpareto.nondominance import PointSet, pareto_filter, supporting_weights
+from ordpareto.nondominance import (
+    EmptyPointSetError,
+    PointSet,
+    pareto_filter,
+    supporting_weights,
+)
 from ordpareto.scalarization import (
     check_lambda,
     check_mu,
@@ -58,6 +63,10 @@ class TestWeightedSum:
         )
         assert value == Fraction(3)
         assert argmin.points == ((4, 2),)
+
+    def test_empty_point_set(self):
+        with pytest.raises(EmptyPointSetError, match="^point set is empty$"):
+            weighted_sum_solve(PointSet(()), [Fraction(1, 2)] * 2)
 
     def test_argmins_are_efficient(self):
         rng = random.Random(13)
@@ -134,6 +143,10 @@ class TestWeightConversion:
 
 
 class TestWeightSpaceDecomposition:
+    def test_empty_point_set(self):
+        with pytest.raises(EmptyPointSetError, match="^point set is empty$"):
+            weight_space_decomposition(PointSet(()))
+
     def test_routes_cells(self):
         cells = weight_space_decomposition(ROUTES_TAILS)
         assert {c.value for c in cells} == {(2, 1, 1), (2, 2, 0), (3, 1, 0)}
