@@ -125,7 +125,6 @@ def _cmd_solve(args) -> int:
         if not isinstance(inst, KnapsackInstance):
             raise OrdparetoError("instance file does not describe a knapsack")
         res = solve_knapsack(inst, args.all_efficient)
-        spaces = (inst.space,)
     else:
         if not isinstance(inst, GraphInstance):
             raise OrdparetoError("instance file does not describe a graph")
@@ -135,8 +134,7 @@ def _cmd_solve(args) -> int:
             "wtop": solve_weighted_counting,
         }[args.problem]
         res = solve(inst, args.all_efficient)
-        spaces = inst.spaces
-    sys.stdout.write(emit_result(res, args.format, spaces, args.problem))
+    sys.stdout.write(emit_result(res, args.format, args.problem))
     return 0
 
 
@@ -159,10 +157,7 @@ def _cmd_wsd(args) -> int:
         lines.append(f"value {_format_vec(cell.value)}")
         lines += [f"  lambda-vertex {_format_vec(v)}" for v in cell.vertices]
         lines += [f"  mu-vertex {_format_vec(mu)}" for mu in cell.mu_vertices]
-        lines += [
-            f"  halfspace {_format_vec(h.coeffs)} <= {_format_vec((h.rhs,))}"
-            for h in cell.halfspaces
-        ]
+        lines += [f"  halfspace {_format_vec(d)} <= 0" for d in cell.normals]
     return _write_lines(lines)
 
 

@@ -48,9 +48,6 @@ class CategorySpace:
         if self.K < 1:
             raise OrdparetoError(f"need at least one category, got K={excerpt(self.K)}")
 
-    def label(self, index: int) -> str:
-        return f"eta{index}"
-
 
 def _check_same_length(u: Sequence, v: Sequence) -> None:
     if len(u) != len(v):

@@ -17,7 +17,9 @@ MAX_COMPONENTS components: real objectives plus categories (K for a
 knapsack).
 
 The parser checks syntax and size bounds only: record arity, integers,
-rationals, the bounds above, header counts and record order. What the
+rationals, the bounds above, header counts, record order and that
+OBJECTIVES, SOURCE and TARGET (and the fields of OBJECTIVES) appear once
+each. What the
 records mean (node and category ranges, unique ids, nonnegative weights,
 positive consumptions, a nonnegative capacity) is checked once, by the
 instance classes; their errors name the record at fault, and the parser
@@ -140,7 +142,6 @@ def _parse_graph(lines) -> GraphInstance:
     edge_count = _int(head[2], no)
 
     num_real = 0
-    ks: list[int] = []
     spaces: tuple[CategorySpace, ...] = ()
     edges: list[Edge] = []
     edge_lines: list[int] = []
@@ -150,15 +151,20 @@ def _parse_graph(lines) -> GraphInstance:
     for no, tokens in lines[1:]:
         key = tokens[0]
         if key == "OBJECTIVES":
+            if saw_objectives:
+                raise ParseError(no, "repeated OBJECTIVES line")
             if len(tokens) != 3:
                 raise ParseError(no, "OBJECTIVES needs real=<p> ordinal=<Ks>")
+            fields: dict[str, str] = {}
             for token in tokens[1:]:
-                if token.startswith("real="):
-                    num_real = _int(token[5:], no)
-                elif token.startswith("ordinal="):
-                    ks = [_int(k, no) for k in token[8:].split(",") if k]
-                else:
+                name, eq, field = token.partition("=")
+                if not eq or name not in ("real", "ordinal"):
                     raise ParseError(no, f"unknown OBJECTIVES field {excerpt(token)}")
+                if name in fields:
+                    raise ParseError(no, f"repeated OBJECTIVES field {name}=")
+                fields[name] = field
+            num_real = _int(fields["real"], no)
+            ks = [_int(k, no) for k in fields["ordinal"].split(",") if k]
             if num_real < 0:
                 raise ParseError(no, "real objective count must be >= 0")
             spaces = _spaces(num_real, ks, no)
@@ -184,6 +190,8 @@ def _parse_graph(lines) -> GraphInstance:
             edges.append(Edge(eid, u, v, weights, cats))
             edge_lines.append(no)
         elif key in ("SOURCE", "TARGET"):
+            if (source_no if key == "SOURCE" else target_no) is not None:
+                raise ParseError(no, f"repeated {key} line")
             if len(tokens) != 2:
                 raise ParseError(no, f"{key} needs <node>")
             if key == "SOURCE":
@@ -270,20 +278,11 @@ def _vec(values: Sequence) -> str:
     return "(" + ",".join(str(v) for v in values) + ")"
 
 
-def _ordinal_labels(space: CategorySpace, indices: Sequence[int]) -> list[str]:
-    return [space.label(i) for i in indices]
-
-
-def emit_result(
-    res: SolveResult,
-    fmt: str = TEXT,
-    spaces: Sequence[CategorySpace] = (),
-    problem: str = "sp",
-) -> str:
+def emit_result(res: SolveResult, fmt: str = TEXT, problem: str = "sp") -> str:
     """Serialize a solve result deterministically.
 
-    ``spaces`` (one per ordinal objective) supplies the category labels for
-    the o-space image. ``problem`` (one of ``PROBLEMS``) names the value and
+    Each ordinal objective's o-space image is written with the category
+    labels ``eta<i>``. ``problem`` (one of ``PROBLEMS``) names the value and
     the solution in the text format: ``ctilde=``/``path=e1,..`` for ``sp``
     and ``mixed``, ``ctildew=`` for ``wtop``, ``chead=``/``items=i1,..`` for
     ``knapsack``. The whole output is built before it is returned; a value
@@ -297,7 +296,7 @@ def emit_result(
     value_key, solution_key, prefix = _NAMES[problem]
     try:  # str() and json raise ValueError only past the digit limit
         if fmt == JSON:
-            return _emit_json(res, spaces)
+            return _emit_json(res)
         if res.status == UNREACHABLE:
             return "UNREACHABLE\n"
         if fmt == PLOTDATA:
@@ -307,8 +306,7 @@ def emit_result(
             parts = ["w=" + _vec(entry.weights)] if entry.weights else []
             parts += ["c=" + _vec(counts) for counts in entry.countings]
             parts.append(value_key + "=" + _vec(entry.value))
-            for space, ordinal in zip(spaces, entry.ordinals):
-                parts.append("o=" + _vec(_ordinal_labels(space, ordinal)))
+            parts += ["o=" + _vec([f"eta{i}" for i in o]) for o in entry.ordinals]
             for sol in entry.solutions:
                 parts.append(solution_key + "=" + ",".join(prefix + str(i) for i in sol))
             lines.append(" ".join(parts))
@@ -317,7 +315,7 @@ def emit_result(
         raise unprintable("a frontier value") from None
 
 
-def _emit_json(res: SolveResult, spaces: Sequence[CategorySpace]) -> str:
+def _emit_json(res: SolveResult) -> str:
     entries = []
     for entry in res.entries:
         entries.append(
@@ -327,10 +325,7 @@ def _emit_json(res: SolveResult, spaces: Sequence[CategorySpace]) -> str:
                 ],
                 "weights": [str(w) for w in entry.weights],
                 "counting": [list(c) for c in entry.countings],
-                "ordinal": [
-                    _ordinal_labels(space, ordinal)
-                    for space, ordinal in zip(spaces, entry.ordinals)
-                ],
+                "ordinal": [[f"eta{i}" for i in o] for o in entry.ordinals],
                 "solutions": [list(sol) for sol in entry.solutions],
             }
         )

@@ -101,62 +101,33 @@ def mu_to_lambda(weights: Sequence) -> tuple[Fraction, ...]:
 
 
 @dataclass(frozen=True)
-class Halfspace:
-    """Inequality coeffs . lambda <= rhs over the full K-dimensional weight
-    vector (no simplex substitution applied)."""
-
-    coeffs: tuple[Fraction, ...]
-    rhs: Fraction
-
-
-@dataclass(frozen=True)
 class WeightCell:
     """The weights for which one non-dominated value is weighted-sum optimal.
 
-    ``halfspaces`` describe the closed cell inside the weight simplex; for
-    K <= 3 ``vertices`` lists the cell's corner points projected to
-    (lambda_1,) or (lambda_1, lambda_2), in convex order. ``mu_vertices``
-    are their full-length images under :func:`lambda_to_mu`.
+    ``normals`` holds one int vector d = y - y' per other value y'; the
+    closed cell is the set of simplex weights with d . lambda <= 0 for each.
+    For K <= 3 ``vertices`` lists the cell's corner points projected to
+    (lambda_1,) or (lambda_1, lambda_2): ascending for K = 2, in convex
+    order for K = 3. ``mu_vertices`` are their full-length images under
+    :func:`lambda_to_mu`.
     """
 
     value: tuple[int, ...]
-    halfspaces: tuple[Halfspace, ...]
+    normals: tuple[tuple[int, ...], ...]
     vertices: tuple[tuple[Fraction, ...], ...] = ()
     mu_vertices: tuple[tuple[Fraction, ...], ...] = ()
 
 
-def _cell_vertices_k2(
-    normals: Sequence[tuple[int, ...]],
-) -> list[tuple[int, int]]:
-    # One free coordinate x = lambda_1 in [0, 1]; each d.(x, 1-x) <= 0 is
-    # (d0 - d1) x <= -d1. Intersect the intervals, keeping each bound as an
-    # integer pair (numerator, denominator > 0), which is what is returned.
-    lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
-    for d0, d1 in normals:
-        a, b = d0 - d1, -d1
-        if a > 0:
-            if b * hi_d < hi_n * a:
-                hi_n, hi_d = b, a
-        elif a < 0:
-            if b * lo_d < lo_n * a:  # b/a > lo, as a < 0
-                lo_n, lo_d = -b, -a
-        elif b < 0:
-            return []
-    if lo_n * hi_d > hi_n * lo_d:
-        return []
-    lo, hi = (lo_n, lo_d), (hi_n, hi_d)
-    return [lo] if lo_n * hi_d == hi_n * lo_d else [lo, hi]
-
-
-def _cell_vertices_k3(
-    normals: Sequence[tuple[int, ...]],
-) -> list[tuple[int, int, int]]:
-    # Work in (x, y) = (lambda_1, lambda_2), lambda_3 = 1 - x - y. Each
-    # d.lambda <= 0 becomes a line a x + b y <= c. Clip the simplex triangle
-    # by each in turn (Sutherland-Hodgman), keeping the corners in
+def _cell_corners(
+    normals: Sequence[tuple[int, ...]], K: int
+) -> list[tuple[int, ...]]:
+    # Work in (x, y) = (lambda_1, lambda_2), lambda_K = 1 - x - y. For K = 2
+    # the simplex is the triangle's bottom edge y = 0, and b = 0 as d[1] is
+    # d[-1]. Each d.lambda <= 0 becomes a line a x + b y <= c. Clip the
+    # simplex by each in turn (Sutherland-Hodgman), keeping the corners in
     # counterclockwise order as integer homogeneous (x, y, w), w > 0.
-    lines = [(d0 - d2, d1 - d2, -d2) for d0, d1, d2 in normals]
-    poly = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
+    lines = [(d[0] - d[-1], d[1] - d[-1], -d[-1]) for d in normals]
+    poly = [(0, 0, 1), (1, 0, 1), (0, 1, 1)][:K]
     for a, b, c in lines:
         f = [a * x + b * y - c * w for x, y, w in poly]
         if max(f) <= 0:
@@ -172,6 +143,11 @@ def _cell_vertices_k3(
         poly = list(dict.fromkeys(clipped))  # a clipped segment repeats a corner
         if not poly:
             return []
+    if K == 2:
+        # (x, w) by ascending x / w: clipping a segment can swap its ends.
+        if len(poly) == 2 and poly[0][0] * poly[1][2] > poly[1][0] * poly[0][2]:
+            poly.reverse()
+        return [(x, w) for x, _, w in poly]
     if len(poly) == 2:
         # In the order a pairwise line scan finds them: by the first two
         # tight, non-parallel lines, the simplex's x, y >= 0, x + y <= 1 last.
@@ -203,18 +179,17 @@ def weight_space_decomposition(ps: PointSet) -> list[WeightCell]:
     every value's cell is enumerated by its vertices (and their mu-space
     images), and the cells decide supportedness, no LP is solved; for other
     K the LP of :func:`supporting_weights` decides it and only the
-    halfspace description is returned.
+    normals are returned.
     """
     _require_nonempty(ps)
     K = len(ps.points[0])
     values = sorted(set(ps.points))
     cells: list[WeightCell] = []
     for y in values:
-        normals = [tuple(map(sub, y, other)) for other in values if other != y]
+        normals = tuple(tuple(map(sub, y, other)) for other in values if other != y)
         vertices = mu_vertices = ()
         if K in (2, 3):
-            enum = _cell_vertices_k2 if K == 2 else _cell_vertices_k3
-            corners = enum(normals)
+            corners = _cell_corners(normals, K)
             # Int numerators of the full lambda over each corner's w.
             lifted = [c[:-1] + (c[-1] - sum(c[:-1]),) for c in corners]
             # The centroid of the corners lies in the cell's relative
@@ -227,8 +202,5 @@ def weight_space_decomposition(ps: PointSet) -> list[WeightCell]:
             mu_vertices = tuple(map(_prefix_normalize, lifted))
         elif supporting_weights(y, ps) is None:
             continue
-        halfspaces = tuple(
-            Halfspace(tuple(map(Fraction, d)), Fraction(0)) for d in normals
-        )
-        cells.append(WeightCell(tuple(y), halfspaces, vertices, mu_vertices))
+        cells.append(WeightCell(tuple(y), normals, vertices, mu_vertices))
     return cells

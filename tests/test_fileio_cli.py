@@ -88,7 +88,7 @@ class TestParsing:
 class TestEmitResult:
     def test_text_format(self):
         res = solve_shortest_path(parse_instance(ROUTES_K3))
-        text = emit_result(res, "text", parse_instance(ROUTES_K3).spaces)
+        text = emit_result(res, "text")
         lines = text.splitlines()
         assert "c=(1,0,1) ctilde=(2,1,1) o=(eta1,eta3) path=e4,e5" in lines
         assert lines == sorted(lines)
@@ -103,9 +103,9 @@ class TestEmitResult:
     def test_json_round_trip(self):
         g = parse_instance(ROUTES_K3)
         res = solve_shortest_path(g)
-        blob = emit_result(res, "json", g.spaces)
+        blob = emit_result(res, "json")
         assert json.loads(blob) == json.loads(
-            emit_result(solve_shortest_path(g), "json", g.spaces)
+            emit_result(solve_shortest_path(g), "json")
         )
         data = json.loads(blob)
         assert data["status"] == "ok"
@@ -117,13 +117,13 @@ class TestEmitResult:
 
     def test_plotdata(self):
         g = parse_instance(ROUTES_K3)
-        out = emit_result(solve_shortest_path(g), "plotdata", g.spaces)
+        out = emit_result(solve_shortest_path(g), "plotdata")
         assert out == "2 1 1\n2 2 0\n3 1 0\n"
 
     def test_determinism(self):
         g = parse_instance(ROUTES_K3)
-        first = emit_result(solve_shortest_path(g), "text", g.spaces)
-        second = emit_result(solve_shortest_path(g), "text", g.spaces)
+        first = emit_result(solve_shortest_path(g), "text")
+        second = emit_result(solve_shortest_path(g), "text")
         assert first == second
 
     def test_unknown_format_and_problem(self):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from operator import sub
+from operator import mul, sub
 from pathlib import Path
 
 import pytest
@@ -31,10 +31,8 @@ ROUTES_TAILS = PointSet(((2, 1, 1), (2, 2, 0), (3, 1, 0)))
 
 
 def contains(cell, lam) -> bool:
-    # Whether lam satisfies every halfspace of the cell.
-    return all(
-        sum(c * l for c, l in zip(h.coeffs, lam)) <= h.rhs for h in cell.halfspaces
-    )
+    # Whether lam satisfies d . lam <= 0 for every normal d of the cell.
+    return all(sum(map(mul, d, lam)) <= 0 for d in cell.normals)
 
 
 def random_lambda(rng: random.Random, k: int) -> tuple[Fraction, ...]:
@@ -255,7 +253,7 @@ class TestWeightSpaceDecomposition:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_vertices_match_fraction_reference(self, k):
-        # Corners recomputed in fractions from the cell's own halfspaces:
+        # Corners recomputed in fractions from the cell's own normals:
         # the feasible intersections of k - 1 boundary lines, in the
         # projected coordinates (lambda_1, .., lambda_{k-1}).
         rng = random.Random(31 + k)
@@ -269,9 +267,8 @@ class TestWeightSpaceDecomposition:
             )
             for cell in weight_space_decomposition(unique):
                 lines = [
-                    tuple(c - h.coeffs[-1] for c in h.coeffs[:-1])
-                    + (h.rhs - h.coeffs[-1],)
-                    for h in cell.halfspaces
+                    tuple(Fraction(c - d[-1]) for c in d[:-1]) + (Fraction(-d[-1]),)
+                    for d in cell.normals
                 ]
                 lines += [
                     tuple(Fraction(-(i == j)) for j in range(k - 1))
@@ -307,6 +304,29 @@ def _intersection(lines):
     if det == 0:
         return None
     return ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
+
+
+def interval_cell_vertices_k2(normals):
+    """The cell corners as the library once computed them for K = 2: in the
+    one free coordinate x = lambda_1 in [0, 1], each d.(x, 1-x) <= 0 is
+    (d0 - d1) x <= -d1; intersect the intervals, keeping each bound as an
+    integer pair (numerator, denominator > 0), and return the bounds in
+    ascending order, one when they meet."""
+    lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
+    for d0, d1 in normals:
+        a, b = d0 - d1, -d1
+        if a > 0:
+            if b * hi_d < hi_n * a:
+                hi_n, hi_d = b, a
+        elif a < 0:
+            if b * lo_d < lo_n * a:  # b/a > lo, as a < 0
+                lo_n, lo_d = -b, -a
+        elif b < 0:
+            return []
+    if lo_n * hi_d > hi_n * lo_d:
+        return []
+    lo, hi = (lo_n, lo_d), (hi_n, hi_d)
+    return [lo] if lo_n * hi_d == hi_n * lo_d else [lo, hi]
 
 
 def pairwise_cell_vertices_k3(normals):
@@ -349,11 +369,13 @@ def pairwise_cell_vertices_k3(normals):
 
 class TestCellsAgainstTheLP:
     """For K <= 3 the cells decide supportedness and the simplex is clipped;
-    the LP and the pairwise line scan are the independent sides."""
+    the LP, the interval intersection (K = 2) and the pairwise line scan
+    (K = 3) are the independent sides."""
 
     def test_seeded_sets(self):
         rng = random.Random(2030)
-        by_size = dict.fromkeys(range(4), 0)  # cells by corner count, 3 for >= 3
+        # Cells by K and corner count, 3 for >= 3.
+        by_size = {2: dict.fromkeys(range(3), 0), 3: dict.fromkeys(range(4), 0)}
         for trial in range(2400):
             k = 2 + trial % 2
             top = rng.choice((2, 3, 5, 10, 20, 40))
@@ -370,20 +392,24 @@ class TestCellsAgainstTheLP:
             assert [c.value for c in cells] == [
                 y for y in values if supporting_weights(y, ps) is not None
             ]
-            if k == 2:
-                continue
-            # Every value's cell, kept or not, against the pairwise scan.
+            # Every value's cell, kept or not, against the reference, in order.
             kept = {c.value: c.vertices for c in cells}
             for y in values:
                 normals = [tuple(map(sub, y, other)) for other in values if other != y]
-                expected = pairwise_cell_vertices_k3(normals)
-                clipped = scalarization._cell_vertices_k3(normals)
-                fractions = [(Fraction(a, w), Fraction(b, w)) for a, b, w in clipped]
+                clipped = scalarization._cell_corners(normals, k)
+                fractions = [tuple(Fraction(v, c[-1]) for v in c[:-1]) for c in clipped]
+                if k == 2:
+                    expected = [
+                        (Fraction(n, d),) for n, d in interval_cell_vertices_k2(normals)
+                    ]
+                else:
+                    expected = pairwise_cell_vertices_k3(normals)
                 assert fractions == expected
                 if y in kept:
                     assert list(kept[y]) == expected
-                by_size[min(len(expected), 3)] += 1
-        assert min(by_size.values()) >= 100, by_size
+                by_size[k][min(len(expected), 3)] += 1
+        assert min(by_size[2].values()) >= 100, by_size
+        assert min(by_size[3].values()) >= 100, by_size
 
     def test_wsd_solves_no_lp_for_k_up_to_3(self, monkeypatch):
         def refuse(*args):

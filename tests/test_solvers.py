@@ -371,7 +371,7 @@ class TestTrivialPath:
         assert entry.weights == (Fraction(0),) * num_real
         assert all(type(w) is Fraction for w in entry.weights)
         assert entry.solutions == ((),)
-        data = json.loads(emit_result(res, "json", g.spaces))
+        data = json.loads(emit_result(res, "json"))
         assert data == {
             "status": "ok",
             "entries": [
