@@ -17,13 +17,12 @@ MAX_COMPONENTS components: real objectives plus categories (K for a
 knapsack).
 
 The parser checks syntax and size bounds only: record arity, integers,
-rationals, the bounds above, header counts, record order and that
-OBJECTIVES, SOURCE and TARGET (and the fields of OBJECTIVES) appear once
-each. What the
-records mean (node and category ranges, unique ids, nonnegative weights,
-positive consumptions, a nonnegative capacity) is checked once, by the
-instance classes; their errors name the record at fault, and the parser
-reports them at that record's line.
+rationals, the bounds above, header counts, record order, and that
+OBJECTIVES, SOURCE, TARGET and the two OBJECTIVES fields appear once each.
+What the records mean (node and category ranges, unique ids, nonnegative
+weights, positive consumptions, a nonnegative capacity) is checked once,
+by the instance classes; their errors name the record at fault, and the
+parser reports them at that record's line.
 """
 
 from __future__ import annotations
