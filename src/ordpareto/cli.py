@@ -32,12 +32,6 @@ from ordpareto.fileio import (
     read_weight,
 )
 from ordpareto.nondominance import PointSet, cone_filter, pareto_filter
-from ordpareto.oracle import (
-    ORDINAL_SAMPLED,
-    enumerate_paths,
-    enumerate_subsets,
-    oracle_efficient_set,
-)
 from ordpareto.scalarization import (
     weight_space_decomposition,
     weighted_sum_solve,
@@ -162,6 +156,14 @@ def _cmd_wsd(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    # Only this subcommand needs the brute-force oracle.
+    from ordpareto.oracle import (
+        ORDINAL_SAMPLED,
+        enumerate_paths,
+        enumerate_subsets,
+        oracle_efficient_set,
+    )
+
     inst = _load_instance(args.instance)
     if isinstance(inst, KnapsackInstance):
         res = solve_knapsack(inst)

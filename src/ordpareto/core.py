@@ -13,12 +13,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import ge, le, sub
-from typing import Iterable, Sequence
 
 
 class OrdparetoError(ValueError):
@@ -37,16 +37,16 @@ class InvalidTailVectorError(OrdparetoError):
     """A tail-count vector is not non-increasing or not nonnegative."""
 
 
-@dataclass(frozen=True)
-class CategorySpace:
+class CategorySpace(namedtuple("CategorySpace", "K")):
     """The K ordered categories ``eta1 .. etaK`` of one ordinal objective;
     ``eta1`` is the most preferred."""
 
-    K: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.K < 1:
-            raise OrdparetoError(f"need at least one category, got K={excerpt(self.K)}")
+    def __new__(cls, K: int):
+        if K < 1:
+            raise OrdparetoError(f"need at least one category, got K={excerpt(K)}")
+        return super().__new__(cls, K)
 
 
 def _check_same_length(u: Sequence, v: Sequence) -> None:
@@ -66,7 +66,7 @@ def counting_vector(cats: Iterable[int], space: CategorySpace) -> tuple[int, ...
     for c in cats:
         if not 1 <= c <= space.K:
             raise InvalidCategoryError(
-                f"category index {c} outside 1..{space.K}"
+                f"category index {excerpt(c)} outside 1..{excerpt(space.K)}"
             )
         counts[c - 1] += 1
     return tuple(counts)
@@ -210,23 +210,21 @@ def excerpt(token: str | int) -> str:
     return show(text) if len(text) <= 40 else f"{show(text[:40])}…"
 
 
-@dataclass(frozen=True)
-class NumericalRepresentation:
+class NumericalRepresentation(namedtuple("NumericalRepresentation", "values")):
     """Strictly increasing nonnegative integer values, one per category."""
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        values = tuple(self.values)
+    def __new__(cls, values: Sequence[int]):
+        values = tuple(values)
         if not values:
             raise OrdparetoError("numerical representation must be nonempty")
         if values[0] < 0:
-            raise OrdparetoError(f"values must be nonnegative: {values}")
-        if any(a >= b for a, b in zip(values, values[1:])):
-            raise OrdparetoError(
-                f"values must be strictly increasing: {values}"
-            )
-        object.__setattr__(self, "values", values)
+            raise OrdparetoError("negative value at index 1")
+        for j in range(len(values) - 1):
+            if values[j] >= values[j + 1]:
+                raise OrdparetoError(f"values not strictly increasing at index {j + 1}")
+        return super().__new__(cls, values)
 
     @property
     def K(self) -> int:
@@ -274,8 +272,9 @@ DOMINATES = "dominates"
 NOT_DOMINATED = "not-dominated"
 
 
-@dataclass(frozen=True)
-class DominanceCertificate:
+class DominanceCertificate(
+    namedtuple("DominanceCertificate", "relation nu value_u value_v", defaults=(None, None))
+):
     """Witness for the outcome of an ordinal-dominance comparison of u vs v.
 
     ``relation`` is one of:
@@ -286,12 +285,11 @@ class DominanceCertificate:
     * ``"not-dominated"``  -- u does not weakly tail-dominate v; ``nu``
       satisfies value(u) > value(v), so u cannot be weakly preferred under
       every representation.
+
+    ``value_u`` and ``value_v`` are the two values under ``nu``, or None.
     """
 
-    relation: str
-    nu: NumericalRepresentation | None
-    value_u: int | None = None
-    value_v: int | None = None
+    __slots__ = ()
 
 
 def _expensive_tail_representation(j_star: int, scale: int, K: int) -> NumericalRepresentation:
@@ -357,8 +355,7 @@ B_HEAD = "B_head"
 _KINDS = (A_TAIL, B_TAIL, A_HEAD, B_HEAD)
 
 
-@dataclass(frozen=True)
-class ConeMatrix:
+class ConeMatrix(namedtuple("ConeMatrix", "K kind")):
     """One of the four K x K transformation matrices.
 
     * ``A_tail``: upper-triangular all-ones; rows are the halfspace normals
@@ -369,14 +366,14 @@ class ConeMatrix:
     * ``A_head`` / ``B_head``: the transposes, describing the head cone.
     """
 
-    K: int
-    kind: str = A_TAIL
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.K < 1:
-            raise OrdparetoError(f"matrix dimension must be positive: {self.K}")
-        if self.kind not in _KINDS:
-            raise OrdparetoError(f"unknown cone matrix kind: {self.kind!r}")
+    def __new__(cls, K: int, kind: str = A_TAIL):
+        if K < 1:
+            raise OrdparetoError(f"matrix dimension must be positive: {excerpt(K)}")
+        if kind not in _KINDS:
+            raise OrdparetoError(f"unknown cone matrix kind: {excerpt(kind)}")
+        return super().__new__(cls, K, kind)
 
     def entry(self, i: int, j: int) -> int:
         """Matrix entry at 1-based (row, column)."""

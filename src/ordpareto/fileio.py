@@ -28,8 +28,8 @@ parser reports them at that record's line.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from ordpareto.core import (
     CategorySpace,

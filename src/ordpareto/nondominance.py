@@ -13,9 +13,9 @@ solvers' job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from ordpareto.core import (
     ConeMatrix,
@@ -30,18 +30,17 @@ class EmptyPointSetError(OrdparetoError):
     """Filters require at least one point."""
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(namedtuple("PointSet", "points")):
     """A finite list of equal-length integer vectors. Points carry no ids:
     equal points are equal values, so a filter sorts its result by point."""
 
-    points: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        points = tuple(tuple(p) for p in self.points)
-        object.__setattr__(self, "points", points)
+    def __new__(cls, points: Sequence[Sequence[int]]):
+        points = tuple(map(tuple, points))
         if len({len(p) for p in points}) > 1:
             raise DimensionMismatchError("points have differing lengths")
+        return super().__new__(cls, points)
 
     def _sorted(self, keep: list[int]) -> "PointSet":
         return PointSet(tuple(sorted(self.points[i] for i in keep)))

@@ -11,8 +11,8 @@ filters at desk scale.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from ordpareto.core import (
     ConeMatrix,
@@ -45,10 +45,10 @@ class InstanceTooLargeError(OrdparetoError):
     """The instance exceeds the enumeration size limit."""
 
 
-@dataclass(frozen=True)
-class EnumeratedSolution:
-    elements: tuple[int, ...]
-    counting: tuple[int, ...]
+class EnumeratedSolution(namedtuple("EnumeratedSolution", "elements counting")):
+    """One feasible solution: its element ids and its counting vector."""
+
+    __slots__ = ()
 
 
 def enumerate_paths(

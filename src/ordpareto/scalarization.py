@@ -11,12 +11,12 @@ simplex); for other K the LP of ``supporting_weights`` decides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul, sub
-from typing import Sequence
 
 from ordpareto.core import DimensionMismatchError, OrdparetoError, scale_to_ints
 from ordpareto.nondominance import PointSet, _require_nonempty, supporting_weights
@@ -100,8 +100,9 @@ def mu_to_lambda(weights: Sequence) -> tuple[Fraction, ...]:
     return tuple(l / total for l in lam)
 
 
-@dataclass(frozen=True)
-class WeightCell:
+class WeightCell(
+    namedtuple("WeightCell", "value normals vertices mu_vertices", defaults=((), ()))
+):
     """The weights for which one non-dominated value is weighted-sum optimal.
 
     ``normals`` holds one int vector d = y - y' per other value y'; the
@@ -112,10 +113,7 @@ class WeightCell:
     :func:`lambda_to_mu`.
     """
 
-    value: tuple[int, ...]
-    normals: tuple[tuple[int, ...], ...]
-    vertices: tuple[tuple[Fraction, ...], ...] = ()
-    mu_vertices: tuple[tuple[Fraction, ...], ...] = ()
+    __slots__ = ()
 
 
 def _cell_corners(

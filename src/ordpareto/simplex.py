@@ -13,8 +13,8 @@ it is exact; intended for the desk-scale questions in this package
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from ordpareto.core import OrdparetoError, scale_to_ints
 

@@ -13,8 +13,8 @@ frontier values by it again as ``Fraction``s when the entries are built.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import add, le
 
@@ -46,50 +46,46 @@ class InstanceError(OrdparetoError):
         self.record = record
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    tail: int
-    head: int
-    weights: tuple[Fraction, ...] = ()
-    categories: tuple[int, ...] = ()
+class Edge(namedtuple("Edge", "id tail head weights categories", defaults=((), ()))):
+    """One arc: ``weights`` are its real costs, ``categories`` its category
+    per ordinal objective."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GraphInstance:
+class GraphInstance(
+    namedtuple("GraphInstance", "nodes edges spaces source target num_real")
+):
     """Directed graph with per-edge categories and optional real weights.
 
     ``spaces`` holds one :class:`CategorySpace` per ordinal objective;
     ``weights`` on each edge has one nonnegative rational per real objective.
     """
 
-    nodes: int
-    edges: tuple[Edge, ...]
-    spaces: tuple[CategorySpace, ...]
-    source: int
-    target: int
-    num_real: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "spaces", tuple(self.spaces))
-        for node in (self.source, self.target):
-            if not 1 <= node <= self.nodes:
+    def __new__(
+        cls, nodes: int, edges: Sequence[Edge], spaces: Sequence[CategorySpace],
+        source: int, target: int, num_real: int = 0,
+    ):
+        edges, spaces = tuple(edges), tuple(spaces)
+        for node in (source, target):
+            if not 1 <= node <= nodes:
                 raise InstanceError(f"terminal node {excerpt(node)} out of range")
         seen = set()
-        for i, e in enumerate(self.edges):
+        for i, e in enumerate(edges):
             if e.id in seen:
                 raise InstanceError(f"duplicate edge id {excerpt(e.id)}", i)
             seen.add(e.id)
             for node in (e.tail, e.head):
-                if not 1 <= node <= self.nodes:
+                if not 1 <= node <= nodes:
                     raise InstanceError(
                         f"edge {excerpt(e.id)} touches node {excerpt(node)} "
-                        f"outside 1..{excerpt(self.nodes)}", i
+                        f"outside 1..{excerpt(nodes)}", i
                     )
-            if len(e.weights) != self.num_real:
+            if len(e.weights) != num_real:
                 raise InstanceError(
-                    f"edge {excerpt(e.id)} has {len(e.weights)} weights, expected {self.num_real}",
+                    f"edge {excerpt(e.id)} has {len(e.weights)} weights, expected {num_real}",
                     i,
                 )
             if not all(isinstance(w, (int, Fraction)) for w in e.weights):
@@ -99,39 +95,38 @@ class GraphInstance:
                 )
             if any(w < 0 for w in e.weights):
                 raise InstanceError(f"edge {excerpt(e.id)} has a negative weight", i)
-            if len(e.categories) != len(self.spaces):
+            if len(e.categories) != len(spaces):
                 raise InstanceError(
                     f"edge {excerpt(e.id)} has {len(e.categories)} categories, "
-                    f"expected {len(self.spaces)}",
+                    f"expected {len(spaces)}",
                     i,
                 )
-            for cat, space in zip(e.categories, self.spaces):
+            for cat, space in zip(e.categories, spaces):
                 if not 1 <= cat <= space.K:
                     raise InstanceError(
                         f"edge {excerpt(e.id)}: category {excerpt(cat)} "
                         f"outside 1..{excerpt(space.K)}", i
                     )
+        return super().__new__(cls, nodes, edges, spaces, source, target, num_real)
 
 
-@dataclass(frozen=True)
-class Item:
-    id: int
-    weight: int
-    category: int
+class Item(namedtuple("Item", "id weight category")):
+    """One knapsack item: its consumption ``weight`` and its category."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class KnapsackInstance:
-    items: tuple[Item, ...]
-    capacity: int
-    space: CategorySpace
+class KnapsackInstance(namedtuple("KnapsackInstance", "items capacity space")):
+    """Items, a capacity, and the one ordinal objective's categories."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        if self.capacity < 0:
-            raise InstanceError(f"capacity must be nonnegative: {excerpt(self.capacity)}")
+    __slots__ = ()
+
+    def __new__(cls, items: Sequence[Item], capacity: int, space: CategorySpace):
+        items = tuple(items)
+        if capacity < 0:
+            raise InstanceError(f"capacity must be nonnegative: {excerpt(capacity)}")
         seen = set()
-        for i, item in enumerate(self.items):
+        for i, item in enumerate(items):
             if item.id in seen:
                 raise InstanceError(f"duplicate item id {excerpt(item.id)}", i)
             seen.add(item.id)
@@ -139,15 +134,17 @@ class KnapsackInstance:
                 raise InstanceError(
                     f"item {excerpt(item.id)}: consumption must be positive", i
                 )
-            if not 1 <= item.category <= self.space.K:
+            if not 1 <= item.category <= space.K:
                 raise InstanceError(
                     f"item {excerpt(item.id)}: category {excerpt(item.category)} "
-                    f"outside 1..{excerpt(self.space.K)}", i
+                    f"outside 1..{excerpt(space.K)}", i
                 )
+        return super().__new__(cls, items, capacity, space)
 
 
-@dataclass(frozen=True)
-class ResultEntry:
+class ResultEntry(
+    namedtuple("ResultEntry", "value countings ordinals weights solutions")
+):
     """One non-dominated outcome value with its images and solutions.
 
     ``value`` lives in the transformed (tail / head / mixed) space.
@@ -158,21 +155,44 @@ class ResultEntry:
     deterministic representative (smallest id sequence).
     """
 
-    value: tuple
-    countings: tuple[tuple[int, ...], ...]
-    ordinals: tuple[tuple[int, ...], ...]
-    weights: tuple[Fraction, ...]
-    solutions: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def representative(self) -> tuple[int, ...]:
         return self.solutions[0]
 
 
-@dataclass(frozen=True)
 class SolveResult:
-    status: str
-    entries: tuple[ResultEntry, ...] = ()
+    """A solver's status and its entries in ascending value order.
+
+    A plain class, not a tuple, so that it can carry fields that stay out
+    of ``==``, ``hash`` and ``repr``; it is as immutable as the records.
+    """
+
+    __slots__ = ("status", "entries")
+
+    def __init__(self, status: str, entries: tuple[ResultEntry, ...] = ()):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy without __setattr__
+        return SolveResult, (self.status, self.entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.status, self.entries) == (other.status, other.entries)
+
+    def __hash__(self):
+        return hash((self.status, self.entries))
+
+    def __repr__(self):
+        return f"SolveResult(status={self.status!r}, entries={self.entries!r})"
 
     def values(self) -> tuple[tuple, ...]:
         return tuple(e.value for e in self.entries)
@@ -370,12 +390,11 @@ def solve_knapsack(
     }
     for item in sorted(k.items, key=lambda it: it.id):
         delta = tuple(1 if j >= item.category else 0 for j in range(1, K + 1))
-        limit = k.capacity - item.weight
+        weight, added = item.weight, (item.id,)  # read once, not per pair
+        limit = k.capacity - weight
         grown = []  # merged only after the scan, so no pair takes the item twice
         for head, pairs in states.items():
-            fits = [
-                (w + item.weight, s + (item.id,)) for w, s in pairs if w <= limit
-            ]
+            fits = [(w + weight, s + added) for w, s in pairs if w <= limit]
             if fits:
                 grown.append((tuple(a + b for a, b in zip(head, delta)), fits))
         for head, fits in grown:

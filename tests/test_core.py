@@ -273,6 +273,26 @@ class TestDigitLimit:
             CategorySpace(-(10**5000))
         assert len(str(info.value)) <= 200
 
+    @pytest.mark.parametrize(
+        "build, expected",
+        [
+            (lambda: ConeMatrix(-(10**5000)), "dimension must be positive: an int of more than"),
+            (lambda: ConeMatrix(2, "x" * 5000), "unknown cone matrix kind: 'xxxxx"),
+            (lambda: NumericalRepresentation((-(10**5000),)), "negative value at index 1"),
+            (lambda: NumericalRepresentation(tuple(range(3000, 0, -1))), "increasing at index 1$"),
+            (lambda: NumericalRepresentation((1, 5, 5)), "increasing at index 2$"),
+            (
+                lambda: counting_vector((10**5000,), CategorySpace(2)),
+                "category index an int of more than",
+            ),
+        ],
+        ids=["cone-dimension", "cone-kind", "nu-negative", "nu-descending", "nu-tie", "category"],
+    )
+    def test_core_constructors_keep_the_error_line_short(self, build, expected):
+        with pytest.raises(OrdparetoError, match=expected) as info:
+            build()
+        assert len(str(info.value)) <= 200
+
 
 class TestNumericValues:
     def test_example_values(self):
