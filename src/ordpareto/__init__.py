@@ -16,16 +16,16 @@ __version__ = "0.1.0"
 _HOMES = {
     name: module
     for module, names in {
-        "core": "CategorySpace ConeMatrix DominanceCertificate NumericalRepresentation"
-        " cone_member counting_vector dominance_certificate head_dominates"
-        " head_transform inverse_transform numeric_value ordinal_vector"
-        " pareto_dominates tail_dominates tail_transform weakly_tail_dominates",
+        "core": "CategorySpace ConeMatrix cone_member counting_vector head_transform"
+        " inverse_transform ordinal_vector tail_transform",
         "nondominance": "PointSet cone_filter is_supported pareto_filter",
         "solvers": "GraphInstance KnapsackInstance SolveResult solve_knapsack"
         " solve_mixed solve_shortest_path solve_weighted_counting",
         "scalarization": "WeightCell lambda_to_mu mu_to_lambda"
         " weight_space_decomposition weighted_sum_solve",
-        "oracle": "enumerate_paths enumerate_subsets mapping_check oracle_efficient_set",
+        "oracle": "DominanceCertificate NumericalRepresentation dominance_certificate"
+        " enumerate_paths enumerate_subsets head_dominates mapping_check numeric_value"
+        " oracle_efficient_set pareto_dominates tail_dominates weakly_tail_dominates",
     }.items()
     for name in names.split()
 }

@@ -2,8 +2,9 @@
 
 Subcommands: transform, filter, solve {sp,knapsack,mixed,wtop}, scalarize,
 wsd, oracle-check. Vectors read from stdin are one per line, entries
-separated by whitespace or commas. Exit codes: 0 success, 1 usage or parse
-error, 2 oracle mismatch.
+separated by whitespace or commas. Exit codes: 0 success or ``--help``,
+1 a bad command line, input or parse error (one ``error: …`` line on
+stderr), 2 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+import ordpareto
 from ordpareto.core import (
     A_HEAD,
     A_TAIL,
@@ -31,11 +33,6 @@ from ordpareto.fileio import (
     parse_instance,
     read_weight,
 )
-from ordpareto.nondominance import PointSet, cone_filter, pareto_filter
-from ordpareto.scalarization import (
-    weight_space_decomposition,
-    weighted_sum_solve,
-)
 from ordpareto.solvers import (
     GraphInstance,
     KnapsackInstance,
@@ -44,6 +41,20 @@ from ordpareto.solvers import (
     solve_shortest_path,
     solve_weighted_counting,
 )
+
+# Only filter, scalarize and wsd call these names, so their modules load on
+# first use (PEP 562). The handlers look them up on this module, where a
+# caller such as a tracer may have replaced them.
+_ON_DEMAND = {"PointSet", "cone_filter", "pareto_filter", "weighted_sum_solve",
+              "weight_space_decomposition"}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _ON_DEMAND:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(ordpareto, name)  # the root loads its module
+    return value
 
 
 def _read_int_vectors(stream) -> list[tuple[int, ...]]:
@@ -95,12 +106,12 @@ def _cmd_transform(args) -> int:
 
 def _cmd_filter(args) -> int:
     vectors = _read_int_vectors(sys.stdin)
-    ps = PointSet(tuple(vectors))
+    ps = _cli.PointSet(tuple(vectors))
     if args.cone == "pareto":
-        kept = pareto_filter(ps, args.sense)
+        kept = _cli.pareto_filter(ps, args.sense)
     else:
         kind = A_TAIL if args.cone == "tail" else A_HEAD
-        kept = cone_filter(ps, ConeMatrix(len(vectors[0]), kind), args.sense)
+        kept = _cli.cone_filter(ps, ConeMatrix(len(vectors[0]), kind), args.sense)
     return _write_lines([_format_vec(p) for p in kept.points])
 
 
@@ -138,16 +149,16 @@ def _cmd_scalarize(args) -> int:
     except OrdparetoError as exc:
         raise OrdparetoError(f"not rational weights: {exc}") from None
     vectors = _read_int_vectors(sys.stdin)
-    value, argmins = weighted_sum_solve(PointSet(tuple(vectors)), weights)
+    value, argmins = _cli.weighted_sum_solve(_cli.PointSet(tuple(vectors)), weights)
     lines = [f"minimum {_format_vec((value,))}"]
     return _write_lines(lines + [_format_vec(p) for p in argmins.points])
 
 
 def _cmd_wsd(args) -> int:
     vectors = _read_int_vectors(sys.stdin)
-    ps = pareto_filter(PointSet(tuple(vectors)))
+    ps = _cli.pareto_filter(_cli.PointSet(tuple(vectors)))
     lines = []
-    for cell in weight_space_decomposition(ps):
+    for cell in _cli.weight_space_decomposition(ps):
         lines.append(f"value {_format_vec(cell.value)}")
         lines += [f"  lambda-vertex {_format_vec(v)}" for v in cell.vertices]
         lines += [f"  mu-vertex {_format_vec(mu)}" for mu in cell.mu_vertices]
@@ -192,8 +203,26 @@ def _cmd_oracle_check(args) -> int:
     return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a bad command line raises OrdparetoError where argparse
+    would exit 2, so it ends as any bad input does: exit 1, one short line."""
+
+    def error(self, message: str):
+        # A bad choice is cut by excerpt below; this keeps any other echoed
+        # token, such as an unrecognized argument, to one short line.
+        message = " ".join(message.split())
+        raise OrdparetoError(message if len(message) <= 190 else f"{message[:190]}…")
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {excerpt(value)} (choose from {choices})"
+            )
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ordpareto",
         description="Ordinal combinatorial optimization via Pareto transformation.",
     )
@@ -254,9 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OrdparetoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

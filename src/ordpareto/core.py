@@ -1,4 +1,4 @@
-"""Category spaces, counting vectors, dominance predicates and cone algebra.
+"""Category spaces, counting vectors, their transforms and cone algebra.
 
 Conventions used throughout the package:
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import ge, le, sub
@@ -47,13 +46,6 @@ class CategorySpace(namedtuple("CategorySpace", "K")):
         if K < 1:
             raise OrdparetoError(f"need at least one category, got K={excerpt(K)}")
         return super().__new__(cls, K)
-
-
-def _check_same_length(u: Sequence, v: Sequence) -> None:
-    if len(u) != len(v):
-        raise DimensionMismatchError(
-            f"vector lengths differ: {len(u)} vs {len(v)}"
-        )
 
 
 def counting_vector(cats: Iterable[int], space: CategorySpace) -> tuple[int, ...]:
@@ -118,29 +110,6 @@ def head_transform(counts: Sequence[int]) -> tuple[int, ...]:
     """Prefix sums of a counting vector: entry j counts category j or better."""
     _check_counts(counts)
     return ConeMatrix(len(counts), A_HEAD).apply(counts) if counts else ()
-
-
-def weakly_tail_dominates(u: Sequence[int], v: Sequence[int]) -> bool:
-    """True iff every suffix sum of u is <= the matching suffix sum of v."""
-    _check_same_length(u, v)
-    return all(tu <= tv for tu, tv in zip(tail_transform(u), tail_transform(v)))
-
-
-def tail_dominates(u: Sequence[int], v: Sequence[int]) -> bool:
-    """Strict tail-dominance: weak tail-dominance plus u != v."""
-    return tuple(u) != tuple(v) and weakly_tail_dominates(u, v)
-
-
-def head_dominates(u: Sequence[int], v: Sequence[int]) -> bool:
-    """Strict head-dominance: prefix sums of u >= those of v, and u != v."""
-    _check_same_length(u, v)
-    return tuple(u) != tuple(v) and all(map(ge, head_transform(u), head_transform(v)))
-
-
-def pareto_dominates(u: Sequence, v: Sequence) -> bool:
-    """Componentwise <= with u != v."""
-    _check_same_length(u, v)
-    return tuple(u) != tuple(v) and all(map(le, u, v))
 
 
 def check_sense(sense: str) -> None:
@@ -210,141 +179,6 @@ def excerpt(token: str | int) -> str:
     return show(text) if len(text) <= 40 else f"{show(text[:40])}…"
 
 
-class NumericalRepresentation(namedtuple("NumericalRepresentation", "values")):
-    """Strictly increasing nonnegative integer values, one per category."""
-
-    __slots__ = ()
-
-    def __new__(cls, values: Sequence[int]):
-        values = tuple(values)
-        if not values:
-            raise OrdparetoError("numerical representation must be nonempty")
-        if values[0] < 0:
-            raise OrdparetoError("negative value at index 1")
-        for j in range(len(values) - 1):
-            if values[j] >= values[j + 1]:
-                raise OrdparetoError(f"values not strictly increasing at index {j + 1}")
-        return super().__new__(cls, values)
-
-    @property
-    def K(self) -> int:
-        return len(self.values)
-
-
-def numeric_value(nu: NumericalRepresentation, counts: Sequence[int]) -> int:
-    """Total value of a solution under one numerical representation.
-
-    Equals the sum, over the solution's elements, of the value of each
-    element's category.
-    """
-    _check_same_length(nu.values, counts)
-    _check_counts(counts)
-    return sum(n * c for n, c in zip(nu.values, counts))
-
-
-def numeric_value_per_element(
-    nu: NumericalRepresentation, cats: Sequence[int]
-) -> int:
-    """Same total as :func:`numeric_value`, summed element by element."""
-    return sum(nu.values[c - 1] for c in cats)
-
-
-def numeric_value_tail_form(
-    nu: NumericalRepresentation, tails: Sequence[int]
-) -> int:
-    """Same total as :func:`numeric_value`, evaluated on the tail vector.
-
-    Uses value(1) * tails[0] plus the value increments times the remaining
-    tail entries.
-    """
-    _check_same_length(nu.values, tails)
-    v = nu.values
-    total = v[0] * tails[0]
-    for i in range(1, len(v)):
-        total += (v[i] - v[i - 1]) * tails[i]
-    return total
-
-
-# --- dominance certificates ------------------------------------------------
-
-EQUAL = "equal"
-DOMINATES = "dominates"
-NOT_DOMINATED = "not-dominated"
-
-
-class DominanceCertificate(
-    namedtuple("DominanceCertificate", "relation nu value_u value_v", defaults=(None, None))
-):
-    """Witness for the outcome of an ordinal-dominance comparison of u vs v.
-
-    ``relation`` is one of:
-
-    * ``"equal"``          -- u == v, no witness needed (``nu is None``);
-    * ``"dominates"``      -- u strictly tail-dominates v; ``nu`` satisfies
-      value(u) < value(v);
-    * ``"not-dominated"``  -- u does not weakly tail-dominate v; ``nu``
-      satisfies value(u) > value(v), so u cannot be weakly preferred under
-      every representation.
-
-    ``value_u`` and ``value_v`` are the two values under ``nu``, or None.
-    """
-
-    __slots__ = ()
-
-
-def _expensive_tail_representation(j_star: int, scale: int, K: int) -> NumericalRepresentation:
-    # Categories below j_star get value i, categories j_star..K get i + scale,
-    # making an element of a bad category impossible to offset by good ones.
-    return NumericalRepresentation(
-        tuple(i if i < j_star else i + scale for i in range(1, K + 1))
-    )
-
-
-def dominance_certificate(
-    u: Sequence[int], v: Sequence[int]
-) -> DominanceCertificate:
-    """Compare u and v and return a checkable witness.
-
-    If u fails to weakly tail-dominate v, the witness is a representation
-    built by pricing the categories from a violated tail index upward so
-    high that value(u) > value(v). If u strictly tail-dominates v, the
-    analogous construction (roles swapped, anchored at the largest
-    differing category) yields value(u) < value(v).
-    """
-    _check_same_length(u, v)
-    _check_counts(u)
-    _check_counts(v)
-    u = tuple(u)
-    v = tuple(v)
-    K = len(u)
-    if u == v:
-        return DominanceCertificate(EQUAL, None)
-
-    tails_u = tail_transform(u)
-    tails_v = tail_transform(v)
-    violated = [j for j in range(1, K + 1) if tails_u[j - 1] > tails_v[j - 1]]
-    if violated:
-        # u is not weakly preferred: price categories from the deepest
-        # violated tail index upward.
-        j_star = violated[-1]
-        nu = _expensive_tail_representation(j_star, 2 * sum(v) * K, K)
-        val_u = numeric_value(nu, u)
-        val_v = numeric_value(nu, v)
-        if not val_u > val_v:
-            raise OrdparetoError(f"certificate check failed for {u} vs {v}")
-        return DominanceCertificate(NOT_DOMINATED, nu, val_u, val_v)
-
-    # u weakly tail-dominates v and u != v, hence strictly. Anchor at the
-    # largest differing category, where the tail of u is strictly smaller.
-    j_star = max(j for j in range(1, K + 1) if u[j - 1] != v[j - 1])
-    nu = _expensive_tail_representation(j_star, 2 * sum(u) * K, K)
-    val_u = numeric_value(nu, u)
-    val_v = numeric_value(nu, v)
-    if not val_u < val_v:
-        raise OrdparetoError(f"certificate check failed for {u} vs {v}")
-    return DominanceCertificate(DOMINATES, nu, val_u, val_v)
-
-
 # --- cone matrices ----------------------------------------------------------
 
 A_TAIL = "A_tail"
@@ -374,22 +208,6 @@ class ConeMatrix(namedtuple("ConeMatrix", "K kind")):
         if kind not in _KINDS:
             raise OrdparetoError(f"unknown cone matrix kind: {excerpt(kind)}")
         return super().__new__(cls, K, kind)
-
-    def entry(self, i: int, j: int) -> int:
-        """Matrix entry at 1-based (row, column)."""
-        if self.kind == A_TAIL:
-            return 1 if i <= j else 0
-        if self.kind == A_HEAD:
-            return 1 if j <= i else 0
-        if self.kind == B_TAIL:
-            return 1 if i == j else (-1 if i == j - 1 else 0)
-        return 1 if i == j else (-1 if j == i - 1 else 0)  # B_head
-
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(self.entry(i, j) for j in range(1, self.K + 1))
-            for i in range(1, self.K + 1)
-        )
 
     def apply(self, d: Sequence) -> tuple:
         """Matrix-vector product (exact; accepts ints or fractions), in O(K)

@@ -27,9 +27,7 @@ parser reports them at that record's line.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
-from fractions import Fraction
 
 from ordpareto.core import (
     CategorySpace,
@@ -78,6 +76,14 @@ class ParseError(OrdparetoError):
         super().__init__(f"line {line_no}: {reason}")
 
 
+def _fraction(token: str) -> Fraction:
+    # The first weight loads fractions and rebinds this name to its Fraction.
+    global _fraction
+    from fractions import Fraction as _fraction
+
+    return _fraction(token)
+
+
 def read_weight(token: str) -> Fraction:
     """A rational 'a/b' or decimal token, with at most MAX_WEIGHT_DIGITS digits."""
     try:
@@ -85,7 +91,7 @@ def read_weight(token: str) -> Fraction:
         # size check below, so a longer exponent is refused unparsed.
         at = max(token.find("e"), token.find("E"))
         too_long = at >= 0 and abs(int(token[at + 1 :])) > MAX_WEIGHT_DIGITS
-        value = None if too_long else Fraction(token)
+        value = None if too_long else _fraction(token)
     except (ValueError, ZeroDivisionError):
         if not too_many_digits(token):
             raise OrdparetoError(f"not a rational number: {excerpt(token)}") from None
@@ -250,29 +256,6 @@ def _parse_knapsack(lines) -> KnapsackInstance:
         raise ParseError(line, str(exc)) from None
 
 
-def emit_instance(inst: GraphInstance | KnapsackInstance) -> str:
-    """Serialize an instance back into the text format (lossless)."""
-    out = []
-    if isinstance(inst, GraphInstance):
-        out.append(f"GRAPH {inst.nodes} {len(inst.edges)}")
-        ks = ",".join(str(s.K) for s in inst.spaces)
-        out.append(f"OBJECTIVES real={inst.num_real} ordinal={ks}")
-        for e in inst.edges:
-            fields = [str(e.id), str(e.tail), str(e.head)]
-            fields += [str(w) for w in e.weights]
-            fields += [str(c) for c in e.categories]
-            out.append("EDGE " + " ".join(fields))
-        out.append(f"SOURCE {inst.source}")
-        out.append(f"TARGET {inst.target}")
-    else:
-        out.append(
-            f"KNAPSACK {len(inst.items)} {inst.capacity} {inst.space.K}"
-        )
-        for item in inst.items:
-            out.append(f"ITEM {item.id} {item.weight} {item.category}")
-    return "\n".join(out) + "\n"
-
-
 def _vec(values: Sequence) -> str:
     return "(" + ",".join(str(v) for v in values) + ")"
 
@@ -315,6 +298,7 @@ def emit_result(res: SolveResult, fmt: str = TEXT, problem: str = "sp") -> str:
 
 
 def _emit_json(res: SolveResult) -> str:
+    import json
     entries = []
     for entry in res.entries:
         entries.append(

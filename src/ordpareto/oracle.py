@@ -1,11 +1,12 @@
-"""Brute-force ground truth by exhaustive enumeration.
+"""Brute-force ground truth: the dominance definitions, numerical
+representations and dominance certificates, and exhaustive enumeration.
 
 Enumerates every simple s-t path (or every capacity-feasible subset) and
 filters for efficiency directly from the dominance definitions. Finite
 point sets are filtered by cone dominance the same way, pairwise, so
 :func:`mapping_check` compares the Pareto kernel with an independent
-computation. Used in the test suite to validate the solvers and the
-filters at desk scale.
+computation. Used by ``oracle-check`` and in the test suite to validate
+the solvers and the filters at desk scale.
 """
 
 from __future__ import annotations
@@ -13,20 +14,18 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from collections.abc import Sequence
+from operator import ge, le
 
 from ordpareto.core import (
     ConeMatrix,
-    NumericalRepresentation,
+    DimensionMismatchError,
     OrdparetoError,
+    _check_counts,
     check_sense,
     cone_member,
     counting_vector,
-    dominance_certificate,
-    head_dominates,
-    numeric_value,
-    tail_dominates,
-    weakly_tail_dominates,
-    DOMINATES,
+    head_transform,
+    tail_transform,
 )
 from ordpareto.nondominance import PointSet, pareto_filter
 from ordpareto.solvers import GraphInstance, KnapsackInstance
@@ -39,6 +38,133 @@ DEFAULT_NODE_LIMIT = 12
 DEFAULT_ITEM_LIMIT = 20
 CERTIFICATE_SAMPLES = 50
 SAMPLE_SEED = 20240917
+
+
+def _check_same_length(u: Sequence, v: Sequence) -> None:
+    if len(u) != len(v):
+        raise DimensionMismatchError(
+            f"vector lengths differ: {len(u)} vs {len(v)}"
+        )
+
+
+def weakly_tail_dominates(u: Sequence[int], v: Sequence[int]) -> bool:
+    """True iff every suffix sum of u is <= the matching suffix sum of v."""
+    _check_same_length(u, v)
+    return all(tu <= tv for tu, tv in zip(tail_transform(u), tail_transform(v)))
+
+
+def tail_dominates(u: Sequence[int], v: Sequence[int]) -> bool:
+    """Strict tail-dominance: weak tail-dominance plus u != v."""
+    return tuple(u) != tuple(v) and weakly_tail_dominates(u, v)
+
+
+def head_dominates(u: Sequence[int], v: Sequence[int]) -> bool:
+    """Strict head-dominance: prefix sums of u >= those of v, and u != v."""
+    _check_same_length(u, v)
+    return tuple(u) != tuple(v) and all(map(ge, head_transform(u), head_transform(v)))
+
+
+def pareto_dominates(u: Sequence, v: Sequence) -> bool:
+    """Componentwise <= with u != v."""
+    _check_same_length(u, v)
+    return tuple(u) != tuple(v) and all(map(le, u, v))
+
+
+class NumericalRepresentation(namedtuple("NumericalRepresentation", "values")):
+    """Strictly increasing nonnegative integer values, one per category."""
+
+    __slots__ = ()
+
+    def __new__(cls, values: Sequence[int]):
+        values = tuple(values)
+        if not values:
+            raise OrdparetoError("numerical representation must be nonempty")
+        if values[0] < 0:
+            raise OrdparetoError("negative value at index 1")
+        for j in range(len(values) - 1):
+            if values[j] >= values[j + 1]:
+                raise OrdparetoError(f"values not strictly increasing at index {j + 1}")
+        return super().__new__(cls, values)
+
+
+def numeric_value(nu: NumericalRepresentation, counts: Sequence[int]) -> int:
+    """Total value of a solution under one numerical representation.
+
+    Equals the sum, over the solution's elements, of the value of each
+    element's category.
+    """
+    _check_same_length(nu.values, counts)
+    _check_counts(counts)
+    return sum(n * c for n, c in zip(nu.values, counts))
+
+
+# --- dominance certificates ------------------------------------------------
+
+EQUAL = "equal"
+DOMINATES = "dominates"
+NOT_DOMINATED = "not-dominated"
+
+
+class DominanceCertificate(
+    namedtuple("DominanceCertificate", "relation nu value_u value_v", defaults=(None, None))
+):
+    """Witness for the outcome of an ordinal-dominance comparison of u vs v.
+
+    ``relation`` is one of:
+
+    * ``"equal"``          -- u == v, no witness needed (``nu is None``);
+    * ``"dominates"``      -- u strictly tail-dominates v; ``nu`` satisfies
+      value(u) < value(v);
+    * ``"not-dominated"``  -- u does not weakly tail-dominate v; ``nu``
+      satisfies value(u) > value(v), so u cannot be weakly preferred under
+      every representation.
+
+    ``value_u`` and ``value_v`` are the two values under ``nu``, or None.
+    """
+
+    __slots__ = ()
+
+
+def dominance_certificate(
+    u: Sequence[int], v: Sequence[int]
+) -> DominanceCertificate:
+    """Compare u and v and return a checkable witness.
+
+    If u fails to weakly tail-dominate v, the witness is a representation
+    built by pricing the categories from the deepest violated tail index
+    upward so high that value(u) > value(v). If u strictly tail-dominates
+    v, the analogous construction, anchored at the largest differing
+    category, where the tail of u is strictly smaller, yields
+    value(u) < value(v).
+    """
+    _check_same_length(u, v)
+    _check_counts(u)
+    _check_counts(v)
+    u = tuple(u)
+    v = tuple(v)
+    K = len(u)
+    if u == v:
+        return DominanceCertificate(EQUAL, None)
+
+    tails_u = tail_transform(u)
+    tails_v = tail_transform(v)
+    violated = [j for j in range(1, K + 1) if tails_u[j - 1] > tails_v[j - 1]]
+    if violated:
+        relation, j_star, scale = NOT_DOMINATED, violated[-1], 2 * sum(v) * K
+    else:  # u weakly tail-dominates v and u != v, hence strictly
+        relation = DOMINATES
+        j_star = max(j for j in range(1, K + 1) if u[j - 1] != v[j - 1])
+        scale = 2 * sum(u) * K
+    # Categories below j_star get value i, categories j_star..K get i + scale,
+    # making an element of a bad category impossible to offset by good ones.
+    nu = NumericalRepresentation(
+        tuple(i if i < j_star else i + scale for i in range(1, K + 1))
+    )
+    val_u = numeric_value(nu, u)
+    val_v = numeric_value(nu, v)
+    if not (val_u > val_v if relation == NOT_DOMINATED else val_u < val_v):
+        raise OrdparetoError(f"certificate check failed for {u} vs {v}")
+    return DominanceCertificate(relation, nu, val_u, val_v)
 
 
 class InstanceTooLargeError(OrdparetoError):

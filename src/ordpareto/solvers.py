@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 from operator import add, le
 
 from ordpareto.core import (
@@ -69,6 +68,8 @@ class GraphInstance(
         source: int, target: int, num_real: int = 0,
     ):
         edges, spaces = tuple(edges), tuple(spaces)
+        if num_real:  # else no edge may have weights, so the check never reads Fraction
+            from fractions import Fraction
         for node in (source, target):
             if not 1 <= node <= nodes:
                 raise InstanceError(f"terminal node {excerpt(node)} out of range")
@@ -284,11 +285,13 @@ def _solve_paths(
         return SolveResult(UNREACHABLE)
     edges = {e.id: e for e in g.edges}
     n = len(scales)
+    if n:
+        from fractions import Fraction
     entries = []
     # Each component is scaled by a positive constant, so the int values
     # sort in the order of the values reported.
     for scaled in sorted(frontier):
-        value = tuple(map(Fraction, scaled[:n], scales)) + scaled[n:]
+        value = tuple(map(Fraction, scaled[:n], scales)) + scaled[n:] if n else scaled
         rep_edges = [edges[i] for i in frontier[scaled][0]]
         countings = tuple(
             counting_vector((e.categories[l] for e in rep_edges), space)

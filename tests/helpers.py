@@ -1,0 +1,68 @@
+"""Reference code that only the tests call.
+
+The paper's two other formulas for a solution's value under a numerical
+representation, the cone matrices entry by entry, and the instance writer
+that the parser's round-trip tests invert. The package computes none of
+these, so they live here, beside the tests that check the package against
+them.
+"""
+
+from ordpareto.core import A_HEAD, A_TAIL, B_TAIL, ConeMatrix
+from ordpareto.oracle import NumericalRepresentation
+from ordpareto.solvers import GraphInstance, KnapsackInstance
+
+
+def numeric_value_per_element(nu: NumericalRepresentation, cats) -> int:
+    """Same total as ``numeric_value``, summed element by element."""
+    return sum(nu.values[c - 1] for c in cats)
+
+
+def numeric_value_tail_form(nu: NumericalRepresentation, tails) -> int:
+    """Same total as ``numeric_value``, evaluated on the tail vector:
+    value(1) * tails[0] plus the value increments times the remaining tail
+    entries."""
+    v = nu.values
+    total = v[0] * tails[0]
+    for i in range(1, len(v)):
+        total += (v[i] - v[i - 1]) * tails[i]
+    return total
+
+
+def cone_entry(cone: ConeMatrix, i: int, j: int) -> int:
+    """The matrix entry at 1-based (row, column)."""
+    if cone.kind == A_TAIL:
+        return 1 if i <= j else 0
+    if cone.kind == A_HEAD:
+        return 1 if j <= i else 0
+    if cone.kind == B_TAIL:
+        return 1 if i == j else (-1 if i == j - 1 else 0)
+    return 1 if i == j else (-1 if j == i - 1 else 0)  # B_head
+
+
+def cone_rows(cone: ConeMatrix) -> tuple[tuple[int, ...], ...]:
+    """The matrix as a tuple of rows."""
+    return tuple(
+        tuple(cone_entry(cone, i, j) for j in range(1, cone.K + 1))
+        for i in range(1, cone.K + 1)
+    )
+
+
+def emit_instance(inst: GraphInstance | KnapsackInstance) -> str:
+    """Serialize an instance back into the text format (lossless)."""
+    out = []
+    if isinstance(inst, GraphInstance):
+        out.append(f"GRAPH {inst.nodes} {len(inst.edges)}")
+        ks = ",".join(str(s.K) for s in inst.spaces)
+        out.append(f"OBJECTIVES real={inst.num_real} ordinal={ks}")
+        for e in inst.edges:
+            fields = [str(e.id), str(e.tail), str(e.head)]
+            fields += [str(w) for w in e.weights]
+            fields += [str(c) for c in e.categories]
+            out.append("EDGE " + " ".join(fields))
+        out.append(f"SOURCE {inst.source}")
+        out.append(f"TARGET {inst.target}")
+    else:
+        out.append(f"KNAPSACK {len(inst.items)} {inst.capacity} {inst.space.K}")
+        for item in inst.items:
+            out.append(f"ITEM {item.id} {item.weight} {item.category}")
+    return "\n".join(out) + "\n"

@@ -15,18 +15,10 @@ from ordpareto.core import (
     B_HEAD,
     B_TAIL,
     ConeMatrix,
-    NumericalRepresentation,
     counting_vector,
-    dominance_certificate,
-    head_dominates,
     head_transform,
-    numeric_value,
-    numeric_value_per_element,
-    numeric_value_tail_form,
     ordinal_vector,
-    tail_dominates,
     tail_transform,
-    weakly_tail_dominates,
 )
 from ordpareto.fileio import parse_instance
 from ordpareto.nondominance import (
@@ -35,10 +27,16 @@ from ordpareto.nondominance import (
     pareto_filter,
 )
 from ordpareto.oracle import (
+    NumericalRepresentation,
+    dominance_certificate,
     enumerate_paths,
     enumerate_subsets,
+    head_dominates,
     mapping_check,
+    numeric_value,
     oracle_efficient_set,
+    tail_dominates,
+    weakly_tail_dominates,
 )
 from ordpareto.scalarization import lambda_to_mu, weight_space_decomposition
 from ordpareto.solvers import (
@@ -58,6 +56,7 @@ from conftest import (
     routes_k3,
     routes_weighted,
 )
+from helpers import numeric_value_per_element, numeric_value_tail_form
 
 
 def report(number, text):

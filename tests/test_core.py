@@ -14,26 +14,28 @@ from ordpareto.core import (
     ConeMatrix,
     DimensionMismatchError,
     InvalidTailVectorError,
-    NumericalRepresentation,
     OrdparetoError,
     cone_member,
     counting_vector,
-    dominance_certificate,
-    head_dominates,
     head_transform,
     inverse_transform,
-    numeric_value,
-    numeric_value_per_element,
-    numeric_value_tail_form,
     ordinal_vector,
-    pareto_dominates,
     pareto_front,
     scale_to_ints,
-    tail_dominates,
     tail_transform,
     too_many_digits,
+)
+from ordpareto.oracle import (
+    NumericalRepresentation,
+    dominance_certificate,
+    head_dominates,
+    numeric_value,
+    pareto_dominates,
+    tail_dominates,
     weakly_tail_dominates,
 )
+
+from helpers import cone_rows, numeric_value_per_element, numeric_value_tail_form
 
 countings = st.lists(st.integers(0, 20), min_size=1, max_size=6).map(tuple)
 
@@ -395,8 +397,8 @@ class TestConeMatrices:
             assert tuple(b.apply(a.apply(e)) for e in identity) == identity
 
     def test_head_is_transpose_of_tail(self):
-        a = ConeMatrix(4, A_TAIL).rows()
-        assert ConeMatrix(4, A_HEAD).rows() == tuple(zip(*a))
+        a = cone_rows(ConeMatrix(4, A_TAIL))
+        assert cone_rows(ConeMatrix(4, A_HEAD)) == tuple(zip(*a))
 
     def test_cone_membership(self):
         cone = ConeMatrix(3, A_TAIL)
@@ -410,7 +412,7 @@ class TestConeMatrices:
 
     def test_extreme_rays_are_b_columns(self):
         k = 4
-        b_cols = list(zip(*ConeMatrix(k, B_TAIL).rows()))
+        b_cols = list(zip(*cone_rows(ConeMatrix(k, B_TAIL))))
         cone = ConeMatrix(k, A_TAIL)
         for col in b_cols:
             assert cone_member(col, cone, strict=True)
@@ -429,6 +431,6 @@ class TestConeMatrices:
                 if rng.random() < 0.5:
                     d = [Fraction(v, rng.randint(1, 5)) for v in d]
                 expected = tuple(
-                    sum(e * v for e, v in zip(row, d)) for row in cone.rows()
+                    sum(e * v for e, v in zip(row, d)) for row in cone_rows(cone)
                 )
                 assert cone.apply(d) == expected

@@ -13,7 +13,6 @@ from ordpareto.fileio import (
     MAX_COMPONENTS,
     MAX_WEIGHT_DIGITS,
     ParseError,
-    emit_instance,
     emit_result,
     parse_instance,
 )
@@ -29,6 +28,7 @@ from ordpareto.solvers import (
 )
 
 from conftest import INSTANCE_DIR, routes_k3
+from helpers import emit_instance
 
 ROUTES_K3 = (INSTANCE_DIR / "routes_k3.graph").read_text()
 ROUTES_WEIGHTED = (INSTANCE_DIR / "routes_weighted.graph").read_text()
@@ -287,6 +287,36 @@ class TestErrorContract:
         assert code == 1
         assert err.count("\n") == 1
         return err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["frobnicate"],
+            ["solve", "x" * 5000, "f"],
+            ["filter", "--cone", "x" * 5000],
+            ["solve", "sp", "f", "x" * 5000],
+            ["solve", "sp", "f", "a\nb"],
+            ["solve", "sp", "f", "--all-efficient=" + "x" * 5000],
+            ["solve", "sp", "f", "--=" + "x" * 5000],
+            ["transform", "--head", "--inverse"],
+            ["scalarize"],
+        ],
+        ids=lambda argv: " ".join(argv)[:30],
+    )
+    def test_bad_command_line(self, capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) <= 201  # 200 characters and the newline
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ordpareto")
 
     @pytest.mark.parametrize(
         "terminals, line, record",

@@ -5,6 +5,8 @@ output format and mode, and through ``oracle-check`` with and without
 ``--sampled``. Every file in ``golden/malformed/`` (one per validation rule
 of the parser and the instances, and two with several faults) is run
 through ``solve knapsack`` (``.txt``) or ``solve mixed`` (``.graph``).
+A few bad command lines (an unknown subcommand or choice, a missing
+operand, an extra one, a 5000-character choice) pin the usage errors.
 The subcommands that read vectors (``filter``, ``transform``, ``scalarize``
 and ``wsd``) run on the files in ``golden/stdin/``; such a case ends in
 ``< FILE``, which the runner feeds to stdin as a shell would. Stdout,
@@ -54,6 +56,7 @@ def _cases() -> list[list[str]]:
     cases.append(_stdin("tails_k4.txt", "transform", "--inverse"))
     for weights in ("1/2,1/3,1/6", "1/3,1/3,1/3", "1/3,1/3"):
         cases.append(_stdin("points_k3.txt", "scalarize", "--weights", weights))
+    cases.append(_stdin("wsd_k2.txt", "scalarize", "--weights", "1/3,2/3"))
     cases.append(_stdin("points_k4.txt", "scalarize", "--weights", "1/10,2/10,3/10,4/10"))
     cases.append(_stdin("wsd_k2.txt", "wsd"))
     cases.append(_stdin("wsd_k3.txt", "wsd"))
@@ -62,6 +65,16 @@ def _cases() -> list[list[str]]:
     for argv in (["filter"], ["filter", "--cone", "tail"], ["wsd"]):
         cases.append(_stdin("empty_vector.txt", *argv))
     cases.append(_stdin("long_integer.txt", "filter"))
+    routes = "instances/routes_k3.graph"
+    cases += [
+        ["frobnicate"],
+        ["solve", "tsp", routes],
+        ["solve", "sp"],
+        ["solve", "sp", routes, "--format", "xml"],
+        ["filter", "--sense", "median"],
+        ["solve", "x" * 5000, routes],
+        ["solve", "sp", routes, "extra"],
+    ]
     return cases
 
 

@@ -80,7 +80,7 @@ class TestParetoFilter:
 
     @given(point_sets)
     def test_kept_points_undominated(self, pts):
-        from ordpareto.core import pareto_dominates
+        from ordpareto.oracle import pareto_dominates
 
         kept = pareto_filter(PointSet(tuple(pts)))
         for y in kept.points:

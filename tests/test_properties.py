@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from ordpareto.cli import main
 from ordpareto.core import CategorySpace
-from ordpareto.fileio import emit_instance, parse_instance
+from ordpareto.fileio import parse_instance
 from ordpareto.solvers import Edge, GraphInstance, Item, KnapsackInstance
 
 from conftest import INSTANCE_DIR
+from helpers import emit_instance
 
 # Seeded so that the suite runs the same examples every time.
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)

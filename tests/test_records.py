@@ -17,11 +17,13 @@ from ordpareto.core import (
     A_TAIL,
     CategorySpace,
     ConeMatrix,
-    DominanceCertificate,
-    NumericalRepresentation,
 )
 from ordpareto.nondominance import PointSet
-from ordpareto.oracle import EnumeratedSolution
+from ordpareto.oracle import (
+    DominanceCertificate,
+    EnumeratedSolution,
+    NumericalRepresentation,
+)
 from ordpareto.scalarization import WeightCell
 from ordpareto.solvers import (
     Edge,
