@@ -120,7 +120,7 @@ def _load_instance(path: str):
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
-            raise OrdparetoError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            raise OrdparetoError(f"{excerpt(path)}: not UTF-8 text ({exc.reason})") from None
     return parse_instance(text)
 
 
@@ -286,8 +286,12 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (OrdparetoError, OSError) as exc:
+    except OrdparetoError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # the file name by excerpt, as it may be any length
+        name = "" if exc.filename is None else f"{excerpt(exc.filename)}: "
+        print(f"error: {name}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

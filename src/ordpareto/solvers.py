@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from collections.abc import Sequence
-from operator import add, le
+from operator import getitem, lshift
 
 from ordpareto.core import (
     B_HEAD,
@@ -199,6 +199,29 @@ class SolveResult:
         return tuple(e.value for e in self.entries)
 
 
+def _fields(bounds: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """How vectors with ``0 <= v[j] <= bounds[j]`` pack into one int: each
+    component's shift and value mask, and the mask ``G`` of all guard bits.
+    Field 0 is the most significant, so int order is lexicographic order;
+    field j has ``bounds[j].bit_length()`` value bits under a guard bit, so
+    ``+`` adds componentwise while no field overflows, and a field of
+    ``(b | G) - a`` keeps its guard bit iff ``a_j <= b_j``."""
+    shifts, masks, top = [], [], 0
+    for bound in reversed(bounds):
+        shifts.insert(0, top)
+        masks.insert(0, (1 << bound.bit_length()) - 1)
+        top += bound.bit_length() + 1
+    return shifts, masks, sum(m + 1 << s for s, m in zip(shifts, masks))
+
+
+def _pack(vector: Sequence[int], shifts: Sequence[int]) -> int:
+    return sum(map(lshift, vector, shifts))
+
+
+def _unpack(value: int, shifts: Sequence[int], masks: Sequence[int]) -> tuple[int, ...]:
+    return tuple(value >> s & m for s, m in zip(shifts, masks))
+
+
 def _multiobjective_shortest_paths(
     g: GraphInstance,
     cost: dict[int, tuple[int, ...]],
@@ -207,11 +230,15 @@ def _multiobjective_shortest_paths(
 ) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     """Label-correcting search over simple s-t paths, in ints only.
 
-    ``cost`` maps each edge id to its int cost vector and ``zero`` is the
-    int value of the empty path (callers scale rational weights to ints).
-    Returns a map from each non-dominated cost vector at the target to the
-    sorted edge-id paths attaining it (only the smallest unless
-    ``all_efficient``). A label is a node, a value and an edge-id path.
+    ``cost`` maps each edge id to its nonnegative int cost vector and
+    ``zero``, all zeros, is the value of the empty path (callers scale
+    rational weights to ints). Returns a map from each non-dominated cost
+    vector at the target to the sorted edge-id paths attaining it (only the
+    smallest unless ``all_efficient``). A label is a node, a value packed
+    into one int (:func:`_fields`) and an edge-id path. A queued label is a
+    simple path (below), so component j of a new value is at most
+    ``min(nodes * max_j, sum_j + max_j)`` over the edge costs. That bound
+    sizes field j; a carry into a guard bit breaks it and raises an error.
 
     Labels need no visited set. When a walk first returns to a node, that
     node still holds the walk's prefix to it or a value dominating it (a
@@ -222,15 +249,17 @@ def _multiobjective_shortest_paths(
     a smaller path. Only ``all_efficient`` keeps ties, so only its ties
     reached by a zero-cost edge test for a cycle.
     """
-    outgoing: dict[int, list[Edge]] = {}
+    bounds = [min(g.nodes * max(c), sum(c) + max(c)) for c in zip(zero, *cost.values())]
+    shifts, masks, guards = _fields(bounds)
+    outgoing: dict[int, list[tuple[int, int, int]]] = {}  # (edge id, head, packed cost)
     for e in sorted(g.edges, key=lambda e: e.id):
-        outgoing.setdefault(e.tail, []).append(e)
+        outgoing.setdefault(e.tail, []).append((e.id, e.head, _pack(cost[e.id], shifts)))
     head = {e.id: e.head for e in g.edges}
-    free = {i for i, c in cost.items() if not any(c)}  # zero-cost edge ids
 
-    # labels[node]: value -> edge-id paths
-    labels: dict[int, dict[tuple, list[tuple[int, ...]]]] = {g.source: {zero: [()]}}
-    queue: deque[tuple[int, tuple, tuple[int, ...]]] = deque([(g.source, zero, ())])
+    # labels[node]: packed value -> edge-id paths
+    start = _pack(zero, shifts)
+    labels: dict[int, dict[int, list[tuple[int, ...]]]] = {g.source: {start: [()]}}
+    queue: deque[tuple[int, int, tuple[int, ...]]] = deque([(g.source, start, ())])
     while queue:
         node, value, path = queue.popleft()
         held = labels[node].get(value)
@@ -239,30 +268,34 @@ def _multiobjective_shortest_paths(
         # all_efficient mode a value still present still holds this path.
         if held is None or not all_efficient and held[0] != path:
             continue  # label was pruned after being queued
-        for edge in outgoing.get(node, ()):
-            new_value = tuple(map(add, value, cost[edge.id]))
-            new_path = path + (edge.id,)
-            bucket = labels.setdefault(edge.head, {})
+        for edge_id, to, step in outgoing.get(node, ()):
+            new_value = value + step
+            if new_value & guards:
+                raise OrdparetoError("a path value overflowed its packed field")
+            new_path = path + (edge_id,)
+            bucket = labels.setdefault(to, {})
             entries = bucket.get(new_value)
             # A value dominating new_value would dominate its equal in the
             # bucket, so a tie compares paths only; otherwise <= is strict.
             if entries is None:
-                if any(all(map(le, other, new_value)) for other in bucket):
+                ceiling = new_value | guards
+                if any(ceiling - other & guards == guards for other in bucket):
                     continue
-                for other in [o for o in bucket if all(map(le, new_value, o))]:
+                for other in [o for o in bucket if (o | guards) - new_value & guards == guards]:
                     del bucket[other]
                 bucket[new_value] = [new_path]
             elif not all_efficient:
                 if new_path >= entries[0]:
                     continue
                 entries[0] = new_path
-            elif edge.id in free and edge.head in (g.source, *map(head.get, path)):
+            elif not step and to in (g.source, *map(head.get, path)):
                 continue  # closes a zero-cost cycle
             else:
                 entries.append(new_path)
-            queue.append((edge.head, new_value, new_path))
+            queue.append((to, new_value, new_path))
 
-    return {value: sorted(paths) for value, paths in labels.get(g.target, {}).items()}
+    target = labels.get(g.target, {})
+    return {_unpack(v, shifts, masks): sorted(paths) for v, paths in target.items()}
 
 
 def _solve_paths(
@@ -333,19 +366,11 @@ def solve_mixed(g: GraphInstance, all_efficient: bool = False) -> SolveResult:
         raise OrdparetoError("need at least one objective")
     # Each edge costs its scaled real weights followed by one binary tail
     # vector per ordinal objective (ones up to the edge's category).
-    scaled = [
-        scale_to_ints([e.weights[j] for e in g.edges]) for j in range(g.num_real)
-    ]
+    scaled = [scale_to_ints([e.weights[j] for e in g.edges]) for j in range(g.num_real)]
     scales = tuple(scale for scale, _ in scaled)
-    cost = {
-        e.id: tuple(ints[i] for _, ints in scaled)
-        + tuple(
-            1 if j <= cat else 0
-            for cat, space in zip(e.categories, g.spaces)
-            for j in range(1, space.K + 1)
-        )
-        for i, e in enumerate(g.edges)
-    }
+    reals = list(zip(*(ints for _, ints in scaled))) or [()] * len(g.edges)
+    tails = [[(1,) * c + (0,) * (s.K - c) for c in range(s.K + 1)] for s in g.spaces]
+    cost = {e.id: sum(map(getitem, tails, e.categories), r) for e, r in zip(g.edges, reals)}
     zero = (0,) * (g.num_real + sum(s.K for s in g.spaces))
     return _solve_paths(g, cost, zero, scales, all_efficient)
 
@@ -367,7 +392,7 @@ def solve_weighted_counting(
     K = g.spaces[0].K
     scale, weights = scale_to_ints([e.weights[0] for e in g.edges])
     cost = {
-        e.id: tuple(w if j <= e.categories[0] else 0 for j in range(1, K + 1))
+        e.id: (w,) * e.categories[0] + (0,) * (K - e.categories[0])
         for e, w in zip(g.edges, weights)
     }
     return _solve_paths(g, cost, (0,) * K, (scale,) * K, all_efficient)

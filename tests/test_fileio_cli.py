@@ -257,6 +257,14 @@ class TestCli:
         code, _, err = self.run(capsys, ["solve", "sp", "/no/such/file"])
         assert code == 1
 
+    def test_long_missing_path_is_one_short_line(self, capsys):
+        path = ("/no/such/" + "/".join(["x" * 50] * 6))[:300]  # no part too long
+        code, out, err = self.run(capsys, ["solve", "sp", path])
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and line.endswith("No such file or directory")
+        assert len(line) <= 200
+
     def test_json_format(self, capsys):
         code, out, _ = self.run(
             capsys,

@@ -4,6 +4,8 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import lcm
+from operator import add, le
 from pathlib import Path
 
 import pytest
@@ -679,3 +681,99 @@ class TestIntegerSearch:
             solve_mixed(weighted_grid(rng, 2), all_efficient)
             solve_weighted_counting(weighted_grid(rng, 1), all_efficient)
         assert len(calls) == 6
+
+    # Large primes: weights over two or more of them scale by an lcm beyond
+    # 2**64, so the packed fields span several int digits.
+    WIDE_PRIMES = (2**61 - 1, 2**31 - 1, 10**9 + 7, 998244353)
+
+    @pytest.mark.parametrize("all_efficient", [False, True])
+    @pytest.mark.parametrize(
+        "solver, num_real, value_of", CASES, ids=[c[0].__name__ for c in CASES]
+    )
+    def test_scale_beyond_64_bits_matches_brute_force(
+        self, solver, num_real, value_of, all_efficient
+    ):
+        rng = random.Random(53)
+        wide = 0
+        for i in range(60):
+            g = (
+                weighted_grid(rng, num_real)
+                if i % 4 == 0
+                else random_digraph(rng, num_real, solver is solve_weighted_counting or i % 2)
+            )
+            edges = tuple(
+                e._replace(weights=tuple(
+                    Fraction(rng.randint(0, 60), self.WIDE_PRIMES[(e.id + j) % 4])
+                    for j in range(num_real)
+                ))
+                for e in g.edges
+            )
+            g = GraphInstance(g.nodes, edges, g.spaces, g.source, g.target, num_real)
+            wide += lcm(*(w.denominator for e in edges for w in e.weights)) > 2**64
+            assert solver(g, all_efficient) == brute_force(g, value_of, all_efficient)
+        assert wide >= 40
+
+    SPARSE = CASES + [(solve_shortest_path, 0, mixed_value)]
+
+    @pytest.mark.parametrize("all_efficient", [False, True])
+    @pytest.mark.parametrize(
+        "solver, num_real, value_of", SPARSE, ids=[c[0].__name__ for c in SPARSE]
+    )
+    def test_declared_nodes_far_above_edges_match_brute_force(
+        self, solver, num_real, value_of, all_efficient
+    ):
+        # With 12 nodes declared and at most 5 edges, a field is sized by
+        # the sum of its edge costs plus the largest, not by 12 edges.
+        rng = random.Random(59)
+        sparse = 0
+        while sparse < 60:
+            g = random_digraph(rng, num_real, solver is not solve_mixed or sparse % 2)
+            if len(g.edges) > 5:
+                continue
+            g = GraphInstance(12, g.edges, g.spaces, g.source, g.target, num_real)
+            assert solver(g, all_efficient) == brute_force(g, value_of, all_efficient)
+            sparse += 1
+
+    @pytest.mark.parametrize("all_efficient", [False, True])
+    def test_one_category_shortest_path_matches_brute_force(self, all_efficient):
+        rng = random.Random(61)
+        for _ in range(100):
+            g = random_graph(rng, max_k=1)
+            res = solve_shortest_path(g, all_efficient)
+            assert res == brute_force(g, mixed_value, all_efficient)
+
+
+class TestPackedValues:
+    """The path search packs each value vector into one int (solvers._fields)."""
+
+    def test_pack_order_sum_and_dominance_agree_with_tuples(self):
+        rng = random.Random(67)
+        layouts = [[0], [1], [2**130], [2**100, 0, 5, 2**40, 1], [0, 0, 3]]
+        layouts += [
+            [rng.choice((0, 1, rng.randint(2, 9), rng.randint(10, 2**70)))
+             for _ in range(rng.randint(1, 6))]
+            for _ in range(60)
+        ]
+        widest = 0
+        for bounds in layouts:
+            shifts, masks, guards = solvers._fields(bounds)
+            assert [m.bit_length() for m in masks] == [b.bit_length() for b in bounds]
+            vectors = [tuple(bounds), (0,) * len(bounds)] + [
+                tuple(rng.choice((0, b, rng.randint(0, b))) for b in bounds)
+                for _ in range(12)
+            ]
+            packed = [solvers._pack(v, shifts) for v in vectors]
+            widest = max(widest, *(p.bit_length() for p in packed))
+            for v, p in zip(vectors, packed):
+                assert solvers._unpack(p, shifts, masks) == v
+                assert p & guards == 0
+            for a, pa in zip(vectors, packed):
+                for b, pb in zip(vectors, packed):
+                    assert (pa < pb, pa == pb) == (a < b, a == b)
+                    assert (((pb | guards) - pa) & guards == guards) == all(map(le, a, b))
+                    total = tuple(map(add, a, b))
+                    overflows = any(t > m for t, m in zip(total, masks))
+                    assert bool((pa + pb) & guards) == overflows
+                    if not overflows:
+                        assert pa + pb == solvers._pack(total, shifts)
+        assert widest > 128
