@@ -1,10 +1,10 @@
 """Exact solvers for ordinal shortest path and knapsack problems.
 
-All solvers follow the same pipeline: map each element to its transformed
-cost vector, run a standard multi-objective search (label-correcting for
-paths, dynamic programming for knapsack), and report the Pareto frontier of
-transformed values together with the counting- and ordinal-space images and
-representative solutions.
+All solvers map each element to its transformed cost vector, run a
+standard multi-objective search and report the Pareto frontier of
+transformed values with their counting and ordinal images and solutions.
+Paths use label setting: popped labels are final, and ``--all-efficient``
+walks a predecessor DAG back, skipping zero-cost cycles. Knapsacks use a DP.
 
 Every search runs in ints. The path solvers multiply each real objective
 by the lcm of its weights' denominators before the search, and divide the
@@ -13,7 +13,7 @@ frontier values by it again as ``Fraction``s when the entries are built.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from collections.abc import Sequence
 from operator import getitem, lshift
 
@@ -223,95 +223,111 @@ def _unpack(value: int, shifts: Sequence[int], masks: Sequence[int]) -> tuple[in
 
 
 def _multiobjective_shortest_paths(
-    g: GraphInstance,
-    cost: dict[int, tuple[int, ...]],
-    zero: tuple[int, ...],
+    g: GraphInstance, cost: dict[int, tuple[int, ...]], zero: tuple[int, ...],
     all_efficient: bool,
 ) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """Label-correcting search over simple s-t paths, in ints only.
+    """Label-setting search over simple s-t paths, in ints only.
 
     ``cost`` maps each edge id to its nonnegative int cost vector and
-    ``zero``, all zeros, is the value of the empty path (callers scale
-    rational weights to ints). Returns a map from each non-dominated cost
-    vector at the target to the sorted edge-id paths attaining it (only the
-    smallest unless ``all_efficient``). A label is a node, a value packed
-    into one int (:func:`_fields`) and an edge-id path. A queued label is a
-    simple path (below), so component j of a new value is at most
-    ``min(nodes * max_j, sum_j + max_j)`` over the edge costs. That bound
-    sizes field j; a carry into a guard bit breaks it and raises an error.
+    ``zero``, all zeros, is the empty path's value (callers scale rational
+    weights to ints). Returns a map from each non-dominated cost vector at
+    the target to the sorted edge-id paths attaining it (only the smallest
+    unless ``all_efficient``). Values are packed ints (:func:`_fields`), and
+    labels pop from a heap of ``value << node_bits | node`` in lexicographic
+    order (Martins 1984). A new value is never below the popped one and
+    evicts only values it dominates, which are above it, so a popped label
+    is final: a simple path's value, extended once. Field j holds the bound
+    ``min(nodes * max_j, sum_j + max_j)`` on new values; a carry raises.
 
-    Labels need no visited set. When a walk first returns to a node, that
-    node still holds the walk's prefix to it or a value dominating it (a
-    tie swaps in only a smaller path), so a cycle of positive cost leaves
-    the walk strictly dominated. The tail transform adds 1 per edge to each
-    ordinal block's first component, so only ``wtop``, or ``mixed`` with no
-    ordinal block, has zero-cost cycles, and such a walk ties its prefix,
-    a smaller path. Only ``all_efficient`` keeps ties, so only its ties
-    reached by a zero-cost edge test for a cycle.
+    Default mode keeps ``[smallest path, extended?]`` per label; a smaller
+    tie after the pop pushes the label again. ``all_efficient`` keeps the
+    ids of the edges into a label from final labels, a DAG that an iterative
+    walk reads back from the target over ``(tail, value - cost)``. A walk
+    back to a node ties or is dominated by its first visit's label. Ties
+    need zero-cost cycles (``wtop``, ``mixed``): default mode drops them for
+    their larger path, and the backward walk skips a node already on it.
     """
+    if g.source == g.target:  # any other s-s walk is a cycle, and no cycle costs below zero
+        return {zero: [()]}
+    from heapq import heappop, heappush  # loaded by path searches only
     bounds = [min(g.nodes * max(c), sum(c) + max(c)) for c in zip(zero, *cost.values())]
     shifts, masks, guards = _fields(bounds)
     outgoing: dict[int, list[tuple[int, int, int]]] = {}  # (edge id, head, packed cost)
     for e in sorted(g.edges, key=lambda e: e.id):
         outgoing.setdefault(e.tail, []).append((e.id, e.head, _pack(cost[e.id], shifts)))
-    head = {e.id: e.head for e in g.edges}
-
-    # labels[node]: packed value -> edge-id paths
+    node_bits = g.nodes.bit_length()
+    node_mask = (1 << node_bits) - 1
+    # labels[node]: packed value -> predecessor edge ids, or [path, extended?]
     start = _pack(zero, shifts)
-    labels: dict[int, dict[int, list[tuple[int, ...]]]] = {g.source: {start: [()]}}
-    queue: deque[tuple[int, int, tuple[int, ...]]] = deque([(g.source, start, ())])
-    while queue:
-        node, value, path = queue.popleft()
-        held = labels[node].get(value)
-        # An evicted value never returns, as the bucket keeps a value that
-        # dominates it. Only default mode replaces a value's path, so in
-        # all_efficient mode a value still present still holds this path.
-        if held is None or not all_efficient and held[0] != path:
-            continue  # label was pruned after being queued
+    labels: dict[int, dict[int, list]] = {e.head: {} for e in g.edges}
+    labels[g.source] = {start: [] if all_efficient else [(), False]}
+    heap = [start << node_bits | g.source]
+    while heap:
+        key = heappop(heap)
+        node, value = key & node_mask, key >> node_bits
+        label = labels[node].get(value)
+        if label is None:
+            continue  # evicted while queued
+        if not all_efficient:
+            path, label[1] = label[0], True
         for edge_id, to, step in outgoing.get(node, ()):
             new_value = value + step
             if new_value & guards:
                 raise OrdparetoError("a path value overflowed its packed field")
-            new_path = path + (edge_id,)
-            bucket = labels.setdefault(to, {})
-            entries = bucket.get(new_value)
+            bucket = labels[to]
+            entry = bucket.get(new_value)
             # A value dominating new_value would dominate its equal in the
-            # bucket, so a tie compares paths only; otherwise <= is strict.
-            if entries is None:
+            # bucket, so a tie needs no dominance test; otherwise <= is strict.
+            if entry is None:
                 ceiling = new_value | guards
                 if any(ceiling - other & guards == guards for other in bucket):
                     continue
                 for other in [o for o in bucket if (o | guards) - new_value & guards == guards]:
                     del bucket[other]
-                bucket[new_value] = [new_path]
-            elif not all_efficient:
-                if new_path >= entries[0]:
-                    continue
-                entries[0] = new_path
-            elif not step and to in (g.source, *map(head.get, path)):
-                continue  # closes a zero-cost cycle
-            else:
-                entries.append(new_path)
-            queue.append((to, new_value, new_path))
+                bucket[new_value] = [edge_id] if all_efficient else [path + (edge_id,), False]
+                heappush(heap, new_value << node_bits | to)
+            elif all_efficient:
+                entry.append(edge_id)
+            elif path + (edge_id,) < entry[0]:
+                if entry[1]:  # extended already: new_value is being popped now
+                    heappush(heap, new_value << node_bits | to)
+                entry[0], entry[1] = path + (edge_id,), False
 
     target = labels.get(g.target, {})
-    return {_unpack(v, shifts, masks): sorted(paths) for v, paths in target.items()}
+    if not all_efficient:
+        return {_unpack(v, shifts, masks): [label[0]] for v, label in target.items()}
+    into = {i: (tail, step) for tail, out in outgoing.items() for i, _, step in out}
+    frontier = {}
+    for value, edge_ids in target.items():
+        walk, paths, suffix, on_walk = [(g.target, value, iter(edge_ids))], [], [], {g.target}
+        while walk:  # suffix: the walk's edge ids, last first
+            _, at, preds = walk[-1]
+            for edge_id in preds:
+                tail, step = into[edge_id]
+                if tail == g.source:
+                    paths.append((edge_id, *reversed(suffix)))
+                elif tail not in on_walk:
+                    on_walk.add(tail)
+                    suffix.append(edge_id)
+                    walk.append((tail, at - step, iter(labels[tail][at - step])))
+                    break
+            else:
+                on_walk.remove(walk.pop()[0])
+                del suffix[len(walk) - 1:]
+        frontier[_unpack(value, shifts, masks)] = sorted(paths)
+    return frontier
 
 
 def _solve_paths(
-    g: GraphInstance,
-    cost: dict[int, tuple[int, ...]],
-    zero: tuple[int, ...],
-    scales: tuple[int, ...],
-    all_efficient: bool,
+    g: GraphInstance, cost: dict[int, tuple[int, ...]], zero: tuple[int, ...],
+    scales: tuple[int, ...], all_efficient: bool,
 ) -> SolveResult:
     """The pipeline shared by the path solvers: search on the int edge
     costs, then one entry per non-dominated value, with the counting and
-    ordinal images of its representative path.
-
-    The leading ``len(scales)`` value components are rational weights that
-    the caller multiplied by ``scales``; they are reported as ``Fraction``s
-    again. The first ``g.num_real`` of them are the path's real weights.
+    ordinal images of its representative path. The leading ``len(scales)``
+    value components are rational weights that the caller multiplied by
+    ``scales``; they are reported as ``Fraction``s again. The first
+    ``g.num_real`` of them are the path's real weights.
     """
     frontier = _multiobjective_shortest_paths(g, cost, zero, all_efficient)
     if not frontier:
@@ -330,15 +346,8 @@ def _solve_paths(
             counting_vector((e.categories[l] for e in rep_edges), space)
             for l, space in enumerate(g.spaces)
         )
-        entries.append(
-            ResultEntry(
-                value=value,
-                countings=countings,
-                ordinals=tuple(ordinal_vector(c) for c in countings),
-                weights=value[: g.num_real],
-                solutions=tuple(frontier[scaled]),
-            )
-        )
+        ordinals, solutions = tuple(map(ordinal_vector, countings)), tuple(frontier[scaled])
+        entries.append(ResultEntry(value, countings, ordinals, value[: g.num_real], solutions))
     return SolveResult(OK, tuple(entries))
 
 
@@ -347,7 +356,7 @@ def solve_shortest_path(
 ) -> SolveResult:
     """All ordinally efficient s-t paths of a single-ordinal-objective graph.
 
-    Runs the Pareto label-correcting search on the binary tail cost vectors;
+    Runs the Pareto label-setting search on the binary tail cost vectors;
     the resulting Pareto-non-dominated tail vectors are exactly the
     ordinally efficient outcomes.
     """
@@ -413,9 +422,7 @@ def solve_knapsack(
     trivially optimal.
     """
     K = k.space.K
-    states: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {
-        (0,) * K: [(0, ())]
-    }
+    states = {(0,) * K: [(0, ())]}  # head vector -> (weight, subset) pairs
     for item in sorted(k.items, key=lambda it: it.id):
         delta = tuple(1 if j >= item.category else 0 for j in range(1, K + 1))
         weight, added = item.weight, (item.id,)  # read once, not per pair
@@ -445,13 +452,6 @@ def solve_knapsack(
         head = heads[i]
         sols = sorted(s for _, s in states[head])
         counts = head_inverse.apply(head)
-        entries.append(
-            ResultEntry(
-                value=head,
-                countings=(counts,),
-                ordinals=(ordinal_vector(counts),),
-                weights=(),
-                solutions=tuple(sols if all_efficient else sols[:1]),
-            )
-        )
+        solutions = tuple(sols if all_efficient else sols[:1])
+        entries.append(ResultEntry(head, (counts,), (ordinal_vector(counts),), (), solutions))
     return SolveResult(OK, tuple(entries))

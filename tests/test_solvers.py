@@ -777,3 +777,99 @@ class TestPackedValues:
                     if not overflows:
                         assert pa + pb == solvers._pack(total, shifts)
         assert widest > 128
+
+
+def zero_weight_wtop(nodes, arcs, source, target):
+    """A ``wtop`` graph whose edges, numbered from 1 in ``arcs`` order, all
+    weigh 0, so every path costs zero and every two paths to a node tie."""
+    edges = tuple(Edge(i, u, v, (0,), (1,)) for i, (u, v) in enumerate(arcs, start=1))
+    return GraphInstance(nodes, edges, (CategorySpace(2),), source, target, 1)
+
+
+class TestLabelSetting:
+    """Labels pop in lexicographic order and are final; ``--all-efficient``
+    lists paths by a backward walk over the predecessor edges of each label."""
+
+    @pytest.mark.parametrize("all_efficient", [False, True])
+    def test_long_chain_is_walked_without_recursion(self, all_efficient):
+        # 3,000 edges, far beyond the interpreter's recursion limit.
+        n = 3000
+        edges = tuple(Edge(i, i, i + 1, (), (1 + i % 2,)) for i in range(1, n + 1))
+        g = GraphInstance(n + 1, edges, (CategorySpace(2),), 1, n + 1)
+        (entry,) = solve_shortest_path(g, all_efficient).entries
+        assert entry.value == (n, n // 2)
+        assert entry.solutions == (tuple(range(1, n + 1)),)
+
+    @pytest.mark.parametrize("all_efficient", [False, True])
+    def test_source_equals_target_on_zero_cost_cycles_lists_the_empty_path(
+        self, all_efficient
+    ):
+        # A self-loop, a 2-cycle and a 3-cycle, all through the source.
+        arcs = ((1, 1), (1, 2), (2, 1), (2, 3), (3, 1))
+        g = zero_weight_wtop(3, arcs, 1, 1)
+        res = solve_weighted_counting(g, all_efficient)
+        assert [(e.value, e.solutions) for e in res.entries] == [((0, 0), ((),))]
+        assert res == brute_force(g, wtop_value, all_efficient)
+
+    @pytest.mark.parametrize("all_efficient", [False, True])
+    def test_zero_cost_tie_after_the_pop_reaches_every_label_downstream(
+        self, all_efficient
+    ):
+        # Every label has value 0, so they pop in node order: 1, 2, 3, 4,
+        # then 5. Node 5 then hands node 2 the path (1, 2), a tie smaller
+        # than its (3,), after 2, 3 and 4 have popped.
+        arcs = ((1, 5), (5, 2), (1, 2), (2, 3), (3, 4))
+        downstream = {2: ((1, 2), (3,)), 3: ((1, 2, 4), (3, 4)), 4: ((1, 2, 4, 5), (3, 4, 5))}
+        for target, paths in downstream.items():
+            g = zero_weight_wtop(5, arcs, 1, target)
+            (entry,) = solve_weighted_counting(g, all_efficient).entries
+            assert entry.solutions == (paths if all_efficient else paths[:1])
+            assert solve_weighted_counting(g, all_efficient) == brute_force(
+                g, wtop_value, all_efficient
+            )
+
+    def test_all_efficient_layered_dag_fits_in_256_mb(self):
+        # 60 layers of 8 nodes, K = 12: 55 values and 25,228 efficient
+        # paths. Storing every path at every label needs about 500 MB.
+        script = textwrap.dedent("""
+            import random, resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+            from ordpareto.core import CategorySpace
+            from ordpareto.solvers import Edge, GraphInstance, solve_shortest_path
+            rng, layers, width, K = random.Random(7), 60, 8, 12
+            source, target = 1, layers * width + 2
+            layer = [[2 + l * width + j for j in range(width)] for l in range(layers)]
+            arcs = [(source, v) for v in layer[0]]
+            for here, after in zip(layer, layer[1:]):
+                arcs += [(u, v) for u in here for v in after]
+            arcs += [(u, target) for u in layer[-1]]
+            edges = [
+                Edge(i, u, v, (), (rng.randint(1, K),))
+                for i, (u, v) in enumerate(arcs, start=1)
+            ]
+            g = GraphInstance(target, edges, (CategorySpace(K),), source, target)
+            by_id = {e.id: e for e in edges}
+            every = solve_shortest_path(g, all_efficient=True)
+            default = solve_shortest_path(g)
+            assert every.values() == default.values()
+            listed = 0
+            for entry, rep in zip(every.entries, default.entries):
+                assert list(entry.solutions) == sorted(set(entry.solutions))
+                assert rep.solutions == entry.solutions[:1]
+                for path in entry.solutions:
+                    walk = [source] + [by_id[i].head for i in path]
+                    assert [by_id[i].tail for i in path] == walk[:-1]
+                    assert walk[-1] == target and len(set(walk)) == len(walk)
+                    cats = [by_id[i].categories[0] for i in path]
+                    assert entry.value == tuple(
+                        sum(c > j for c in cats) for j in range(K)
+                    )
+                listed += len(entry.solutions)
+            assert (len(every.entries), listed) == (55, 25228)
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=Path(ordpareto.__file__).resolve().parents[1],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
