@@ -177,25 +177,16 @@ def _cmd_oracle_check(args) -> int:
 
     inst = _load_instance(args.instance)
     if isinstance(inst, KnapsackInstance):
-        res = solve_knapsack(inst)
-        solver_values = set(res.values())
-        feasible = enumerate_subsets(inst)
-        oracle = oracle_efficient_set(feasible, "head")
-        oracle_values = {head_transform(s.counting) for s in oracle}
+        solve, feasible, transform = solve_knapsack, enumerate_subsets, head_transform
+        concept = "head"
+    elif len(inst.spaces) != 1 or inst.num_real != 0:
+        raise OrdparetoError("oracle-check supports single-ordinal-objective graphs")
     else:
-        if len(inst.spaces) != 1 or inst.num_real != 0:
-            raise OrdparetoError(
-                "oracle-check supports single-ordinal-objective graphs"
-            )
-        res = solve_shortest_path(inst)
-        solver_values = set(res.values())
-        feasible = enumerate_paths(inst)
-        if feasible:
-            concept = ORDINAL_SAMPLED if args.sampled else "tail"
-            oracle = oracle_efficient_set(feasible, concept)
-            oracle_values = {tail_transform(s.counting) for s in oracle}
-        else:
-            oracle_values = set()
+        solve, feasible, transform = solve_shortest_path, enumerate_paths, tail_transform
+        concept = ORDINAL_SAMPLED if args.sampled else "tail"
+    solver_values = set(solve(inst).values())
+    oracle = oracle_efficient_set(feasible(inst), concept)
+    oracle_values = {transform(s.counting) for s in oracle}
     if solver_values == oracle_values:
         print(f"MATCH {sorted(solver_values)}")
         return 0

@@ -149,15 +149,13 @@ def _parse_graph(lines) -> GraphInstance:
     num_real = 0
     spaces: tuple[CategorySpace, ...] = ()
     edges: list[Edge] = []
-    edge_lines: list[int] = []
-    source = target = source_no = target_no = None
-    saw_objectives = False
+    once: dict[str, tuple[int, int | None]] = {}  # OBJECTIVES, SOURCE, TARGET: (line, value)
 
     for no, tokens in lines[1:]:
         key = tokens[0]
+        if key in once:
+            raise ParseError(no, f"repeated {key} line")
         if key == "OBJECTIVES":
-            if saw_objectives:
-                raise ParseError(no, "repeated OBJECTIVES line")
             if len(tokens) != 3:
                 raise ParseError(no, "OBJECTIVES needs real=<p> ordinal=<Ks>")
             fields: dict[str, str] = {}
@@ -173,9 +171,9 @@ def _parse_graph(lines) -> GraphInstance:
             if num_real < 0:
                 raise ParseError(no, "real objective count must be >= 0")
             spaces = _spaces(num_real, ks, no)
-            saw_objectives = True
+            once[key] = (no, None)
         elif key == "EDGE":
-            if not saw_objectives:
+            if "OBJECTIVES" not in once:
                 raise ParseError(no, "EDGE before OBJECTIVES line")
             expected = 4 + num_real + len(spaces)
             if len(tokens) != expected:
@@ -193,24 +191,19 @@ def _parse_graph(lines) -> GraphInstance:
                 raise ParseError(no, str(exc)) from None
             cats = tuple(_int(t, no) for t in tokens[4 + num_real :])
             edges.append(Edge(eid, u, v, weights, cats))
-            edge_lines.append(no)
         elif key in ("SOURCE", "TARGET"):
-            if (source_no if key == "SOURCE" else target_no) is not None:
-                raise ParseError(no, f"repeated {key} line")
             if len(tokens) != 2:
                 raise ParseError(no, f"{key} needs <node>")
-            if key == "SOURCE":
-                source, source_no = _int(tokens[1], no), no
-            else:
-                target, target_no = _int(tokens[1], no), no
+            once[key] = (no, _int(tokens[1], no))
         else:
             raise ParseError(no, f"unknown record {excerpt(key)}")
 
     no = lines[0][0]
-    if not saw_objectives:
+    if "OBJECTIVES" not in once:
         raise ParseError(no, "missing OBJECTIVES line")
-    if source is None or target is None:
+    if "SOURCE" not in once or "TARGET" not in once:
         raise ParseError(no, "missing SOURCE or TARGET line")
+    (source_no, source), (target_no, target) = once["SOURCE"], once["TARGET"]
     if len(edges) != edge_count:
         raise ParseError(
             no, f"header promises {excerpt(edge_count)} edges, found {len(edges)}"
@@ -219,8 +212,10 @@ def _parse_graph(lines) -> GraphInstance:
     try:
         return GraphInstance(nodes, edges, spaces, source, target, num_real)
     except InstanceError as exc:
-        terminal_no = target_no if 1 <= source <= nodes else source_no
-        line = terminal_no if exc.record is None else edge_lines[exc.record]
+        if exc.record is None:
+            line = target_no if 1 <= source <= nodes else source_no
+        else:  # the line of the record-th EDGE
+            line = [no for no, tokens in lines if tokens[0] == "EDGE"][exc.record]
         raise ParseError(line, str(exc)) from None
 
 
@@ -233,7 +228,6 @@ def _parse_knapsack(lines) -> KnapsackInstance:
     (space,) = _spaces(0, [_int(head[3], no)], no)
 
     items: list[Item] = []
-    item_lines: list[int] = []
     for no, tokens in lines[1:]:
         if tokens[0] != "ITEM":
             raise ParseError(no, f"unknown record {excerpt(tokens[0])}")
@@ -242,7 +236,6 @@ def _parse_knapsack(lines) -> KnapsackInstance:
         items.append(
             Item(_int(tokens[1], no), _int(tokens[2], no), _int(tokens[3], no))
         )
-        item_lines.append(no)
     no = lines[0][0]
     if len(items) != item_count:
         raise ParseError(
@@ -251,8 +244,8 @@ def _parse_knapsack(lines) -> KnapsackInstance:
 
     try:
         return KnapsackInstance(items, capacity, space)
-    except InstanceError as exc:
-        line = no if exc.record is None else item_lines[exc.record]
+    except InstanceError as exc:  # every line after the header is an ITEM
+        line = no if exc.record is None else lines[1 + exc.record][0]
         raise ParseError(line, str(exc)) from None
 
 

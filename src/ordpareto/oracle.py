@@ -213,10 +213,7 @@ def enumerate_paths(
             path.pop()
             visited.remove(edge.head)
 
-    if g.source == g.target:
-        found.append(EnumeratedSolution((), (0,) * space.K))
-    else:
-        dfs(g.source, [], [], {g.source})
+    dfs(g.source, [], [], {g.source})  # s = t is found at once, as the empty path
     return tuple(found)
 
 
@@ -298,10 +295,9 @@ def oracle_efficient_set(
     ``concept`` selects tail-dominance (minimization), head-dominance
     (maximization) or the sampled ordinal check, which additionally
     validates every verdict against dominance certificates and ``seed``-
-    reproducible random numerical representations.
+    reproducible random numerical representations. An empty enumeration
+    has an empty efficient set.
     """
-    if not feasible:
-        raise OrdparetoError("feasible enumeration is empty")
     rng = random.Random(seed)
     relations = {
         TAIL: tail_dominates,

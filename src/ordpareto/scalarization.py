@@ -27,14 +27,14 @@ def _as_fractions(weights: Sequence, name: str) -> tuple[Fraction, ...]:
     weights = tuple(weights)
     if not all(isinstance(w, (int, Fraction)) for w in weights):
         raise OrdparetoError(f"{name} weights must be ints or Fractions")
+    if any(w <= 0 for w in weights):
+        raise OrdparetoError(f"{name} weights must be strictly positive")
     return tuple(map(Fraction, weights))
 
 
 def check_lambda(weights: Sequence) -> tuple[Fraction, ...]:
     """Validate a lambda vector: strictly positive, summing to one."""
     w = _as_fractions(weights, "lambda")
-    if any(x <= 0 for x in w):
-        raise OrdparetoError("lambda weights must be strictly positive")
     if sum(w) != 1:
         raise OrdparetoError("lambda weights must sum to 1")
     return w
@@ -43,8 +43,6 @@ def check_lambda(weights: Sequence) -> tuple[Fraction, ...]:
 def check_mu(weights: Sequence) -> tuple[Fraction, ...]:
     """Validate a mu vector: strictly increasing, positive, summing to one."""
     w = _as_fractions(weights, "mu")
-    if any(x <= 0 for x in w):
-        raise OrdparetoError("mu weights must be strictly positive")
     if any(a >= b for a, b in zip(w, w[1:])):
         raise OrdparetoError("mu weights must be strictly increasing")
     if sum(w) != 1:
@@ -73,11 +71,10 @@ def weighted_sum_solve(
 
 def _prefix_normalize(lam: Sequence) -> tuple[Fraction, ...]:
     # lambda_to_mu without validation; also maps boundary weights, and
-    # int numerators over a common denominator, which cancels.
+    # int numerators over a common denominator, which cancels. The callers
+    # pass nonnegative weights with a positive sum, so denom > 0.
     K = len(lam)
     denom = sum((K - j) * lam[j] for j in range(K))
-    if denom == 0:
-        raise OrdparetoError("degenerate weight vector")
     return tuple(Fraction(p, denom) for p in accumulate(lam))
 
 
@@ -95,9 +92,8 @@ def lambda_to_mu(weights: Sequence) -> tuple[Fraction, ...]:
 def mu_to_lambda(weights: Sequence) -> tuple[Fraction, ...]:
     """Convert counting-space weights back to normalized tail-space weights."""
     mu = check_mu(weights)
-    lam = [mu[0]] + [b - a for a, b in zip(mu, mu[1:])]
-    total = sum(lam)
-    return tuple(l / total for l in lam)
+    # The differences of the prefix sums mu, over their total mu[-1].
+    return tuple(d / mu[-1] for d in map(sub, mu, (0,) + mu))
 
 
 class WeightCell(

@@ -241,23 +241,25 @@ def _multiobjective_shortest_paths(
 
     Default mode keeps ``[smallest path, extended?]`` per label; a smaller
     tie after the pop pushes the label again. ``all_efficient`` keeps the
-    ids of the edges into a label from final labels, a DAG that an iterative
-    walk reads back from the target over ``(tail, value - cost)``. A walk
-    back to a node ties or is dominated by its first visit's label. Ties
-    need zero-cost cycles (``wtop``, ``mixed``): default mode drops them for
+    arcs into a label from final labels, a DAG that an iterative walk reads
+    back from the target over ``(tail, value - cost)``. A walk back to a
+    node ties or is dominated by its first visit's label. Ties need
+    zero-cost cycles (``wtop``, ``mixed``): default mode drops them for
     their larger path, and the backward walk skips a node already on it.
+    It takes a zero-cost arc only if the tail gets back to the source off
+    the walk (Read & Tarjan 1975), so it meets no dead end.
     """
     if g.source == g.target:  # any other s-s walk is a cycle, and no cycle costs below zero
         return {zero: [()]}
     from heapq import heappop, heappush  # loaded by path searches only
     bounds = [min(g.nodes * max(c), sum(c) + max(c)) for c in zip(zero, *cost.values())]
     shifts, masks, guards = _fields(bounds)
-    outgoing: dict[int, list[tuple[int, int, int]]] = {}  # (edge id, head, packed cost)
+    outgoing: dict[int, list[tuple[int, int, int, int]]] = {}  # (edge id, head, packed cost, tail)
     for e in sorted(g.edges, key=lambda e: e.id):
-        outgoing.setdefault(e.tail, []).append((e.id, e.head, _pack(cost[e.id], shifts)))
+        outgoing.setdefault(e.tail, []).append((e.id, e.head, _pack(cost[e.id], shifts), e.tail))
     node_bits = g.nodes.bit_length()
     node_mask = (1 << node_bits) - 1
-    # labels[node]: packed value -> predecessor edge ids, or [path, extended?]
+    # labels[node]: packed value -> arcs in from final labels, or [path, extended?]
     start = _pack(zero, shifts)
     labels: dict[int, dict[int, list]] = {e.head: {} for e in g.edges}
     labels[g.source] = {start: [] if all_efficient else [(), False]}
@@ -270,7 +272,8 @@ def _multiobjective_shortest_paths(
             continue  # evicted while queued
         if not all_efficient:
             path, label[1] = label[0], True
-        for edge_id, to, step in outgoing.get(node, ()):
+        for arc in outgoing.get(node, ()):
+            edge_id, to, step, _ = arc
             new_value = value + step
             if new_value & guards:
                 raise OrdparetoError("a path value overflowed its packed field")
@@ -284,10 +287,10 @@ def _multiobjective_shortest_paths(
                     continue
                 for other in [o for o in bucket if (o | guards) - new_value & guards == guards]:
                     del bucket[other]
-                bucket[new_value] = [edge_id] if all_efficient else [path + (edge_id,), False]
+                bucket[new_value] = [arc] if all_efficient else [path + (edge_id,), False]
                 heappush(heap, new_value << node_bits | to)
             elif all_efficient:
-                entry.append(edge_id)
+                entry.append(arc)
             elif path + (edge_id,) < entry[0]:
                 if entry[1]:  # extended already: new_value is being popped now
                     heappush(heap, new_value << node_bits | to)
@@ -296,17 +299,30 @@ def _multiobjective_shortest_paths(
     target = labels.get(g.target, {})
     if not all_efficient:
         return {_unpack(v, shifts, masks): [label[0]] for v, label in target.items()}
-    into = {i: (tail, step) for tail, out in outgoing.items() for i, _, step in out}
+
+    def escapes(node: int, value: int, on_walk: set[int]) -> bool:
+        """Whether arcs of ``value`` that avoid ``on_walk`` lead from ``node``
+        to the source or to an arc that leaves the value: below it, no node
+        of the walk can recur, as it would dominate its label there."""
+        seen, todo = {node}, [node]
+        while todo:
+            for _, _, step, tail in labels[todo.pop()][value]:
+                if step or tail == g.source:
+                    return True
+                if tail not in seen and tail not in on_walk:
+                    seen.add(tail)
+                    todo.append(tail)
+        return False
+
     frontier = {}
-    for value, edge_ids in target.items():
-        walk, paths, suffix, on_walk = [(g.target, value, iter(edge_ids))], [], [], {g.target}
+    for value, arcs in target.items():
+        walk, paths, suffix, on_walk = [(g.target, value, iter(arcs))], [], [], {g.target}
         while walk:  # suffix: the walk's edge ids, last first
             _, at, preds = walk[-1]
-            for edge_id in preds:
-                tail, step = into[edge_id]
+            for edge_id, _, step, tail in preds:
                 if tail == g.source:
                     paths.append((edge_id, *reversed(suffix)))
-                elif tail not in on_walk:
+                elif tail not in on_walk and (step or escapes(tail, at, on_walk)):
                     on_walk.add(tail)
                     suffix.append(edge_id)
                     walk.append((tail, at - step, iter(labels[tail][at - step])))

@@ -235,6 +235,16 @@ class TestCli:
             assert code == 0
             assert out.startswith("MATCH")
 
+    def test_oracle_check_without_an_s_t_path_matches_empty(self, capsys, tmp_path):
+        # No edge enters the target, so the solver and the oracle find nothing.
+        cut = tmp_path / "cut.graph"
+        cut.write_text(
+            "GRAPH 3 1\nOBJECTIVES real=0 ordinal=2\nEDGE 1 1 2 1\nSOURCE 1\nTARGET 3\n"
+        )
+        for argv in ([], ["--sampled"]):
+            code, out, _ = self.run(capsys, ["oracle-check", str(cut), *argv])
+            assert (code, out) == (0, "MATCH []\n")
+
     def test_oracle_check_sampled(self, capsys):
         code, out, _ = self.run(
             capsys,

@@ -63,6 +63,10 @@ class TestParetoFilter:
         with pytest.raises(EmptyPointSetError):
             pareto_filter(PointSet(()))
 
+    def test_points_of_differing_lengths_error(self):
+        with pytest.raises(DimensionMismatchError, match="differing lengths"):
+            PointSet(((1, 2), (1, 2, 3)))
+
     def test_max_sense(self):
         kept = pareto_filter(PointSet(((1, 2), (2, 1), (0, 0))), sense="max")
         assert set(kept.points) == {(1, 2), (2, 1)}

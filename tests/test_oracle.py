@@ -125,6 +125,10 @@ class TestEfficientSet:
         feasible = enumerate_paths(g)
         assert oracle_efficient_set(feasible, "tail") == feasible
 
+    def test_empty_enumeration_has_empty_efficient_set(self):
+        for concept in ("tail", "head", "ordinal-sampled"):
+            assert oracle_efficient_set((), concept) == ()
+
     def test_unknown_concept(self):
         feasible = enumerate_paths(routes_k3())
         with pytest.raises(OrdparetoError):

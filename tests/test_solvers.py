@@ -786,6 +786,16 @@ def zero_weight_wtop(nodes, arcs, source, target):
     return GraphInstance(nodes, edges, (CategorySpace(2),), source, target, 1)
 
 
+def blob_wtop(m):
+    """A ``wtop`` graph with one s-t path, 1 -> 2 -> m + 2, of two arcs
+    weighing 1, and a complete zero-weight digraph on nodes 2 .. m + 1:
+    every other way back from node 2 enters the blob and cannot leave it."""
+    blob = range(2, m + 2)
+    arcs = [(1, 2, 1), (2, m + 2, 1)] + [(u, v, 0) for u in blob for v in blob if u != v]
+    edges = tuple(Edge(i, u, v, (w,), (1,)) for i, (u, v, w) in enumerate(arcs, start=1))
+    return GraphInstance(m + 2, edges, (CategorySpace(2),), 1, m + 2, 1)
+
+
 class TestLabelSetting:
     """Labels pop in lexicographic order and are final; ``--all-efficient``
     lists paths by a backward walk over the predecessor edges of each label."""
@@ -871,5 +881,30 @@ class TestLabelSetting:
             [sys.executable, "-c", script],
             cwd=Path(ordpareto.__file__).resolve().parents[1],
             capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_zero_cost_blob_lists_the_brute_force_paths(self, m):
+        g = blob_wtop(m)
+        for all_efficient in (False, True):
+            res = solve_weighted_counting(g, all_efficient)
+            assert res == brute_force(g, wtop_value, all_efficient)
+            assert res.entries[0].solutions == ((1, 2),)
+
+    def test_walk_enters_no_dead_end_in_a_zero_cost_blob(self):
+        # Entering every zero-cost predecessor, the walk tries each simple
+        # path in the blob from node 2 before it ends: 17.9 s at m = 11.
+        script = textwrap.dedent(f"""
+            import sys
+            sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+            from test_solvers import blob_wtop, solve_weighted_counting
+            (entry,) = solve_weighted_counting(blob_wtop(12), True).entries
+            assert entry.solutions == ((1, 2),), entry.solutions
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=Path(ordpareto.__file__).resolve().parents[1],
+            capture_output=True, text=True, timeout=10,
         )
         assert proc.returncode == 0, proc.stderr
