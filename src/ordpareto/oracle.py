@@ -275,11 +275,11 @@ def _ordinal_dominates_sampled(
         nu = sample_representation(rng, K)
         val_u, val_v = numeric_value(nu, u), numeric_value(nu, v)
         if claims and val_u > val_v:
-            raise AssertionError(
+            raise OrdparetoError(
                 f"certificate claims {u} dominates {v} but {nu} disagrees"
             )
         if not claims and weakly_tail_dominates(u, v) and val_u > val_v:
-            raise AssertionError(
+            raise OrdparetoError(
                 f"weak dominance of {u} over {v} refuted by {nu}"
             )
     return claims

@@ -15,7 +15,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd
 from operator import mul, sub
 
 from ordpareto.core import DimensionMismatchError, OrdparetoError, scale_to_ints
@@ -104,8 +104,9 @@ class WeightCell(
     ``normals`` holds one int vector d = y - y' per other value y'; the
     closed cell is the set of simplex weights with d . lambda <= 0 for each.
     For K <= 3 ``vertices`` lists the cell's corner points projected to
-    (lambda_1,) or (lambda_1, lambda_2): ascending for K = 2, in convex
-    order for K = 3. ``mu_vertices`` are their full-length images under
+    (lambda_1,) or (lambda_1, lambda_2), counterclockwise from the least
+    (lambda_1, lambda_2); ascending for a segment, and so for every K = 2
+    cell. ``mu_vertices`` are their full-length images under
     :func:`lambda_to_mu`.
     """
 
@@ -118,8 +119,10 @@ def _cell_corners(
     # Work in (x, y) = (lambda_1, lambda_2), lambda_K = 1 - x - y. For K = 2
     # the simplex is the triangle's bottom edge y = 0, and b = 0 as d[1] is
     # d[-1]. Each d.lambda <= 0 becomes a line a x + b y <= c. Clip the
-    # simplex by each in turn (Sutherland-Hodgman), keeping the corners in
-    # counterclockwise order as integer homogeneous (x, y, w), w > 0.
+    # simplex by each in turn (Sutherland-Hodgman), with the corners as
+    # integer homogeneous (x, y, w), w > 0. Clipping keeps them
+    # counterclockwise; they are returned from the least (x, y), so a
+    # segment, and with it every K = 2 cell, ascends.
     lines = [(d[0] - d[-1], d[1] - d[-1], -d[-1]) for d in normals]
     poly = [(0, 0, 1), (1, 0, 1), (0, 1, 1)][:K]
     for a, b, c in lines:
@@ -137,31 +140,10 @@ def _cell_corners(
         poly = list(dict.fromkeys(clipped))  # a clipped segment repeats a corner
         if not poly:
             return []
-    if K == 2:
-        # (x, w) by ascending x / w: clipping a segment can swap its ends.
-        if len(poly) == 2 and poly[0][0] * poly[1][2] > poly[1][0] * poly[0][2]:
-            poly.reverse()
-        return [(x, w) for x, _, w in poly]
-    if len(poly) == 2:
-        # In the order a pairwise line scan finds them: by the first two
-        # tight, non-parallel lines, the simplex's x, y >= 0, x + y <= 1 last.
-        lines += [(-1, 0, 0), (0, -1, 0), (1, 1, 1)]
-
-        def first_pair(corner):
-            x, y, w = corner
-            tight = [i for i, (a, b, c) in enumerate(lines) if a * x + b * y == c * w]
-            (a, b, _), i = lines[tight[0]], tight[0]
-            return i, next(j for j in tight if a * lines[j][1] != b * lines[j][0])
-
-        poly.sort(key=first_pair)
-    elif len(poly) > 2:  # start at the least angle around the centroid
-        n, common = len(poly), lcm(*(w for _, _, w in poly))
-        scaled = [(x * (common // w), y * (common // w)) for x, y, w in poly]
-        cx, cy = map(sum, zip(*scaled))  # n times the centroid, over common
-        upper = [n * y > cy or (n * y == cy and n * x > cx) for x, y in scaled]
-        start = next(i for i in range(n) if upper[i] and not upper[i - 1])
-        poly = poly[start:] + poly[:start]
-    return poly
+    least = min(poly, key=lambda c: (Fraction(c[0], c[2]), Fraction(c[1], c[2])))
+    i = poly.index(least)
+    poly = poly[i:] + poly[:i]
+    return [(x, w) for x, _, w in poly] if K == 2 else poly
 
 
 def weight_space_decomposition(ps: PointSet) -> list[WeightCell]:

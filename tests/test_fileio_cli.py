@@ -21,6 +21,7 @@ from ordpareto.solvers import (
     Edge,
     GraphInstance,
     KnapsackInstance,
+    SolveResult,
     solve_knapsack,
     solve_mixed,
     solve_shortest_path,
@@ -255,6 +256,36 @@ class TestCli:
             ],
         )
         assert (code, out.startswith("MATCH")) == (0, True)
+
+    def test_oracle_check_mismatch_exits_2(self, capsys, monkeypatch):
+        def lossy(g):  # a solver that drops one frontier value
+            res = solve_shortest_path(g)
+            return SolveResult(res.status, res.entries[1:])
+
+        monkeypatch.setattr("ordpareto.cli.solve_shortest_path", lossy)
+        code, out, err = self.run(
+            capsys, ["oracle-check", str(INSTANCE_DIR / "routes_k3.graph")]
+        )
+        assert (code, err) == (2, "")
+        (line,) = out.splitlines()
+        assert line.startswith("MISMATCH solver=[") and " oracle=[" in line
+
+    def test_oracle_check_refuted_certificate_is_an_error(self, capsys, monkeypatch):
+        from ordpareto import oracle
+
+        certificate = oracle.dominance_certificate
+
+        def false_claim(u, v):  # claims dominance for every pair
+            return certificate(u, v)._replace(relation=oracle.DOMINATES)
+
+        monkeypatch.setattr(oracle, "dominance_certificate", false_claim)
+        code, out, err = self.run(
+            capsys,
+            ["oracle-check", str(INSTANCE_DIR / "routes_k3.graph"), "--sampled"],
+        )
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: certificate claims ")
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.graph"

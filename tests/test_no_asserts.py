@@ -21,6 +21,19 @@ def test_no_assert_statements_in_src():
     assert _scan(lambda node: isinstance(node, ast.Assert)) == []
 
 
+def _raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_no_assertion_errors_raised_in_src():
+    # The CLI reports an OrdparetoError as one error: line; an AssertionError
+    # would end in a traceback.
+    assert _scan(_raises_assertion_error) == []
+
+
 def _is_float(node) -> bool:
     if isinstance(node, ast.Constant):
         return isinstance(node.value, (float, complex))

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from ordpareto.core import CategorySpace, OrdparetoError
+from ordpareto.core import CategorySpace, DimensionMismatchError, OrdparetoError
 from ordpareto.oracle import (
     InstanceTooLargeError,
     enumerate_paths,
     enumerate_subsets,
     oracle_efficient_set,
     sample_representation,
+    tail_dominates,
 )
 from ordpareto.solvers import Edge, GraphInstance, Item, KnapsackInstance
 
@@ -43,6 +44,12 @@ class TestEnumeratePaths:
         with pytest.raises(InstanceTooLargeError):
             enumerate_paths(g)
         assert len(enumerate_paths(g, limit=13)) == 1
+
+    def test_two_ordinal_objectives(self):
+        space = CategorySpace(2)
+        g = GraphInstance(2, (Edge(1, 1, 2, (), (1, 2)),), (space, space), 1, 2, 0)
+        with pytest.raises(OrdparetoError, match="one ordinal objective"):
+            enumerate_paths(g)
 
     def test_dag_count_matches_dp(self):
         rng = random.Random(3131)
@@ -156,3 +163,8 @@ class TestEfficientSet:
             assert nu == again
             assert all(a < b for a, b in zip(nu.values, nu.values[1:]))
             rng.random()
+
+
+def test_tail_dominance_needs_equal_lengths():
+    with pytest.raises(DimensionMismatchError):
+        tail_dominates((1, 2), (1,))

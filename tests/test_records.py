@@ -119,6 +119,12 @@ def test_record_semantics(cls, fields, defaults, change):
     assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
 
 
+def test_solve_result_does_not_equal_a_tuple_of_its_fields():
+    # __eq__ answers NotImplemented, so == falls back to identity.
+    assert SolveResult("ok").__eq__(("ok", ())) is NotImplemented
+    assert (SolveResult("ok") == ("ok", ())) is False
+
+
 def test_records_normalize_sequences_to_tuples():
     space = CategorySpace(2)
     graph = GraphInstance(2, [Edge(1, 1, 2, (), (1,))], [space], 1, 2)

@@ -94,6 +94,8 @@ class TestWeightConversion:
             check_lambda([Fraction(1, 2), Fraction(1, 2), Fraction(0)])
         with pytest.raises(OrdparetoError):
             check_mu([Fraction(1, 2), Fraction(1, 2)])
+        with pytest.raises(OrdparetoError, match="mu weights must sum to 1"):
+            mu_to_lambda((Fraction(1, 4), Fraction(1, 2)))
 
     @pytest.mark.parametrize("check", [check_lambda, check_mu])
     @pytest.mark.parametrize("weights", [[0.25, 0.75], ["1/4", "3/4"]])
@@ -404,6 +406,10 @@ class TestCellsAgainstTheLP:
                     ]
                 else:
                     expected = pairwise_cell_vertices_k3(normals)
+                # The same cyclic order, started at the least (lambda_1, lambda_2).
+                if expected:
+                    least = expected.index(min(expected))
+                    expected = expected[least:] + expected[:least]
                 assert fractions == expected
                 if y in kept:
                     assert list(kept[y]) == expected
