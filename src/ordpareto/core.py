@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import accumulate
 from math import lcm
-from operator import ge, le, sub
+from operator import getitem, lshift, sub
 
 
 class OrdparetoError(ValueError):
@@ -117,6 +117,29 @@ def check_sense(sense: str) -> None:
         raise OrdparetoError(f"sense must be 'min' or 'max': {sense!r}")
 
 
+def fields(bounds: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """How vectors with ``0 <= v[j] <= bounds[j]`` pack into one int: each
+    component's shift and value mask, and the mask ``G`` of all guard bits.
+    Field 0 is the most significant, so int order is lexicographic order;
+    field j has ``bounds[j].bit_length()`` value bits under a guard bit, so
+    ``+`` adds componentwise while no field overflows, and a field of
+    ``(b | G) - a`` keeps its guard bit iff ``a_j <= b_j``."""
+    shifts, masks, top = [], [], 0
+    for bound in reversed(bounds):
+        shifts.insert(0, top)
+        masks.insert(0, (1 << bound.bit_length()) - 1)
+        top += bound.bit_length() + 1
+    return shifts, masks, sum(m + 1 << s for s, m in zip(shifts, masks))
+
+
+def pack(vector: Iterable[int], shifts: Sequence[int]) -> int:
+    return sum(map(lshift, vector, shifts))
+
+
+def unpack(value: int, shifts: Sequence[int], masks: Sequence[int]) -> tuple[int, ...]:
+    return tuple(value >> s & m for s, m in zip(shifts, masks))
+
+
 def pareto_front(values: Sequence[Sequence], sense: str = "min") -> list[int]:
     """Indices of the equal-length values without a strict Pareto dominator
     (componentwise <= for ``"min"``, >= for ``"max"``), in lexicographic
@@ -128,15 +151,20 @@ def pareto_front(values: Sequence[Sequence], sense: str = "min") -> list[int]:
     fate, and the weak test against the other kept values is strict.
     """
     check_sense(sense)
-    weakly = le if sense == "min" else ge
-    order = sorted(range(len(values)), key=values.__getitem__, reverse=sense == "max")
+    # Each component becomes its rank among the column's distinct values, best
+    # first, so a field holds at most n ranks however wide or negative values are.
+    step = 1 if sense == "min" else -1
+    ranks = [{x: r for r, x in enumerate(sorted(set(col))[::step])} for col in zip(*values)]
+    shifts, _, guards = fields([len(r) - 1 for r in ranks])
+    packed = [pack(map(getitem, ranks, v), shifts) for v in values]
     keep: list[int] = []
-    front: list[Sequence] = []
-    for i in order:
-        v = values[i]
+    front: list[int] = []
+    for i in sorted(range(len(values)), key=packed.__getitem__):
+        v = packed[i]
+        ceiling = v | guards
         if front and v == front[-1]:
             keep.append(i)
-        elif not any(all(map(weakly, u, v)) for u in front):
+        elif not any(ceiling - u & guards == guards for u in front):
             front.append(v)
             keep.append(i)
     return keep

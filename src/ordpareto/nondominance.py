@@ -4,7 +4,9 @@ The filters work on :class:`PointSet`, a list of equal-length integer
 vectors, and all run on :func:`ordpareto.core.pareto_front`, the one Pareto
 filter for finite sets: :func:`pareto_filter` and the precondition of
 :func:`is_supported` on the points, :func:`cone_filter` on their images
-under the cone matrix (the paper's non-dominance mapping theorem). The
+under the cone matrix (the paper's non-dominance mapping theorem). It
+tests dominance on packed per-component ranks with the path search's
+guarded subtraction, so the package has one Pareto test. The
 pairwise definition of cone dominance lives in :mod:`ordpareto.oracle`,
 whose ``mapping_check`` compares it with this module. Duplicated values are
 all retained by the filters; collapsing value-equal *solutions* is the

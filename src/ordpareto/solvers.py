@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from operator import getitem, lshift
+from operator import getitem
 
 from ordpareto.core import (
     B_HEAD,
@@ -24,9 +24,12 @@ from ordpareto.core import (
     OrdparetoError,
     counting_vector,
     excerpt,
+    fields,
     ordinal_vector,
+    pack,
     pareto_front,
     scale_to_ints,
+    unpack,
 )
 
 OK = "ok"
@@ -199,29 +202,6 @@ class SolveResult:
         return tuple(e.value for e in self.entries)
 
 
-def _fields(bounds: Sequence[int]) -> tuple[list[int], list[int], int]:
-    """How vectors with ``0 <= v[j] <= bounds[j]`` pack into one int: each
-    component's shift and value mask, and the mask ``G`` of all guard bits.
-    Field 0 is the most significant, so int order is lexicographic order;
-    field j has ``bounds[j].bit_length()`` value bits under a guard bit, so
-    ``+`` adds componentwise while no field overflows, and a field of
-    ``(b | G) - a`` keeps its guard bit iff ``a_j <= b_j``."""
-    shifts, masks, top = [], [], 0
-    for bound in reversed(bounds):
-        shifts.insert(0, top)
-        masks.insert(0, (1 << bound.bit_length()) - 1)
-        top += bound.bit_length() + 1
-    return shifts, masks, sum(m + 1 << s for s, m in zip(shifts, masks))
-
-
-def _pack(vector: Sequence[int], shifts: Sequence[int]) -> int:
-    return sum(map(lshift, vector, shifts))
-
-
-def _unpack(value: int, shifts: Sequence[int], masks: Sequence[int]) -> tuple[int, ...]:
-    return tuple(value >> s & m for s, m in zip(shifts, masks))
-
-
 def _multiobjective_shortest_paths(
     g: GraphInstance, cost: dict[int, tuple[int, ...]], zero: tuple[int, ...],
     all_efficient: bool,
@@ -232,11 +212,12 @@ def _multiobjective_shortest_paths(
     ``zero``, all zeros, is the empty path's value (callers scale rational
     weights to ints). Returns a map from each non-dominated cost vector at
     the target to the sorted edge-id paths attaining it (only the smallest
-    unless ``all_efficient``). Values are packed ints (:func:`_fields`), and
-    labels pop from a heap of ``value << node_bits | node`` in lexicographic
-    order (Martins 1984). A new value is never below the popped one and
-    evicts only values it dominates, which are above it, so a popped label
-    is final: a simple path's value, extended once. Field j holds the bound
+    unless ``all_efficient``). Values are ints packed as
+    :func:`ordpareto.core.fields` lays out, and labels pop from a heap of
+    ``value << node_bits | node`` in lexicographic order (Martins 1984). A
+    new value is never below the popped one and evicts only values it
+    dominates, which are above it, so a popped label is final: a simple
+    path's value, extended once. Field j holds the bound
     ``min(nodes * max_j, sum_j + max_j)`` on new values; a carry raises.
 
     Default mode keeps ``[smallest path, extended?]`` per label; a smaller
@@ -253,14 +234,14 @@ def _multiobjective_shortest_paths(
         return {zero: [()]}
     from heapq import heappop, heappush  # loaded by path searches only
     bounds = [min(g.nodes * max(c), sum(c) + max(c)) for c in zip(zero, *cost.values())]
-    shifts, masks, guards = _fields(bounds)
+    shifts, masks, guards = fields(bounds)
     outgoing: dict[int, list[tuple[int, int, int, int]]] = {}  # (edge id, head, packed cost, tail)
     for e in sorted(g.edges, key=lambda e: e.id):
-        outgoing.setdefault(e.tail, []).append((e.id, e.head, _pack(cost[e.id], shifts), e.tail))
+        outgoing.setdefault(e.tail, []).append((e.id, e.head, pack(cost[e.id], shifts), e.tail))
     node_bits = g.nodes.bit_length()
     node_mask = (1 << node_bits) - 1
     # labels[node]: packed value -> arcs in from final labels, or [path, extended?]
-    start = _pack(zero, shifts)
+    start = pack(zero, shifts)
     labels: dict[int, dict[int, list]] = {e.head: {} for e in g.edges}
     labels[g.source] = {start: [] if all_efficient else [(), False]}
     heap = [start << node_bits | g.source]
@@ -298,7 +279,7 @@ def _multiobjective_shortest_paths(
 
     target = labels.get(g.target, {})
     if not all_efficient:
-        return {_unpack(v, shifts, masks): [label[0]] for v, label in target.items()}
+        return {unpack(v, shifts, masks): [label[0]] for v, label in target.items()}
 
     def escapes(node: int, value: int, on_walk: set[int]) -> bool:
         """Whether arcs of ``value`` that avoid ``on_walk`` lead from ``node``
@@ -330,7 +311,7 @@ def _multiobjective_shortest_paths(
             else:
                 on_walk.remove(walk.pop()[0])
                 del suffix[len(walk) - 1:]
-        frontier[_unpack(value, shifts, masks)] = sorted(paths)
+        frontier[unpack(value, shifts, masks)] = sorted(paths)
     return frontier
 
 

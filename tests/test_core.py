@@ -1,6 +1,8 @@
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
+from operator import add, le
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,13 +19,16 @@ from ordpareto.core import (
     OrdparetoError,
     cone_member,
     counting_vector,
+    fields,
     head_transform,
     inverse_transform,
     ordinal_vector,
+    pack,
     pareto_front,
     scale_to_ints,
     tail_transform,
     too_many_digits,
+    unpack,
 )
 from ordpareto.oracle import (
     NumericalRepresentation,
@@ -217,12 +222,30 @@ class TestParetoFront:
     @pytest.mark.parametrize("sense", ["min", "max"])
     def test_matches_definition_on_seeded_sets(self, sense):
         rng = random.Random(2024)
-        for _ in range(400):
-            k = rng.randint(1, 5)
-            top = rng.choice((1, 2, 4, 20))
-            n = rng.randint(1, 40)
-            values = [tuple(rng.randint(0, top) for _ in range(k)) for _ in range(n)]
-            self.check(values, sense)
+        # Entries in 0..top, then in -top..top with top up to 2**200.
+        for tops, signed in (((1, 2, 4, 20), False), ((1, 2, 4, 20, 2**200), True)):
+            for _ in range(400):
+                k = rng.randint(1, 5)
+                top = rng.choice(tops)
+                n = rng.randint(1, 40)
+                low = -top if signed else 0
+                values = [tuple(rng.randint(low, top) for _ in range(k)) for _ in range(n)]
+                self.check(values, sense)
+
+    def test_one_wide_outlier_costs_no_memory(self):
+        # Ranks, not values, are packed: a vector of 4,001-digit entries widens
+        # no field. Packing values offset by the minimum took 43-87 MB here.
+        rng = random.Random(11)
+        values = [tuple(rng.randint(0, 9) for _ in range(60)) for _ in range(400)]
+        outlier = tuple(rng.randrange(10**4000, 10**4001) for _ in range(60))
+        tracemalloc.start()
+        try:
+            assert pareto_front(values + [outlier]) == pareto_front(values)
+            assert pareto_front(values + [outlier], "max") == [400]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @given(crowded_sets, st.sampled_from(["min", "max"]))
     def test_matches_definition_with_duplicates(self, values, sense):
@@ -242,6 +265,42 @@ class TestParetoFront:
         assert pareto_front([]) == []
         with pytest.raises(OrdparetoError, match="sense"):
             pareto_front([(1, 2)], "bogus")
+
+
+class TestPackedValues:
+    """The label search and pareto_front pack each vector into one int (fields)."""
+
+    def test_pack_order_sum_and_dominance_agree_with_tuples(self):
+        rng = random.Random(67)
+        layouts = [[0], [1], [2**130], [2**100, 0, 5, 2**40, 1], [0, 0, 3]]
+        layouts += [
+            [rng.choice((0, 1, rng.randint(2, 9), rng.randint(10, 2**70)))
+             for _ in range(rng.randint(1, 6))]
+            for _ in range(60)
+        ]
+        widest = 0
+        for bounds in layouts:
+            shifts, masks, guards = fields(bounds)
+            assert [m.bit_length() for m in masks] == [b.bit_length() for b in bounds]
+            vectors = [tuple(bounds), (0,) * len(bounds)] + [
+                tuple(rng.choice((0, b, rng.randint(0, b))) for b in bounds)
+                for _ in range(12)
+            ]
+            packed = [pack(v, shifts) for v in vectors]
+            widest = max(widest, *(p.bit_length() for p in packed))
+            for v, p in zip(vectors, packed):
+                assert unpack(p, shifts, masks) == v
+                assert p & guards == 0
+            for a, pa in zip(vectors, packed):
+                for b, pb in zip(vectors, packed):
+                    assert (pa < pb, pa == pb) == (a < b, a == b)
+                    assert (((pb | guards) - pa) & guards == guards) == all(map(le, a, b))
+                    total = tuple(map(add, a, b))
+                    overflows = any(t > m for t, m in zip(total, masks))
+                    assert bool((pa + pb) & guards) == overflows
+                    if not overflows:
+                        assert pa + pb == pack(total, shifts)
+        assert widest > 128
 
 
 class TestScaleToInts:

@@ -270,22 +270,46 @@ class TestCli:
         (line,) = out.splitlines()
         assert line.startswith("MISMATCH solver=[") and " oracle=[" in line
 
-    def test_oracle_check_refuted_certificate_is_an_error(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ("claims dominance", "certificate claims "),
+            ("values everything at 0", "certificate check failed for "),
+            ("denies weak dominance", "weak dominance of "),
+        ],
+    )
+    def test_oracle_check_refuted_certificate_is_an_error(
+        self, capsys, monkeypatch, patch, message
+    ):
         from ordpareto import oracle
 
         certificate = oracle.dominance_certificate
 
-        def false_claim(u, v):  # claims dominance for every pair
-            return certificate(u, v)._replace(relation=oracle.DOMINATES)
+        def claim(relation):  # a certificate with this relation for every pair
+            return lambda u, v: certificate(u, v)._replace(relation=relation)
 
-        monkeypatch.setattr(oracle, "dominance_certificate", false_claim)
+        if patch == "claims dominance":
+            monkeypatch.setattr(oracle, "dominance_certificate", claim(oracle.DOMINATES))
+        elif patch == "values everything at 0":
+            monkeypatch.setattr(oracle, "numeric_value", lambda nu, c: 0)
+        else:
+            monkeypatch.setattr(oracle, "dominance_certificate", claim(oracle.NOT_DOMINATED))
+            monkeypatch.setattr(oracle, "weakly_tail_dominates", lambda u, v: True)
         code, out, err = self.run(
             capsys,
             ["oracle-check", str(INSTANCE_DIR / "routes_k3.graph"), "--sampled"],
         )
         assert (code, out) == (1, "")
         (line,) = err.splitlines()
-        assert line.startswith("error: certificate claims ")
+        assert line.startswith("error: " + message)
+
+    def test_packed_field_overflow_is_an_error(self, capsys, monkeypatch):
+        from ordpareto import core, solvers
+
+        # Fields of no value bits: the first nonzero step carries into a guard.
+        monkeypatch.setattr(solvers, "fields", lambda b: core.fields([0] * len(b)))
+        code, out, err = self.run(capsys, ["solve", "sp", str(INSTANCE_DIR / "routes_k3.graph")])
+        assert (code, out, err) == (1, "", "error: a path value overflowed its packed field\n")
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.graph"

@@ -5,7 +5,6 @@ import sys
 import textwrap
 from fractions import Fraction
 from math import lcm
-from operator import add, le
 from pathlib import Path
 
 import pytest
@@ -741,42 +740,6 @@ class TestIntegerSearch:
             g = random_graph(rng, max_k=1)
             res = solve_shortest_path(g, all_efficient)
             assert res == brute_force(g, mixed_value, all_efficient)
-
-
-class TestPackedValues:
-    """The path search packs each value vector into one int (solvers._fields)."""
-
-    def test_pack_order_sum_and_dominance_agree_with_tuples(self):
-        rng = random.Random(67)
-        layouts = [[0], [1], [2**130], [2**100, 0, 5, 2**40, 1], [0, 0, 3]]
-        layouts += [
-            [rng.choice((0, 1, rng.randint(2, 9), rng.randint(10, 2**70)))
-             for _ in range(rng.randint(1, 6))]
-            for _ in range(60)
-        ]
-        widest = 0
-        for bounds in layouts:
-            shifts, masks, guards = solvers._fields(bounds)
-            assert [m.bit_length() for m in masks] == [b.bit_length() for b in bounds]
-            vectors = [tuple(bounds), (0,) * len(bounds)] + [
-                tuple(rng.choice((0, b, rng.randint(0, b))) for b in bounds)
-                for _ in range(12)
-            ]
-            packed = [solvers._pack(v, shifts) for v in vectors]
-            widest = max(widest, *(p.bit_length() for p in packed))
-            for v, p in zip(vectors, packed):
-                assert solvers._unpack(p, shifts, masks) == v
-                assert p & guards == 0
-            for a, pa in zip(vectors, packed):
-                for b, pb in zip(vectors, packed):
-                    assert (pa < pb, pa == pb) == (a < b, a == b)
-                    assert (((pb | guards) - pa) & guards == guards) == all(map(le, a, b))
-                    total = tuple(map(add, a, b))
-                    overflows = any(t > m for t, m in zip(total, masks))
-                    assert bool((pa + pb) & guards) == overflows
-                    if not overflows:
-                        assert pa + pb == solvers._pack(total, shifts)
-        assert widest > 128
 
 
 def zero_weight_wtop(nodes, arcs, source, target):
