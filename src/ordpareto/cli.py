@@ -1,10 +1,11 @@
 """Command line interface.
 
 Subcommands: transform, filter, solve {sp,knapsack,mixed,wtop}, scalarize,
-wsd, oracle-check. Vectors read from stdin are one per line, entries
-separated by whitespace or commas. Exit codes: 0 success or ``--help``,
-1 a bad command line, input or parse error (one ``error: …`` line on
-stderr), 2 oracle mismatch.
+wsd, oracle-check. ``oracle-check`` reads the problem from the instance: a
+knapsack is checked as ``knapsack``, any graph as ``mixed``. Vectors read
+from stdin are one per line, entries separated by whitespace or commas.
+Exit codes: 0 success or ``--help``, 1 a bad command line, input or parse
+error (one ``error: …`` line on stderr), 2 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -167,26 +168,14 @@ def _cmd_wsd(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    # Only this subcommand needs the brute-force oracle.
-    from ordpareto.oracle import (
-        ORDINAL_SAMPLED,
-        enumerate_paths,
-        enumerate_subsets,
-        oracle_efficient_set,
-    )
+    from ordpareto.oracle import oracle_result  # only this subcommand needs the oracle
 
     inst = _load_instance(args.instance)
-    if isinstance(inst, KnapsackInstance):
-        solve, feasible, transform = solve_knapsack, enumerate_subsets, head_transform
-        concept = "head"
-    elif len(inst.spaces) != 1 or inst.num_real != 0:
-        raise OrdparetoError("oracle-check supports single-ordinal-objective graphs")
-    else:
-        solve, feasible, transform = solve_shortest_path, enumerate_paths, tail_transform
-        concept = ORDINAL_SAMPLED if args.sampled else "tail"
+    # mixed on one ordinal objective without real weights is sp
+    problem = "knapsack" if isinstance(inst, KnapsackInstance) else "mixed"
+    solve = solve_knapsack if problem == "knapsack" else solve_mixed
     solver_values = set(solve(inst).values())
-    oracle = oracle_efficient_set(feasible(inst), concept)
-    oracle_values = {transform(s.counting) for s in oracle}
+    oracle_values = set(oracle_result(inst, problem, sampled=args.sampled).values())
     if solver_values == oracle_values:
         print(f"MATCH {sorted(solver_values)}")
         return 0

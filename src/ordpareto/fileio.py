@@ -167,7 +167,7 @@ def _parse_graph(lines) -> GraphInstance:
                     raise ParseError(no, f"repeated OBJECTIVES field {name}=")
                 fields[name] = field
             num_real = _int(fields["real"], no)
-            ks = [_int(k, no) for k in fields["ordinal"].split(",") if k]
+            ks = [_int(k, no) for k in fields["ordinal"].split(",")] if fields["ordinal"] else []
             if num_real < 0:
                 raise ParseError(no, "real objective count must be >= 0")
             spaces = _spaces(num_real, ks, no)

@@ -2,18 +2,22 @@
 representations and dominance certificates, and exhaustive enumeration.
 
 Enumerates every simple s-t path (or every capacity-feasible subset) and
-filters for efficiency directly from the dominance definitions. Finite
-point sets are filtered by cone dominance the same way, pairwise, so
-:func:`mapping_check` compares the Pareto kernel with an independent
-computation. Used by ``oracle-check`` and in the test suite to validate
-the solvers and the filters at desk scale.
+filters for efficiency directly from the dominance definitions, block by
+block: Pareto on the real weights, an ordinal relation per ordinal
+objective, and never the block-diagonal transform that ``mixed`` relies
+on. :func:`oracle_result` builds from them the result a correct solver
+returns. Finite point sets are filtered by cone dominance the same way,
+pairwise, so :func:`mapping_check` compares the Pareto kernel with an
+independent computation. Used by ``oracle-check`` and in the test suite
+to validate the solvers and the filters at desk scale.
 """
 
 from __future__ import annotations
 
 import random
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from fractions import Fraction
 from operator import ge, le
 
 from ordpareto.core import (
@@ -25,10 +29,18 @@ from ordpareto.core import (
     cone_member,
     counting_vector,
     head_transform,
+    ordinal_vector,
     tail_transform,
 )
 from ordpareto.nondominance import PointSet, pareto_filter
-from ordpareto.solvers import GraphInstance, KnapsackInstance
+from ordpareto.solvers import (
+    OK,
+    UNREACHABLE,
+    GraphInstance,
+    KnapsackInstance,
+    ResultEntry,
+    SolveResult,
+)
 
 TAIL = "tail"
 HEAD = "head"
@@ -171,8 +183,9 @@ class InstanceTooLargeError(OrdparetoError):
     """The instance exceeds the enumeration size limit."""
 
 
-class EnumeratedSolution(namedtuple("EnumeratedSolution", "elements counting")):
-    """One feasible solution: its element ids and its counting vector."""
+class EnumeratedSolution(namedtuple("EnumeratedSolution", "elements countings weights")):
+    """One feasible solution: its element ids, one counting vector per
+    ordinal objective, and its real-weight totals as ``Fraction``s."""
 
     __slots__ = ()
 
@@ -185,35 +198,35 @@ def enumerate_paths(
         raise InstanceTooLargeError(
             f"{g.nodes} nodes exceeds the enumeration limit of {limit}"
         )
-    if len(g.spaces) != 1:
-        raise OrdparetoError("path enumeration expects one ordinal objective")
     outgoing: dict[int, list] = {}
     for e in g.edges:
         outgoing.setdefault(e.tail, []).append(e)
     for edges in outgoing.values():
         edges.sort(key=lambda e: e.id)
 
-    space = g.spaces[0]
     found: list[EnumeratedSolution] = []
 
-    def dfs(node: int, path: list[int], cats: list[int], visited: set[int]):
+    def dfs(node: int, path: list, visited: set[int]):
         if node == g.target:
+            countings = (
+                counting_vector((e.categories[l] for e in path), space)
+                for l, space in enumerate(g.spaces)
+            )
+            weights = (sum((e.weights[j] for e in path), Fraction(0)) for j in range(g.num_real))
             found.append(
-                EnumeratedSolution(tuple(path), counting_vector(cats, space))
+                EnumeratedSolution(tuple(e.id for e in path), tuple(countings), tuple(weights))
             )
             return
         for edge in outgoing.get(node, ()):
             if edge.head in visited:
                 continue
             visited.add(edge.head)
-            path.append(edge.id)
-            cats.append(edge.categories[0])
-            dfs(edge.head, path, cats, visited)
-            cats.pop()
+            path.append(edge)
+            dfs(edge.head, path, visited)
             path.pop()
             visited.remove(edge.head)
 
-    dfs(g.source, [], [], {g.source})  # s = t is found at once, as the empty path
+    dfs(g.source, [], {g.source})  # s = t is found at once, as the empty path
     return tuple(found)
 
 
@@ -231,9 +244,7 @@ def enumerate_subsets(
     def extend(idx: int, chosen: list[int], cats: list[int], used: int):
         if idx == len(items):
             found.append(
-                EnumeratedSolution(
-                    tuple(chosen), counting_vector(cats, k.space)
-                )
+                EnumeratedSolution(tuple(chosen), (counting_vector(cats, k.space),), ())
             )
             return
         extend(idx + 1, chosen, cats, used)
@@ -285,13 +296,24 @@ def _ordinal_dominates_sampled(
     return claims
 
 
+def _blocks(s: EnumeratedSolution) -> tuple:
+    return (s.weights, *s.countings)
+
+
 def oracle_efficient_set(
     feasible: tuple[EnumeratedSolution, ...],
     concept: str = TAIL,
     seed: int = SAMPLE_SEED,
+    outcome: Callable[[EnumeratedSolution], tuple] = _blocks,
 ) -> tuple[EnumeratedSolution, ...]:
     """Efficient solutions by pairwise definitional dominance filtering.
 
+    A solution's outcome is a tuple of blocks, by default its real weights
+    and then one counting vector per ordinal objective. Another solution
+    dominates it when their outcomes differ and the other is weakly better
+    in every block: by Pareto dominance in the first, by ``concept`` in
+    each other. With no real weights and one ordinal objective that is
+    strict dominance under ``concept``.
     ``concept`` selects tail-dominance (minimization), head-dominance
     (maximization) or the sampled ordinal check, which additionally
     validates every verdict against dominance certificates and ``seed``-
@@ -300,16 +322,83 @@ def oracle_efficient_set(
     """
     rng = random.Random(seed)
     relations = {
-        TAIL: tail_dominates,
-        HEAD: head_dominates,
-        ORDINAL_SAMPLED: lambda u, v: _ordinal_dominates_sampled(u, v, rng),
+        TAIL: weakly_tail_dominates,
+        HEAD: lambda u, v: u == v or head_dominates(u, v),
+        ORDINAL_SAMPLED: lambda u, v: u == v or _ordinal_dominates_sampled(u, v, rng),
     }
     if concept not in relations:
         raise OrdparetoError(f"unknown dominance concept: {concept!r}")
-    dominates = relations[concept]
+    weakly = relations[concept]
+    outcomes = tuple(map(outcome, feasible))
+
+    def dominates(o: tuple, y: tuple) -> bool:
+        return (
+            o != y
+            and (o[0] == y[0] or pareto_dominates(o[0], y[0]))
+            and all(map(weakly, o[1:], y[1:]))
+        )
+
     return tuple(
-        s for s in feasible if not any(dominates(o.counting, s.counting) for o in feasible)
+        s for s, y in zip(feasible, outcomes) if not any(dominates(o, y) for o in outcomes)
     )
+
+
+def _weight_per_category(g: GraphInstance) -> Callable[[EnumeratedSolution], tuple]:
+    """``wtop``'s outcome of a path: one block, its weight total per category."""
+    if len(g.spaces) != 1 or g.num_real != 1:
+        raise OrdparetoError("wtop expects one weight and one ordinal objective")
+    edges = {e.id: e for e in g.edges}
+
+    def outcome(s: EnumeratedSolution) -> tuple:
+        totals = [Fraction(0)] * g.spaces[0].K
+        for e in map(edges.get, s.elements):
+            totals[e.categories[0] - 1] += e.weights[0]
+        return (), tuple(totals)
+
+    return outcome
+
+
+def oracle_result(
+    inst: GraphInstance | KnapsackInstance,
+    problem: str,
+    all_efficient: bool = False,
+    sampled: bool = False,
+) -> SolveResult:
+    """The result a correct solver of ``problem`` returns on ``inst``.
+
+    The efficient solutions are those of :func:`oracle_efficient_set`: for
+    ``knapsack`` under head-dominance, for ``sp`` and ``mixed`` under
+    tail-dominance or, if ``sampled``, the sampled check, and for ``wtop``
+    on each path's weight total per category under tail-dominance. They are
+    grouped by their value in the solver's space, in ascending order. Each
+    entry holds the images of its smallest solution, and lists its sorted
+    solutions if ``all_efficient``, else that one.
+    """
+    if problem == "knapsack":
+        feasible, concept, outcome = enumerate_subsets(inst), HEAD, _blocks
+        value = lambda s: head_transform(s.countings[0])
+    elif problem == "wtop":
+        feasible, concept, outcome = enumerate_paths(inst), TAIL, _weight_per_category(inst)
+        value = lambda s: tail_transform(outcome(s)[1])
+    elif problem in ("sp", "mixed"):
+        concept = ORDINAL_SAMPLED if sampled else TAIL
+        feasible, outcome = enumerate_paths(inst), _blocks
+        value = lambda s: s.weights + sum(map(tail_transform, s.countings), ())
+    else:
+        raise OrdparetoError(f"unknown problem: {problem!r}")
+    if not feasible:
+        return SolveResult(UNREACHABLE)
+    groups: dict[tuple, list[EnumeratedSolution]] = {}
+    for s in oracle_efficient_set(feasible, concept, outcome=outcome):
+        groups.setdefault(value(s), []).append(s)
+    entries = []
+    for v in sorted(groups):
+        solutions = sorted(groups[v])[: None if all_efficient else 1]
+        rep = solutions[0]
+        ordinals = tuple(map(ordinal_vector, rep.countings))
+        elements = tuple(s.elements for s in solutions)
+        entries.append(ResultEntry(v, rep.countings, ordinals, rep.weights, elements))
+    return SolveResult(OK, tuple(entries))
 
 
 def definitional_cone_filter(

@@ -229,7 +229,7 @@ class TestCli:
         assert "mu-vertex 1/6 1/3 1/2" in out
 
     def test_oracle_check(self, capsys):
-        for name in ("routes_k3.graph", "knapsack_k2.txt"):
+        for name in ("routes_k3.graph", "routes_weighted.graph", "knapsack_k2.txt"):
             code, out, _ = self.run(
                 capsys, ["oracle-check", str(INSTANCE_DIR / name)]
             )
@@ -257,15 +257,14 @@ class TestCli:
         )
         assert (code, out.startswith("MATCH")) == (0, True)
 
-    def test_oracle_check_mismatch_exits_2(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("name", ["routes_k3.graph", "routes_weighted.graph"])
+    def test_oracle_check_mismatch_exits_2(self, capsys, monkeypatch, name):
         def lossy(g):  # a solver that drops one frontier value
-            res = solve_shortest_path(g)
+            res = solve_mixed(g)
             return SolveResult(res.status, res.entries[1:])
 
-        monkeypatch.setattr("ordpareto.cli.solve_shortest_path", lossy)
-        code, out, err = self.run(
-            capsys, ["oracle-check", str(INSTANCE_DIR / "routes_k3.graph")]
-        )
+        monkeypatch.setattr("ordpareto.cli.solve_mixed", lossy)
+        code, out, err = self.run(capsys, ["oracle-check", str(INSTANCE_DIR / name)])
         assert (code, err) == (2, "")
         (line,) = out.splitlines()
         assert line.startswith("MISMATCH solver=[") and " oracle=[" in line
@@ -406,6 +405,12 @@ class TestErrorContract:
         text = "GRAPH 2 1\nOBJECTIVES real=0 ordinal=0\nEDGE 1 1 2 1\n"
         err = self.solve(capsys, tmp_path, text + "SOURCE 1\nTARGET 2\n")
         assert err.startswith("error: line 2: need at least one category")
+
+    @pytest.mark.parametrize("ordinal", ["2,,3", "2,3,", ",2"])
+    def test_empty_ordinal_entry(self, capsys, tmp_path, ordinal):
+        text = f"GRAPH 2 1\nOBJECTIVES real=0 ordinal={ordinal}\nEDGE 1 1 2 1 1\n"
+        err = self.solve(capsys, tmp_path, text + "SOURCE 1\nTARGET 2\n", "mixed")
+        assert err == "error: line 2: not an integer: ''\n"
 
     def test_edge_node_out_of_range(self, capsys, tmp_path):
         text = GRAPH_HEAD + "EDGE 1 1 2 1 1\nEDGE 2 2 9 1 2\n"

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from ordpareto.core import CategorySpace, DimensionMismatchError, OrdparetoError
 from ordpareto.oracle import (
+    EnumeratedSolution,
     InstanceTooLargeError,
     enumerate_paths,
     enumerate_subsets,
@@ -46,10 +48,12 @@ class TestEnumeratePaths:
         assert len(enumerate_paths(g, limit=13)) == 1
 
     def test_two_ordinal_objectives(self):
-        space = CategorySpace(2)
-        g = GraphInstance(2, (Edge(1, 1, 2, (), (1, 2)),), (space, space), 1, 2, 0)
-        with pytest.raises(OrdparetoError, match="one ordinal objective"):
-            enumerate_paths(g)
+        # One counting vector per objective, and the weights' Fraction totals.
+        edges = (Edge(1, 1, 2, (Fraction(1, 2),), (1, 3)), Edge(2, 2, 3, (2,), (2, 1)))
+        spaces = (CategorySpace(2), CategorySpace(3))
+        (path,) = enumerate_paths(GraphInstance(3, edges, spaces, 1, 3, 1))
+        assert path == EnumeratedSolution((1, 2), ((1, 1), (1, 0, 1)), (Fraction(5, 2),))
+        assert type(path.weights[0]) is Fraction
 
     def test_dag_count_matches_dp(self):
         rng = random.Random(3131)
@@ -131,6 +135,15 @@ class TestEfficientSet:
         )
         feasible = enumerate_paths(g)
         assert oracle_efficient_set(feasible, "tail") == feasible
+
+    def test_weights_and_ratings_are_separate_blocks(self):
+        # b has the lower weight and a the better rating, so both stay; c
+        # ties b's rating at a higher weight, so b dominates it.
+        a = EnumeratedSolution((1,), ((1, 0),), (Fraction(3),))
+        b = EnumeratedSolution((2,), ((0, 1),), (Fraction(1),))
+        c = EnumeratedSolution((3,), ((0, 1),), (Fraction(2),))
+        for concept in ("tail", "ordinal-sampled"):
+            assert oracle_efficient_set((a, b, c), concept) == (a, b)
 
     def test_empty_enumeration_has_empty_efficient_set(self):
         for concept in ("tail", "head", "ordinal-sampled"):

@@ -85,7 +85,12 @@ RECORDS = [
         {"vertices": (), "mu_vertices": ()},
         ("normals", ()),
     ),
-    (EnumeratedSolution, {"elements": (1, 2), "counting": (1, 1)}, {}, ("elements", (2, 1))),
+    (
+        EnumeratedSolution,
+        {"elements": (1, 2), "countings": ((1, 1),), "weights": (Fraction(3),)},
+        {},
+        ("elements", (2, 1)),
+    ),
 ]
 
 

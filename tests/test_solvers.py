@@ -16,16 +16,11 @@ from ordpareto.core import (
     CategorySpace,
     OrdparetoError,
     counting_vector,
-    head_transform,
     ordinal_vector,
     tail_transform,
 )
 from ordpareto.fileio import emit_result
-from ordpareto.oracle import (
-    enumerate_paths,
-    enumerate_subsets,
-    oracle_efficient_set,
-)
+from ordpareto.oracle import oracle_result
 from ordpareto.solvers import (
     OK,
     UNREACHABLE,
@@ -34,8 +29,6 @@ from ordpareto.solvers import (
     InstanceError,
     Item,
     KnapsackInstance,
-    ResultEntry,
-    SolveResult,
     solve_knapsack,
     solve_mixed,
     solve_shortest_path,
@@ -114,75 +107,58 @@ class TestShortestPath:
 
 
 class TestAgainstOracle:
+    """Each solver returns the oracle's result: the values, the solution
+    lists and each entry's countings, ordinals and weights."""
+
     def test_random_graphs(self):
         rng = random.Random(4242)
-        nonempty = 0
+        reachable = 0
         for _ in range(100):
             g = random_graph(rng)
             res = solve_shortest_path(g)
-            feasible = enumerate_paths(g)
-            if not feasible:
-                assert res.status == UNREACHABLE
-                continue
-            nonempty += 1
-            efficient = oracle_efficient_set(feasible, "tail")
-            expected = {tail_transform(s.counting) for s in efficient}
-            assert set(res.values()) == expected
-        assert nonempty > 50
+            assert res == oracle_result(g, "sp")
+            reachable += res.status == OK
+        assert reachable > 50
 
     def test_random_knapsacks(self):
         rng = random.Random(777)
         for _ in range(100):
             k = random_knapsack(rng)
-            res = solve_knapsack(k)
-            efficient = oracle_efficient_set(enumerate_subsets(k), "head")
-            expected = {head_transform(s.counting) for s in efficient}
-            assert set(res.values()) == expected
+            assert solve_knapsack(k) == oracle_result(k, "knapsack")
 
     def test_all_efficient_matches_oracle_solutions(self):
         rng = random.Random(51)
         for _ in range(30):
             g = random_graph(rng, max_nodes=6)
-            feasible = enumerate_paths(g)
-            if not feasible:
-                continue
-            res = solve_shortest_path(g, all_efficient=True)
-            got = {s for e in res.entries for s in e.solutions}
-            expected = {
-                s.elements
-                for s in oracle_efficient_set(feasible, "tail")
-            }
-            assert got == expected
+            assert solve_shortest_path(g, True) == oracle_result(g, "sp", True)
 
     def test_knapsack_entries_match_oracle_heads(self):
         # Many items per category, so heads tie and repeat across subsets.
         rng = random.Random(53)
         for _ in range(40):
             k = random_knapsack(rng, max_items=11, max_k=5)
-            efficient = oracle_efficient_set(enumerate_subsets(k), "head")
-            by_head = {}
-            for s in efficient:
-                by_head.setdefault(head_transform(s.counting), []).append(s.elements)
-            res = solve_knapsack(k)
-            assert res.values() == tuple(sorted(by_head))
-            for e in res.entries:
-                assert e.representative == min(by_head[e.value])
-                assert head_transform(e.countings[0]) == e.value
+            assert solve_knapsack(k) == oracle_result(k, "knapsack")
 
     def test_knapsack_all_efficient_matches_oracle_solutions(self):
         rng = random.Random(52)
         for _ in range(60):
             k = random_knapsack(rng)
-            res = solve_knapsack(k, all_efficient=True)
-            listed = [s for e in res.entries for s in e.solutions]
-            expected = {
-                s.elements
-                for s in oracle_efficient_set(enumerate_subsets(k), "head")
-            }
-            assert len(listed) == len(set(listed))
-            assert set(listed) == expected
-            reps = [e.representative for e in solve_knapsack(k).entries]
-            assert reps == [min(e.solutions) for e in res.entries]
+            assert solve_knapsack(k, True) == oracle_result(k, "knapsack", True)
+
+    def test_mixed_with_two_ordinal_objectives(self):
+        # The oracle compares each objective on its own; the solver runs one
+        # Pareto search on the two tail vectors side by side.
+        rng = random.Random(4343)
+        for i in range(100):
+            g = random_graph(rng, max_nodes=6)
+            K = rng.randint(1, 3)
+            edges = [e._replace(categories=(*e.categories, rng.randint(1, K))) for e in g.edges]
+            spaces = (*g.spaces, CategorySpace(K))
+            g = GraphInstance(g.nodes, edges, spaces, g.source, g.target)
+            for all_efficient in (False, True):
+                assert solve_mixed(g, all_efficient) == oracle_result(
+                    g, "mixed", all_efficient, sampled=i % 3 == 0
+                )
 
 
 class TestKnapsack:
@@ -221,18 +197,15 @@ class TestKnapsack:
         script = textwrap.dedent("""
             import resource
             resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
-            from ordpareto.core import CategorySpace, head_transform
-            from ordpareto.oracle import enumerate_subsets, oracle_efficient_set
+            from ordpareto.core import CategorySpace
+            from ordpareto.oracle import oracle_result
             from ordpareto.solvers import Item, KnapsackInstance, solve_knapsack
             items = (Item(1, 6 * 10**11, 2), Item(2, 5 * 10**11, 1), Item(3, 1, 2))
             k = KnapsackInstance(items, 10**12, CategorySpace(2))
-            efficient = oracle_efficient_set(enumerate_subsets(k), "head")
-            res = solve_knapsack(k, all_efficient=True)
-            assert set(res.values()) == {head_transform(s.counting) for s in efficient}
-            assert {s for e in res.entries for s in e.solutions} == {
-                s.elements for s in efficient
-            }
-            assert solve_knapsack(k).entries[0].representative == (2, 3)
+            for all_efficient in (False, True):
+                res = solve_knapsack(k, all_efficient)
+                assert res == oracle_result(k, "knapsack", all_efficient)
+            assert res.entries[0].representative == (2, 3)
         """)
         proc = subprocess.run(
             [sys.executable, "-c", script],
@@ -302,24 +275,9 @@ class TestWeightedCounting:
 
     def test_against_enumeration(self):
         g = routes_weighted()
-        feasible = enumerate_paths(g)
-        edge_by_id = {e.id: e for e in g.edges}
-        outcomes = {}
-        for sol in feasible:
-            cw = [Fraction(0), Fraction(0)]
-            for eid in sol.elements:
-                e = edge_by_id[eid]
-                cw[e.categories[0] - 1] += e.weights[0]
-            outcomes[sol.elements] = (cw[0] + cw[1], cw[1])
-        frontier = {
-            v
-            for v in outcomes.values()
-            if not any(
-                all(a <= b for a, b in zip(w, v)) and w != v
-                for w in outcomes.values()
-            )
-        }
-        assert set(solve_weighted_counting(g).values()) == frontier
+        for all_efficient in (False, True):
+            res = solve_weighted_counting(g, all_efficient)
+            assert res == oracle_result(g, "wtop", all_efficient)
 
 
 class TestTrivialPath:
@@ -531,85 +489,18 @@ def random_digraph(rng, num_real, ordinal):
     return GraphInstance(nodes, edges, spaces, source, target, num_real)
 
 
-def brute_force(g, value_of, all_efficient):
-    """The SolveResult a path solver must return, from every simple path's
-    value summed in Fractions."""
-    edge_by_id = {e.id: e for e in g.edges}
-    # Simple paths depend on the edges' ends only, so the oracle enumerates
-    # them on a copy with one single-category objective.
-    shape = GraphInstance(
-        g.nodes,
-        tuple(Edge(e.id, e.tail, e.head, (), (1,)) for e in g.edges),
-        (CategorySpace(1),),
-        g.source,
-        g.target,
-    )
-    by_value = {}
-    for sol in enumerate_paths(shape):
-        edges = [edge_by_id[i] for i in sol.elements]
-        by_value.setdefault(value_of(g, edges), []).append(sol.elements)
-    if not by_value:
-        return SolveResult(UNREACHABLE)
-    entries = []
-    for value in sorted(by_value):
-        if any(
-            other != value and all(a <= b for a, b in zip(other, value))
-            for other in by_value
-        ):
-            continue
-        sols = sorted(by_value[value])
-        rep = [edge_by_id[i] for i in sols[0]]
-        countings = countings_of(g, rep)
-        weights = tuple(
-            sum((e.weights[j] for e in rep), Fraction(0)) for j in range(g.num_real)
-        )
-        entries.append(
-            ResultEntry(
-                value,
-                countings,
-                tuple(map(ordinal_vector, countings)),
-                weights,
-                tuple(sols if all_efficient else sols[:1]),
-            )
-        )
-    return SolveResult(OK, tuple(entries))
-
-
-def countings_of(g, edges):
-    return tuple(
-        counting_vector((e.categories[l] for e in edges), space)
-        for l, space in enumerate(g.spaces)
-    )
-
-
-def mixed_value(g, edges):
-    weights = tuple(
-        sum((e.weights[j] for e in edges), Fraction(0)) for j in range(g.num_real)
-    )
-    return weights + tuple(
-        c for counts in countings_of(g, edges) for c in tail_transform(counts)
-    )
-
-
-def wtop_value(g, edges):
-    return tuple(
-        sum((e.weights[0] for e in edges if e.categories[0] >= j), Fraction(0))
-        for j in range(1, g.spaces[0].K + 1)
-    )
-
-
 class TestIntegerSearch:
     """The path search runs on ints: real weights are scaled by the lcm of
     their denominators and divided back when the entries are built."""
 
-    CASES = [(solve_mixed, 2, mixed_value), (solve_weighted_counting, 1, wtop_value)]
+    CASES = [(solve_mixed, 2, "mixed"), (solve_weighted_counting, 1, "wtop")]
 
     @pytest.mark.parametrize("all_efficient", [False, True])
     @pytest.mark.parametrize(
-        "solver, num_real, value_of", CASES, ids=[c[0].__name__ for c in CASES]
+        "solver, num_real, problem", CASES, ids=[c[0].__name__ for c in CASES]
     )
     def test_scaled_search_matches_fraction_brute_force(
-        self, solver, num_real, value_of, all_efficient
+        self, solver, num_real, problem, all_efficient
     ):
         rng = random.Random(47)
         graphs = [weighted_grid(rng, num_real) for _ in range(40)]
@@ -619,9 +510,9 @@ class TestIntegerSearch:
             )
             for i in range(200)
         ]
-        for g in graphs:
+        for i, g in enumerate(graphs):
             res = solver(g, all_efficient)
-            assert res == brute_force(g, value_of, all_efficient)
+            assert res == oracle_result(g, problem, all_efficient, sampled=i % 3 == 0)
             K = sum(space.K for space in g.spaces)
             types = (
                 (Fraction,) * num_real + (int,) * K
@@ -687,10 +578,10 @@ class TestIntegerSearch:
 
     @pytest.mark.parametrize("all_efficient", [False, True])
     @pytest.mark.parametrize(
-        "solver, num_real, value_of", CASES, ids=[c[0].__name__ for c in CASES]
+        "solver, num_real, problem", CASES, ids=[c[0].__name__ for c in CASES]
     )
     def test_scale_beyond_64_bits_matches_brute_force(
-        self, solver, num_real, value_of, all_efficient
+        self, solver, num_real, problem, all_efficient
     ):
         rng = random.Random(53)
         wide = 0
@@ -709,17 +600,17 @@ class TestIntegerSearch:
             )
             g = GraphInstance(g.nodes, edges, g.spaces, g.source, g.target, num_real)
             wide += lcm(*(w.denominator for e in edges for w in e.weights)) > 2**64
-            assert solver(g, all_efficient) == brute_force(g, value_of, all_efficient)
+            assert solver(g, all_efficient) == oracle_result(g, problem, all_efficient)
         assert wide >= 40
 
-    SPARSE = CASES + [(solve_shortest_path, 0, mixed_value)]
+    SPARSE = CASES + [(solve_shortest_path, 0, "sp")]
 
     @pytest.mark.parametrize("all_efficient", [False, True])
     @pytest.mark.parametrize(
-        "solver, num_real, value_of", SPARSE, ids=[c[0].__name__ for c in SPARSE]
+        "solver, num_real, problem", SPARSE, ids=[c[0].__name__ for c in SPARSE]
     )
     def test_declared_nodes_far_above_edges_match_brute_force(
-        self, solver, num_real, value_of, all_efficient
+        self, solver, num_real, problem, all_efficient
     ):
         # With 12 nodes declared and at most 5 edges, a field is sized by
         # the sum of its edge costs plus the largest, not by 12 edges.
@@ -730,7 +621,7 @@ class TestIntegerSearch:
             if len(g.edges) > 5:
                 continue
             g = GraphInstance(12, g.edges, g.spaces, g.source, g.target, num_real)
-            assert solver(g, all_efficient) == brute_force(g, value_of, all_efficient)
+            assert solver(g, all_efficient) == oracle_result(g, problem, all_efficient)
             sparse += 1
 
     @pytest.mark.parametrize("all_efficient", [False, True])
@@ -739,7 +630,7 @@ class TestIntegerSearch:
         for _ in range(100):
             g = random_graph(rng, max_k=1)
             res = solve_shortest_path(g, all_efficient)
-            assert res == brute_force(g, mixed_value, all_efficient)
+            assert res == oracle_result(g, "sp", all_efficient)
 
 
 def zero_weight_wtop(nodes, arcs, source, target):
@@ -782,7 +673,7 @@ class TestLabelSetting:
         g = zero_weight_wtop(3, arcs, 1, 1)
         res = solve_weighted_counting(g, all_efficient)
         assert [(e.value, e.solutions) for e in res.entries] == [((0, 0), ((),))]
-        assert res == brute_force(g, wtop_value, all_efficient)
+        assert res == oracle_result(g, "wtop", all_efficient)
 
     @pytest.mark.parametrize("all_efficient", [False, True])
     def test_zero_cost_tie_after_the_pop_reaches_every_label_downstream(
@@ -797,8 +688,8 @@ class TestLabelSetting:
             g = zero_weight_wtop(5, arcs, 1, target)
             (entry,) = solve_weighted_counting(g, all_efficient).entries
             assert entry.solutions == (paths if all_efficient else paths[:1])
-            assert solve_weighted_counting(g, all_efficient) == brute_force(
-                g, wtop_value, all_efficient
+            assert solve_weighted_counting(g, all_efficient) == oracle_result(
+                g, "wtop", all_efficient
             )
 
     def test_all_efficient_layered_dag_fits_in_256_mb(self):
@@ -852,7 +743,7 @@ class TestLabelSetting:
         g = blob_wtop(m)
         for all_efficient in (False, True):
             res = solve_weighted_counting(g, all_efficient)
-            assert res == brute_force(g, wtop_value, all_efficient)
+            assert res == oracle_result(g, "wtop", all_efficient)
             assert res.entries[0].solutions == ((1, 2),)
 
     def test_walk_enters_no_dead_end_in_a_zero_cost_blob(self):
