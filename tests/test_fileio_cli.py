@@ -773,6 +773,51 @@ class TestErrorContract:
         )
 
 
+class TestParserOrder:
+    """An EDGE line reads its id, tail, head, weights and categories in that
+    order, so its first bad token is the one named; integer tokens read as
+    ``int`` reads them."""
+
+    def error(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        return str(exc.value)
+
+    def test_bad_id_is_named_before_a_bad_category(self):
+        text = GRAPH_HEAD + "EDGE x 1 2 1 y\nEDGE 2 2 3 1 2\nSOURCE 1\nTARGET 3\n"
+        assert self.error(text) == "line 3: not an integer: 'x'"
+
+    def test_bad_weight_is_named_before_a_bad_category(self):
+        text = GRAPH_HEAD + "EDGE 1 1 2 w y\nEDGE 2 2 3 1 2\nSOURCE 1\nTARGET 3\n"
+        assert self.error(text) == "line 3: not a rational number: 'w'"
+
+    def test_a_repeated_bad_weight_is_named_at_its_first_line(self):
+        edges = "EDGE 1 1 2 1 1\nEDGE 2 2 3 1/0 2\nEDGE 3 1 3 1/0 1\n"
+        text = "GRAPH 3 3\nOBJECTIVES real=1 ordinal=2\n" + edges + "SOURCE 1\nTARGET 3\n"
+        assert self.error(text) == "line 4: not a rational number: '1/0'"
+
+    @pytest.mark.parametrize("field", ["id", "tail", "head", "categories"])
+    @pytest.mark.parametrize(
+        "token", ["+3", "0003", "3_0", "٣", "-0", "3.0", "0x3", "_3", "3__0"]
+    )
+    def test_integer_tokens_read_as_int_reads_them(self, field, token):
+        fields = {"id": "1", "tail": "1", "head": "2", "categories": "1"}
+        fields[field] = token
+        edge = " ".join(fields.values())
+        text = f"GRAPH 40 1\nOBJECTIVES real=0 ordinal=40\nEDGE {edge}\nSOURCE 1\nTARGET 2\n"
+        try:
+            expected = int(token)
+        except ValueError:
+            assert self.error(text) == f"line 3: not an integer: {token!r}"
+            return
+        if expected < 1 and field != "id":  # a node or category 0 is out of range
+            assert "outside 1..40" in self.error(text)
+            return
+        (e,) = parse_instance(text).edges
+        value = getattr(e, field)
+        assert value == ((expected,) if field == "categories" else expected)
+
+
 class TestValueDigitLimit:
     """A frontier value with more digits than Python converts to a string
     ends in an error line, not a traceback. Each denominator below has 999

@@ -3,9 +3,9 @@
 Every file in ``instances/`` is run through ``solve`` with each problem,
 output format and mode, and through ``oracle-check`` with and without
 ``--sampled``. Every file in ``golden/malformed/`` (one per validation rule
-of the parser and the instances, one with no objective at all, two with
-several faults, and one whose bad edge follows terminal, comment and blank
-lines) is run through ``solve knapsack`` (``.txt``) or ``solve mixed``
+of the parser and the instances, one with no objective at all, three with
+several faults, one whose bad edge follows terminal, comment and blank
+lines, and one whose bad edge is the 100th of 120) is run through ``solve knapsack`` (``.txt``) or ``solve mixed``
 (``.graph``).
 A few bad command lines (an unknown subcommand or choice, a missing
 operand, an extra one, a 5000-character choice) pin the usage errors.
