@@ -33,6 +33,7 @@ from ordpareto.fileio import (
     emit_result,
     parse_instance,
     read_weight,
+    vector_text,
 )
 from ordpareto.solvers import (
     GraphInstance,
@@ -176,10 +177,12 @@ def _cmd_oracle_check(args) -> int:
     solve = solve_knapsack if problem == "knapsack" else solve_mixed
     solver_values = set(solve(inst).values())
     oracle_values = set(oracle_result(inst, problem, sampled=args.sampled).values())
+    solver, oracle = (", ".join(map(vector_text, sorted(values)))
+                      for values in (solver_values, oracle_values))
     if solver_values == oracle_values:
-        print(f"MATCH {sorted(solver_values)}")
+        print(f"MATCH [{solver}]")
         return 0
-    print(f"MISMATCH solver={sorted(solver_values)} oracle={sorted(oracle_values)}")
+    print(f"MISMATCH solver=[{solver}] oracle=[{oracle}]")
     return 2
 
 

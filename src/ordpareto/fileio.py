@@ -18,16 +18,18 @@ knapsack).
 
 The parser checks syntax and size bounds only: record arity, integers,
 rationals, the bounds above, header counts, record order, and that
-OBJECTIVES, SOURCE, TARGET and the two OBJECTIVES fields appear once each.
-What the records mean (node and category ranges, unique ids, nonnegative
-weights, positive consumptions, a nonnegative capacity) is checked once,
-by the instance classes; their errors name the record at fault, and the
-parser reports them at that record's line.
+OBJECTIVES, SOURCE, TARGET and the two OBJECTIVES fields appear once each;
+it reads each distinct weight token once per parse. What the records mean
+(node and category ranges, unique ids, nonnegative weights, positive
+consumptions, a nonnegative capacity) is checked once, by the instance
+classes, a graph's by whole columns first and edge by edge only to name
+the record at fault; the parser reports an error at that record's line.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cache
 
 from ordpareto.core import (
     CategorySpace,
@@ -101,15 +103,21 @@ def read_weight(token: str) -> Fraction:
     return value
 
 
-def _int(token: str, line_no: int) -> int:
+def _ints(tokens: Sequence[str], line_no: int) -> tuple[int, ...]:
+    """Each token as an int by one ``map``; only a failed map names its token."""
     try:
-        return int(token)
+        return tuple(map(int, tokens))
     except ValueError:
-        reason = too_many_digits(token) or f"not an integer: {excerpt(token)}"
-        raise ParseError(line_no, reason) from None
+        for token in tokens:
+            try:
+                int(token)
+            except ValueError:
+                reason = too_many_digits(token) or f"not an integer: {excerpt(token)}"
+                raise ParseError(line_no, reason) from None
+        raise
 
 
-def _spaces(num_real: int, ks: list[int], line_no: int) -> tuple[CategorySpace, ...]:
+def _spaces(num_real: int, ks: Sequence[int], line_no: int) -> tuple[CategorySpace, ...]:
     """The category spaces of an OBJECTIVES or KNAPSACK line, refused if
     their values would have more than MAX_COMPONENTS components; a K below
     1 is refused by CategorySpace."""
@@ -125,9 +133,9 @@ def parse_instance(text: str) -> GraphInstance | KnapsackInstance:
     """Parse an instance file into a validated graph or knapsack instance."""
     lines = []
     for no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((no, stripped.split()))
+        tokens = raw.partition("#")[0].split()
+        if tokens:
+            lines.append((no, tokens))
     if not lines:
         raise ParseError(1, "empty instance file")
 
@@ -143,12 +151,12 @@ def _parse_graph(lines) -> GraphInstance:
     no, head = lines[0]
     if len(head) != 3:
         raise ParseError(no, "GRAPH header needs <nodes> <edges>")
-    nodes = _int(head[1], no)
-    edge_count = _int(head[2], no)
+    nodes, edge_count = _ints(head[1:], no)
 
     num_real = 0
     spaces: tuple[CategorySpace, ...] = ()
     edges: list[Edge] = []
+    read = cache(read_weight)  # a weight token is read once per parse
     once: dict[str, tuple[int, int | None]] = {}  # OBJECTIVES, SOURCE, TARGET: (line, value)
 
     for no, tokens in lines[1:]:
@@ -166,8 +174,8 @@ def _parse_graph(lines) -> GraphInstance:
                 if name in fields:
                     raise ParseError(no, f"repeated OBJECTIVES field {name}=")
                 fields[name] = field
-            num_real = _int(fields["real"], no)
-            ks = [_int(k, no) for k in fields["ordinal"].split(",")] if fields["ordinal"] else []
+            (num_real,) = _ints([fields["real"]], no)
+            ks = _ints(fields["ordinal"].split(","), no) if fields["ordinal"] else ()
             if num_real < 0:
                 raise ParseError(no, "real objective count must be >= 0")
             spaces = _spaces(num_real, ks, no)
@@ -182,19 +190,16 @@ def _parse_graph(lines) -> GraphInstance:
                     f"EDGE needs id, tail, head, {num_real} weights and "
                     f"{len(spaces)} categories ({expected - 1} fields)",
                 )
-            eid = _int(tokens[1], no)
-            u = _int(tokens[2], no)
-            v = _int(tokens[3], no)
+            eid, u, v = _ints(tokens[1:4], no)
             try:
-                weights = tuple(map(read_weight, tokens[4 : 4 + num_real]))
+                weights = tuple(map(read, tokens[4 : 4 + num_real]))
             except OrdparetoError as exc:
                 raise ParseError(no, str(exc)) from None
-            cats = tuple(_int(t, no) for t in tokens[4 + num_real :])
-            edges.append(Edge(eid, u, v, weights, cats))
+            edges.append(Edge(eid, u, v, weights, _ints(tokens[4 + num_real :], no)))
         elif key in ("SOURCE", "TARGET"):
             if len(tokens) != 2:
                 raise ParseError(no, f"{key} needs <node>")
-            once[key] = (no, _int(tokens[1], no))
+            once[key] = (no, *_ints(tokens[1:], no))
         else:
             raise ParseError(no, f"unknown record {excerpt(key)}")
 
@@ -223,9 +228,8 @@ def _parse_knapsack(lines) -> KnapsackInstance:
     no, head = lines[0]
     if len(head) != 4:
         raise ParseError(no, "KNAPSACK header needs <items> <capacity> <K>")
-    item_count = _int(head[1], no)
-    capacity = _int(head[2], no)
-    (space,) = _spaces(0, [_int(head[3], no)], no)
+    item_count, capacity, k = _ints(head[1:], no)
+    (space,) = _spaces(0, [k], no)
 
     items: list[Item] = []
     for no, tokens in lines[1:]:
@@ -233,9 +237,7 @@ def _parse_knapsack(lines) -> KnapsackInstance:
             raise ParseError(no, f"unknown record {excerpt(tokens[0])}")
         if len(tokens) != 4:
             raise ParseError(no, "ITEM needs <id> <consumption> <category>")
-        items.append(
-            Item(_int(tokens[1], no), _int(tokens[2], no), _int(tokens[3], no))
-        )
+        items.append(Item(*_ints(tokens[1:], no)))
     no = lines[0][0]
     if len(items) != item_count:
         raise ParseError(
@@ -249,8 +251,9 @@ def _parse_knapsack(lines) -> KnapsackInstance:
         raise ParseError(line, str(exc)) from None
 
 
-def _vec(values: Sequence) -> str:
-    return "(" + ",".join(str(v) for v in values) + ")"
+def vector_text(values: Sequence) -> str:
+    """A vector as the text format prints it: ``(3,1/2,eta1)``."""
+    return "(" + ",".join(map(str, values)) + ")"
 
 
 def emit_result(res: SolveResult, fmt: str = TEXT, problem: str = "sp") -> str:
@@ -269,6 +272,7 @@ def emit_result(res: SolveResult, fmt: str = TEXT, problem: str = "sp") -> str:
     if problem not in _NAMES:
         raise OrdparetoError(f"unknown problem {problem!r}; choose from {PROBLEMS}")
     value_key, solution_key, prefix = _NAMES[problem]
+    sep = "," + prefix
     try:  # str() and json raise ValueError only past the digit limit
         if fmt == JSON:
             return _emit_json(res)
@@ -278,12 +282,12 @@ def emit_result(res: SolveResult, fmt: str = TEXT, problem: str = "sp") -> str:
             return "\n".join(" ".join(map(str, e.value)) for e in res.entries) + "\n"
         lines = []
         for entry in res.entries:
-            parts = ["w=" + _vec(entry.weights)] if entry.weights else []
-            parts += ["c=" + _vec(counts) for counts in entry.countings]
-            parts.append(value_key + "=" + _vec(entry.value))
-            parts += ["o=" + _vec([f"eta{i}" for i in o]) for o in entry.ordinals]
+            parts = ["w=" + vector_text(entry.weights)] if entry.weights else []
+            parts += ["c=" + vector_text(counts) for counts in entry.countings]
+            parts.append(value_key + "=" + vector_text(entry.value))
+            parts += ["o=" + vector_text([f"eta{i}" for i in o]) for o in entry.ordinals]
             for sol in entry.solutions:
-                parts.append(solution_key + "=" + ",".join(prefix + str(i) for i in sol))
+                parts.append(f"{solution_key}={prefix + sep.join(map(str, sol)) if sol else ''}")
             lines.append(" ".join(parts))
         return "\n".join(sorted(lines)) + "\n"
     except ValueError:

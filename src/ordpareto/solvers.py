@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from operator import getitem
+from operator import attrgetter, getitem
 
 from ordpareto.core import (
     B_HEAD,
@@ -76,8 +76,21 @@ class GraphInstance(
         for node in (source, target):
             if not 1 <= node <= nodes:
                 raise InstanceError(f"terminal node {excerpt(node)} out of range")
+        try:  # whole columns first; the records below only word an error
+            ids, tails, heads, weights, cats = zip(*edges)
+            ranges = [(tails + heads, nodes), *zip(zip(*cats), (s.K for s in spaces))]
+            valid = (
+                len(set(ids)) == len(ids) and set(map(type, edges)) == {Edge}
+                and set(map(len, weights)) == {num_real} and set(map(len, cats)) == {len(spaces)}
+                and all(set(map(type, col)) <= {int, Fraction}
+                        and min(map(attrgetter("numerator"), col)) >= 0 for col in zip(*weights))
+                and all(set(map(type, col)) == {int} and 1 <= min(col) and max(col) <= top
+                        for col, top in ranges)
+            )
+        except (AttributeError, TypeError, ValueError):  # no edges, or odd records
+            valid = False
         seen = set()
-        for i, e in enumerate(edges):
+        for i, e in enumerate(() if valid else edges):
             if e.id in seen:
                 raise InstanceError(f"duplicate edge id {excerpt(e.id)}", i)
             seen.add(e.id)

@@ -421,7 +421,102 @@ class TestInstanceErrors:
         assert len(str(info.value)) <= 200
 
 
-PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+class Rank(int):
+    """An int subclass, as an API caller may pass for a node or category."""
+
+
+class Ratio:
+    """Not a number, though it has a numerator and a denominator."""
+
+    numerator, denominator = 1, 2
+
+
+class TestColumnCheck:
+    """``GraphInstance`` checks whole columns first and runs its per-edge
+    loop only when a column fails. One rule broken at one random edge of a
+    graph of 100-160 edges is still refused with the loop's message and
+    record, and types the columns do not accept build as they always did."""
+
+    def graph(self, rng, num_real):
+        nodes = rng.randint(10, 40)
+        ks = [rng.randint(1, 5) for _ in range(rng.randint(1, 3))]
+        edges = [
+            Edge(eid, rng.randint(1, nodes), rng.randint(1, nodes),
+                 tuple(random_weight(rng) for _ in range(num_real)),
+                 tuple(rng.randint(1, k) for k in ks))
+            for eid in rng.sample(range(1, 1000), rng.randint(100, 160))
+        ]
+        return nodes, edges, tuple(map(CategorySpace, ks))
+
+    RULES = ["duplicate id", "node 0", "node nodes + 1", "node nan", "weight count",
+             "str weight", "float weight", "Ratio weight", "negative weight", "category count",
+             "category 0", "category K + 1", "category nan"]
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("rule", RULES)
+    def test_one_broken_edge_is_refused_by_its_record(self, rule, seed):
+        rng = random.Random(f"{rule}/{seed}")
+        num_real = rng.randint(1 if "weight" in rule else 0, 2)
+        nodes, edges, spaces = self.graph(rng, num_real)
+        i = rng.randrange(1, len(edges))
+        e = edges[i]
+        w, j = rng.randrange(num_real or 1), rng.randrange(len(spaces))
+        end = rng.choice(("tail", "head"))
+        if rule == "duplicate id":
+            e = e._replace(id=edges[rng.randrange(i)].id)
+            message = f"duplicate edge id {e.id}"
+        elif rule.startswith("node"):
+            node = {"node 0": 0, "node nan": float("nan")}.get(rule, nodes + 1)
+            e = e._replace(**{end: node})
+            message = f"edge {e.id} touches node {node} outside 1..{nodes}"
+        elif rule == "weight count":
+            e = e._replace(weights=e.weights + (1,))
+            message = f"edge {e.id} has {num_real + 1} weights, expected {num_real}"
+        elif rule.endswith("weight"):
+            bad = {"str weight": "1", "float weight": 0.5, "Ratio weight": Ratio(),
+                   "negative weight": Fraction(-1, 3)}
+            e = e._replace(weights=e.weights[:w] + (bad[rule],) + e.weights[w + 1 :])
+            message = (
+                f"edge {e.id} has a negative weight" if rule == "negative weight"
+                else f"edge {e.id} has a weight that is neither an int nor a Fraction"
+            )
+        elif rule == "category count":
+            e = e._replace(categories=e.categories[1:])
+            message = f"edge {e.id} has {len(spaces) - 1} categories, expected {len(spaces)}"
+        else:
+            K = spaces[j].K
+            cat = {"category 0": 0, "category nan": float("nan")}.get(rule, K + 1)
+            e = e._replace(categories=e.categories[:j] + (cat,) + e.categories[j + 1 :])
+            message = f"edge {e.id}: category {cat} outside 1..{K}"
+        edges[i] = e
+        with pytest.raises(InstanceError) as info:
+            GraphInstance(nodes, edges, spaces, 1, nodes, num_real)
+        assert (str(info.value), info.value.record) == (message, i)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("weights", (True,)), ("weights", (Fraction(1, 2), False)),
+         ("categories", (Rank(1),)), ("tail", Rank(2)), ("head", True)],
+    )
+    def test_types_the_columns_refuse_still_build(self, field, value):
+        rng = random.Random(field)
+        num_real = len(value) if field == "weights" else 1
+        nodes, edges, spaces = self.graph(rng, num_real)
+        spaces = spaces[: len(value)] if field == "categories" else spaces
+        edges = [e._replace(categories=e.categories[: len(spaces)]) for e in edges]
+        i = rng.randrange(len(edges))
+        edges[i] = edges[i]._replace(**{field: value})
+        g = GraphInstance(nodes, edges, spaces, 1, nodes, num_real)
+        assert g.edges == tuple(edges) and g.edges[i] is edges[i]
+
+    def test_a_plain_tuple_edge_is_refused_as_before(self):
+        nodes, edges, spaces = self.graph(random.Random(0), 0)
+        edges[50] = tuple(edges[50])
+        with pytest.raises(AttributeError):
+            GraphInstance(nodes, edges, spaces, 1, nodes, 0)
+
+
+PRIMES =(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def random_weight(rng):
