@@ -5,8 +5,8 @@ output format and mode, and through ``oracle-check`` with and without
 ``--sampled``. Every file in ``golden/malformed/`` (one per validation rule
 of the parser and the instances, one with no objective at all, three with
 several faults, one whose bad edge follows terminal, comment and blank
-lines, and one whose bad edge is the 100th of 120) is run through ``solve knapsack`` (``.txt``) or ``solve mixed``
-(``.graph``).
+lines, and one whose bad edge is the 100th of 120) is run through
+``solve knapsack`` (``.txt``) or ``solve mixed`` (``.graph``).
 A few bad command lines (an unknown subcommand or choice, a missing
 operand, an extra one, a 5000-character choice) pin the usage errors.
 The subcommands that read vectors (``filter``, ``transform``, ``scalarize``

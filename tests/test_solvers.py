@@ -516,7 +516,7 @@ class TestColumnCheck:
             GraphInstance(nodes, edges, spaces, 1, nodes, 0)
 
 
-PRIMES =(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def random_weight(rng):
