@@ -177,8 +177,11 @@ def _cmd_oracle_check(args) -> int:
     solve = solve_knapsack if problem == "knapsack" else solve_mixed
     solver_values = set(solve(inst).values())
     oracle_values = set(oracle_result(inst, problem, sampled=args.sampled).values())
-    solver, oracle = (", ".join(map(vector_text, sorted(values)))
-                      for values in (solver_values, oracle_values))
+    try:  # str() raises ValueError only past the digit limit
+        solver, oracle = (", ".join(map(vector_text, sorted(values)))
+                          for values in (solver_values, oracle_values))
+    except ValueError:
+        raise unprintable("a frontier value") from None
     if solver_values == oracle_values:
         print(f"MATCH [{solver}]")
         return 0

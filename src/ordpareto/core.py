@@ -161,10 +161,14 @@ def pareto_front(values: Sequence[Sequence], sense: str = "min") -> list[int]:
     front: list[int] = []
     for i in sorted(range(len(values)), key=packed.__getitem__):
         v = packed[i]
-        ceiling = v | guards
         if front and v == front[-1]:
             keep.append(i)
-        elif not any(ceiling - u & guards == guards for u in front):
+            continue
+        ceiling = v | guards
+        for u in front:
+            if ceiling - u & guards == guards:
+                break
+        else:
             front.append(v)
             keep.append(i)
     return keep

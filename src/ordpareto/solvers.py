@@ -226,12 +226,14 @@ def _multiobjective_shortest_paths(
     weights to ints). Returns a map from each non-dominated cost vector at
     the target to the sorted edge-id paths attaining it (only the smallest
     unless ``all_efficient``). Values are ints packed as
-    :func:`ordpareto.core.fields` lays out, and labels pop from a heap of
-    ``value << node_bits | node`` in lexicographic order (Martins 1984). A
-    new value is never below the popped one and evicts only values it
-    dominates, which are above it, so a popped label is final: a simple
-    path's value, extended once. Field j holds the bound
+    :func:`ordpareto.core.fields` lays out, each distinct cost once, and
+    labels pop from a heap of ``value << node_bits | node`` in lexicographic
+    order (Martins 1984). A new value is never below the popped one and
+    evicts only values it dominates, which are above it, so a popped label
+    is final: a simple path's value, extended once. Field j holds the bound
     ``min(nodes * max_j, sum_j + max_j)`` on new values; a carry raises.
+    A new value's scan of its bucket stops at the first label dominating it,
+    and only a kept value scans the bucket again for the labels it evicts.
 
     Default mode keeps ``[smallest path, extended?]`` per label; a smaller
     tie after the pop pushes the label again. ``all_efficient`` keeps the
@@ -248,9 +250,10 @@ def _multiobjective_shortest_paths(
     from heapq import heappop, heappush  # loaded by path searches only
     bounds = [min(g.nodes * max(c), sum(c) + max(c)) for c in zip(zero, *cost.values())]
     shifts, masks, guards = fields(bounds)
+    packed = {c: pack(c, shifts) for c in set(cost.values())}  # sp has at most K distinct costs
     outgoing: dict[int, list[tuple[int, int, int, int]]] = {}  # (edge id, head, packed cost, tail)
     for e in sorted(g.edges, key=lambda e: e.id):
-        outgoing.setdefault(e.tail, []).append((e.id, e.head, pack(cost[e.id], shifts), e.tail))
+        outgoing.setdefault(e.tail, []).append((e.id, e.head, packed[cost[e.id]], e.tail))
     node_bits = g.nodes.bit_length()
     node_mask = (1 << node_bits) - 1
     # labels[node]: packed value -> arcs in from final labels, or [path, extended?]
@@ -277,12 +280,14 @@ def _multiobjective_shortest_paths(
             # bucket, so a tie needs no dominance test; otherwise <= is strict.
             if entry is None:
                 ceiling = new_value | guards
-                if any(ceiling - other & guards == guards for other in bucket):
-                    continue
-                for other in [o for o in bucket if (o | guards) - new_value & guards == guards]:
-                    del bucket[other]
-                bucket[new_value] = [arc] if all_efficient else [path + (edge_id,), False]
-                heappush(heap, new_value << node_bits | to)
+                for other in bucket:
+                    if ceiling - other & guards == guards:
+                        break  # dominated: no label kept, none evicted
+                else:
+                    for other in [o for o in bucket if (o | guards) - new_value & guards == guards]:
+                        del bucket[other]
+                    bucket[new_value] = [arc] if all_efficient else [path + (edge_id,), False]
+                    heappush(heap, new_value << node_bits | to)
             elif all_efficient:
                 entry.append(arc)
             elif path + (edge_id,) < entry[0]:

@@ -1,15 +1,18 @@
 """Reference code that only the tests call.
 
 The paper's two other formulas for a solution's value under a numerical
-representation, the cone matrices entry by entry, and the instance writer
-that the parser's round-trip tests invert. The package computes none of
-these, so they live here, beside the tests that check the package against
-them.
+representation, the cone matrices entry by entry, the instance writer
+that the parser's round-trip tests invert, and small graphs of the shapes
+the label search is timed on. The package computes none of these, so they
+live here, beside the tests that check the package against them.
 """
 
-from ordpareto.core import A_HEAD, A_TAIL, B_TAIL, ConeMatrix
+from fractions import Fraction
+from random import Random
+
+from ordpareto.core import A_HEAD, A_TAIL, B_TAIL, CategorySpace, ConeMatrix
 from ordpareto.oracle import NumericalRepresentation
-from ordpareto.solvers import GraphInstance, KnapsackInstance
+from ordpareto.solvers import Edge, GraphInstance, KnapsackInstance
 
 
 def numeric_value_per_element(nu: NumericalRepresentation, cats) -> int:
@@ -66,3 +69,31 @@ def emit_instance(inst: GraphInstance | KnapsackInstance) -> str:
         for item in inst.items:
             out.append(f"ITEM {item.id} {item.weight} {item.category}")
     return "\n".join(out) + "\n"
+
+
+def layered_dag(rng: Random, layers: int, width: int, K: int) -> GraphInstance:
+    """Source, ``layers`` layers of ``width`` nodes, then the target, with
+    consecutive layers joined complete-bipartite. Each edge has a uniform
+    category in 1..K and no weight."""
+    target = layers * width + 2
+    columns = [[1], *(range(2 + l * width, 2 + (l + 1) * width) for l in range(layers)), [target]]
+    arcs = [(u, v) for us, vs in zip(columns, columns[1:]) for u in us for v in vs]
+    edges = (Edge(i, u, v, (), (rng.randint(1, K),)) for i, (u, v) in enumerate(arcs, start=1))
+    return GraphInstance(target, edges, (CategorySpace(K),), 1, target)
+
+
+def bidirected_grid(rng: Random, rows: int, cols: int, K: int) -> GraphInstance:
+    """A rows x cols grid with both arcs between neighbours, from corner to
+    corner. Each arc has one weight a/b (a in 1..9, b in 1..4) and a uniform
+    category in 1..K."""
+    arcs = []
+    for u in range(1, rows * cols + 1):
+        if u % cols:
+            arcs += [(u, u + 1), (u + 1, u)]
+        if u + cols <= rows * cols:
+            arcs += [(u, u + cols), (u + cols, u)]
+    edges = (
+        Edge(i, u, v, (Fraction(rng.randint(1, 9), rng.randint(1, 4)),), (rng.randint(1, K),))
+        for i, (u, v) in enumerate(arcs, start=1)
+    )
+    return GraphInstance(rows * cols, edges, (CategorySpace(K),), 1, rows * cols, 1)

@@ -845,6 +845,15 @@ class TestValueDigitLimit:
             "(Python's int-to-str limit)\n"
         )
 
+    def test_oracle_check_is_refused(self, capsys, tmp_path):
+        assert main(["oracle-check", self.chain(tmp_path, 5)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: a frontier value has more than 4300 digits "
+            "(Python's int-to-str limit)\n"
+        )
+
     def test_the_solver_returns_the_exact_value(self, tmp_path):
         with open(self.chain(tmp_path, 5), encoding="utf-8") as fh:
             res = solve_mixed(parse_instance(fh.read()))

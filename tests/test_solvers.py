@@ -36,6 +36,7 @@ from ordpareto.solvers import (
 )
 
 from conftest import random_graph, random_knapsack, routes_k3, routes_weighted
+from helpers import bidirected_grid, layered_dag
 
 
 class TestShortestPath:
@@ -857,3 +858,49 @@ class TestLabelSetting:
             capture_output=True, text=True, timeout=10,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestBenchmarkShape:
+    """The label search at K = 10, the benchmark's size, where a node can
+    hold several labels, so a scan may end at a dominating one before its
+    last label. The graphs stay within the oracle's 12 nodes."""
+
+    @pytest.mark.parametrize("all_efficient", [False, True])
+    def test_sp_on_layered_dags_matches_the_oracle(self, all_efficient):
+        rng = random.Random(71)
+        sizes = []
+        for i in range(40):
+            g = layered_dag(rng, *((3, 3), (5, 2))[i % 2], 10)
+            res = solve_shortest_path(g, all_efficient)
+            assert res == oracle_result(g, "sp", all_efficient)
+            sizes.append(len(res.entries))
+        assert sum(n >= 3 for n in sizes) >= len(sizes) // 3
+
+    CASES = [(solve_mixed, "mixed"), (solve_weighted_counting, "wtop")]
+
+    @pytest.mark.parametrize("all_efficient", [False, True])
+    @pytest.mark.parametrize("solver, problem", CASES, ids=[c[1] for c in CASES])
+    def test_grids_match_the_oracle(self, solver, problem, all_efficient):
+        rng = random.Random(73)
+        sizes = []
+        for i in range(30):
+            g = bidirected_grid(rng, 3, 3 + i % 2, 10)
+            res = solver(g, all_efficient)
+            assert res == oracle_result(g, problem, all_efficient)
+            sizes.append(len(res.entries))
+        assert sum(n >= 3 for n in sizes) >= len(sizes) // 3
+
+    # Edges 5 and 2 run in parallel from node 2 to node 3 at equal cost, on
+    # the only path: they share one packed cost and stay two paths.
+    @pytest.mark.parametrize(
+        "solver, num_real", [(solve_shortest_path, 0), (solve_mixed, 1), (solve_weighted_counting, 1)]
+    )
+    def test_edges_of_equal_cost_stay_distinct(self, solver, num_real):
+        w = (Fraction(3, 2),) * num_real
+        edges = (Edge(1, 1, 2, w, (2,)), Edge(5, 2, 3, w, (3,)), Edge(2, 2, 3, w, (3,)),
+                 Edge(4, 3, 4, w, (1,)))
+        g = GraphInstance(4, edges, (CategorySpace(3),), 1, 4, num_real)
+        (entry,) = solver(g).entries
+        assert entry.solutions == ((1, 2, 4),)
+        (entry,) = solver(g, True).entries
+        assert entry.solutions == ((1, 2, 4), (1, 5, 4))
