@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 
 import ordpareto
 from ordpareto.core import (
@@ -60,28 +61,29 @@ def __getattr__(name: str):
 
 
 def _read_int_vectors(stream) -> list[tuple[int, ...]]:
-    vectors = []
-    for no, raw in enumerate(stream, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.replace(",", " ").split()
-        try:
-            vector = tuple(map(int, tokens))
-        except ValueError:
-            reason = next(filter(None, map(too_many_digits, tokens)), "")
-            if reason:
-                raise OrdparetoError(f"line {no}: {reason}") from None
-            vector = ()
-        if not vector:
-            raise OrdparetoError(f"line {no}: not an integer vector: {excerpt(line)}")
-        vectors.append(vector)
-    if not vectors:
+    """One vector per line, all converted by one ``map``; only a failure walks the lines."""
+    lines = [raw.split("#", 1)[0].strip() for raw in stream.read().split("\n")]
+    rows = [line.replace(",", " ").split() for line in lines if line]
+    try:
+        values = list(map(int, chain.from_iterable(rows)))
+    except ValueError:
+        values = None
+    if values is None or not all(rows):
+        for no, line in enumerate(lines, start=1):
+            tokens = line.replace(",", " ").split()
+            try:
+                vector = tuple(map(int, tokens))
+            except ValueError:
+                vector = ()
+            if line and not vector:
+                reason = next(filter(None, map(too_many_digits, tokens)), "")
+                raise OrdparetoError(f"line {no}: {reason or 'not an integer vector: ' + excerpt(line)}")
+    if not rows:
         raise OrdparetoError("no vectors on stdin")
-    dim = len(vectors[0])
-    if any(len(v) != dim for v in vectors):
+    dim = len(rows[0])
+    if any(len(row) != dim for row in rows):
         raise OrdparetoError("vectors have differing lengths")
-    return vectors
+    return list(zip(*[iter(values)] * dim))
 
 
 def _format_vec(v) -> str:

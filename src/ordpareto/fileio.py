@@ -1,6 +1,7 @@
 """Instance file parsing and result serialization.
 
-Line-oriented text format, '#' starts a comment:
+Line-oriented text format; a line ends only at \\n, \\r\\n or \\r, as open()
+reads it, and '#' starts a comment:
 
     GRAPH <nodes> <edges>
     OBJECTIVES real=<p> ordinal=<K1[,K2,...]>
@@ -18,9 +19,10 @@ knapsack).
 
 The parser checks syntax and size bounds only: record arity, integers,
 rationals, the bounds above, header counts, record order, and that
-OBJECTIVES, SOURCE, TARGET and the two OBJECTIVES fields appear once each;
-it reads each distinct weight token once per parse. What the records mean
-(node and category ranges, unique ids, nonnegative weights, positive
+OBJECTIVES, SOURCE, TARGET and the two OBJECTIVES fields appear once each.
+EDGE and ITEM fields convert by column, each distinct weight token once
+per parse, and record by record only to word an error. What the records
+mean (node and category ranges, unique ids, nonnegative weights, positive
 consumptions, a nonnegative capacity) is checked once, by the instance
 classes, a graph's by whole columns first and edge by edge only to name
 the record at fault; the parser reports an error at that record's line.
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cache
+from itertools import repeat
 
 from ordpareto.core import (
     CategorySpace,
@@ -132,7 +135,8 @@ def _spaces(num_real: int, ks: Sequence[int], line_no: int) -> tuple[CategorySpa
 def parse_instance(text: str) -> GraphInstance | KnapsackInstance:
     """Parse an instance file into a validated graph or knapsack instance."""
     lines = []
-    for no, raw in enumerate(text.splitlines(), start=1):
+    text = text.replace("\r\n", "\n").replace("\r", "\n")  # the newlines open() reads
+    for no, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.partition("#")[0].split()
         if tokens:
             lines.append((no, tokens))
@@ -147,61 +151,79 @@ def parse_instance(text: str) -> GraphInstance | KnapsackInstance:
     raise ParseError(no, f"expected GRAPH or KNAPSACK header, got {excerpt(head[0])}")
 
 
+def _fields(records, num_real: int = 0, read=read_weight):
+    """Three int columns, then per record its weights and its categories, of
+    equal-length EDGE or ITEM records ``(line, tokens)``, one ``map`` per
+    column. Only a failed column reads the records one by one, to name the
+    first bad token in line order: id, tail, head, weights, categories."""
+    columns = list(zip(*[tokens for _, tokens in records]))
+    try:
+        ints = [tuple(map(int, column)) for column in columns[1:4]] or [()] * 3
+        weights = [tuple(map(read, column)) for column in columns[4 : 4 + num_real]]
+        categories = [tuple(map(int, column)) for column in columns[4 + num_real :]]
+    except (ValueError, OrdparetoError):
+        for no, tokens in records:
+            _ints(tokens[1:4], no)
+            try:
+                tuple(map(read, tokens[4 : 4 + num_real]))
+            except OrdparetoError as exc:
+                raise ParseError(no, str(exc)) from None
+            _ints(tokens[4 + num_real :], no)
+        raise
+    none = repeat(())  # zip() of no columns would yield no record
+    return *ints, zip(*weights) if weights else none, zip(*categories) if categories else none
+
+
 def _parse_graph(lines) -> GraphInstance:
     no, head = lines[0]
     if len(head) != 3:
         raise ParseError(no, "GRAPH header needs <nodes> <edges>")
     nodes, edge_count = _ints(head[1:], no)
 
-    num_real = 0
+    num_real = width = 0  # width: tokens per EDGE line, set by OBJECTIVES
     spaces: tuple[CategorySpace, ...] = ()
-    edges: list[Edge] = []
+    records = []  # (line, tokens) of each EDGE, converted after the loop
     read = cache(read_weight)  # a weight token is read once per parse
     once: dict[str, tuple[int, int | None]] = {}  # OBJECTIVES, SOURCE, TARGET: (line, value)
 
-    for no, tokens in lines[1:]:
-        key = tokens[0]
-        if key in once:
-            raise ParseError(no, f"repeated {key} line")
-        if key == "OBJECTIVES":
-            if len(tokens) != 3:
-                raise ParseError(no, "OBJECTIVES needs real=<p> ordinal=<Ks>")
-            fields: dict[str, str] = {}
-            for token in tokens[1:]:
-                name, eq, field = token.partition("=")
-                if not eq or name not in ("real", "ordinal"):
-                    raise ParseError(no, f"unknown OBJECTIVES field {excerpt(token)}")
-                if name in fields:
-                    raise ParseError(no, f"repeated OBJECTIVES field {name}=")
-                fields[name] = field
-            (num_real,) = _ints([fields["real"]], no)
-            ks = _ints(fields["ordinal"].split(","), no) if fields["ordinal"] else ()
-            if num_real < 0:
-                raise ParseError(no, "real objective count must be >= 0")
-            spaces = _spaces(num_real, ks, no)
-            once[key] = (no, None)
-        elif key == "EDGE":
-            if "OBJECTIVES" not in once:
-                raise ParseError(no, "EDGE before OBJECTIVES line")
-            expected = 4 + num_real + len(spaces)
-            if len(tokens) != expected:
-                raise ParseError(
-                    no,
-                    f"EDGE needs id, tail, head, {num_real} weights and "
-                    f"{len(spaces)} categories ({expected - 1} fields)",
-                )
-            eid, u, v = _ints(tokens[1:4], no)
-            try:
-                weights = tuple(map(read, tokens[4 : 4 + num_real]))
-            except OrdparetoError as exc:
-                raise ParseError(no, str(exc)) from None
-            edges.append(Edge(eid, u, v, weights, _ints(tokens[4 + num_real :], no)))
-        elif key in ("SOURCE", "TARGET"):
-            if len(tokens) != 2:
-                raise ParseError(no, f"{key} needs <node>")
-            once[key] = (no, *_ints(tokens[1:], no))
-        else:
-            raise ParseError(no, f"unknown record {excerpt(key)}")
+    try:
+        for no, tokens in lines[1:]:
+            key = tokens[0]
+            if key == "EDGE":
+                if len(tokens) != width:
+                    if not width:
+                        raise ParseError(no, "EDGE before OBJECTIVES line")
+                    raise ParseError(no, f"EDGE needs id, tail, head, {num_real} weights and "
+                                         f"{len(spaces)} categories ({width - 1} fields)")
+                records.append((no, tokens))
+            elif key in once:
+                raise ParseError(no, f"repeated {key} line")
+            elif key == "OBJECTIVES":
+                if len(tokens) != 3:
+                    raise ParseError(no, "OBJECTIVES needs real=<p> ordinal=<Ks>")
+                fields: dict[str, str] = {}
+                for token in tokens[1:]:
+                    name, eq, field = token.partition("=")
+                    if not eq or name not in ("real", "ordinal"):
+                        raise ParseError(no, f"unknown OBJECTIVES field {excerpt(token)}")
+                    if name in fields:
+                        raise ParseError(no, f"repeated OBJECTIVES field {name}=")
+                    fields[name] = field
+                (num_real,) = _ints([fields["real"]], no)
+                ks = _ints(fields["ordinal"].split(","), no) if fields["ordinal"] else ()
+                if num_real < 0:
+                    raise ParseError(no, "real objective count must be >= 0")
+                spaces = _spaces(num_real, ks, no)
+                width = 4 + num_real + len(spaces)
+                once[key] = (no, None)
+            elif key in ("SOURCE", "TARGET"):
+                if len(tokens) != 2:
+                    raise ParseError(no, f"{key} needs <node>")
+                once[key] = (no, *_ints(tokens[1:], no))
+            else:
+                raise ParseError(no, f"unknown record {excerpt(key)}")
+    finally:  # a bad token on an earlier EDGE line wins over a loop error
+        edges = list(map(Edge._make, zip(*_fields(records, num_real, read))))
 
     no = lines[0][0]
     if "OBJECTIVES" not in once:
@@ -217,11 +239,8 @@ def _parse_graph(lines) -> GraphInstance:
     try:
         return GraphInstance(nodes, edges, spaces, source, target, num_real)
     except InstanceError as exc:
-        if exc.record is None:
-            line = target_no if 1 <= source <= nodes else source_no
-        else:  # the line of the record-th EDGE
-            line = [no for no, tokens in lines if tokens[0] == "EDGE"][exc.record]
-        raise ParseError(line, str(exc)) from None
+        line = target_no if 1 <= source <= nodes else source_no
+        raise ParseError(line if exc.record is None else records[exc.record][0], str(exc)) from None
 
 
 def _parse_knapsack(lines) -> KnapsackInstance:
@@ -231,13 +250,16 @@ def _parse_knapsack(lines) -> KnapsackInstance:
     item_count, capacity, k = _ints(head[1:], no)
     (space,) = _spaces(0, [k], no)
 
-    items: list[Item] = []
-    for no, tokens in lines[1:]:
-        if tokens[0] != "ITEM":
-            raise ParseError(no, f"unknown record {excerpt(tokens[0])}")
-        if len(tokens) != 4:
-            raise ParseError(no, "ITEM needs <id> <consumption> <category>")
-        items.append(Item(*_ints(tokens[1:], no)))
+    records = []  # (line, tokens) of each ITEM, converted after the loop
+    try:
+        for no, tokens in lines[1:]:
+            if tokens[0] != "ITEM":
+                raise ParseError(no, f"unknown record {excerpt(tokens[0])}")
+            if len(tokens) != 4:
+                raise ParseError(no, "ITEM needs <id> <consumption> <category>")
+            records.append((no, tokens))
+    finally:  # a bad token on an earlier ITEM line wins over a loop error
+        items = list(map(Item._make, zip(*_fields(records)[:3])))
     no = lines[0][0]
     if len(items) != item_count:
         raise ParseError(
@@ -246,8 +268,8 @@ def _parse_knapsack(lines) -> KnapsackInstance:
 
     try:
         return KnapsackInstance(items, capacity, space)
-    except InstanceError as exc:  # every line after the header is an ITEM
-        line = no if exc.record is None else lines[1 + exc.record][0]
+    except InstanceError as exc:
+        line = no if exc.record is None else records[exc.record][0]
         raise ParseError(line, str(exc)) from None
 
 

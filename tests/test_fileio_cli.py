@@ -1,4 +1,6 @@
+import io
 import json
+import random
 import subprocess
 import sys
 import textwrap
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ordpareto
+from ordpareto import fileio
 from ordpareto.cli import main
 from ordpareto.fileio import (
     MAX_COMPONENTS,
@@ -20,6 +23,7 @@ from ordpareto.core import CategorySpace, OrdparetoError
 from ordpareto.solvers import (
     Edge,
     GraphInstance,
+    Item,
     KnapsackInstance,
     SolveResult,
     solve_knapsack,
@@ -816,6 +820,208 @@ class TestParserOrder:
         (e,) = parse_instance(text).edges
         value = getattr(e, field)
         assert value == ((expected,) if field == "categories" else expected)
+
+
+DIGIT_LIMIT = (
+    f"integer has more than {sys.get_int_max_str_digits()} digits "
+    "(Python's str-to-int limit)"
+)
+
+
+class TestColumnReader:
+    """EDGE and ITEM fields convert column by column, and only a failed
+    column reads the records one by one. One or two tokens broken at random
+    positions of a 100-160-record file, with comment and blank lines between
+    records, are named as a line-by-line reader names them: the first in line
+    order, then id, tail, head, weights, categories. An unbroken file gives
+    the instance built from its records, and none of its EDGE or ITEM lines
+    goes through ``_ints``."""
+
+    INT_FAULTS = {"x7": "not an integer: 'x7'", "9" * 5000: DIGIT_LIMIT}
+    WEIGHT_FAULTS = {
+        "w": "not a rational number: 'w'",
+        "1/0": "not a rational number: '1/0'",
+        "7" * 1001: f"weight has more than {MAX_WEIGHT_DIGITS} digits",
+    }
+
+    def file(self, rng, seed):
+        """The head, record key, records, tail and field kinds of a random
+        file, and a function that builds its instance from records: a graph
+        with weights and categories, a graph of any shape, or a knapsack."""
+        return self.knapsack(rng) if seed % 3 == 2 else self.graph(rng, 1 - seed % 3)
+
+    def graph(self, rng, least):
+        nodes, num_real = rng.randint(10, 40), rng.randint(least, 2)
+        ks = [rng.randint(1, 5) for _ in range(rng.randint(least, 3))]
+        records = [
+            [str(eid), str(rng.randint(1, nodes)), str(rng.randint(1, nodes)),
+             *(str(Fraction(rng.randint(0, 60), rng.randint(1, 7))) for _ in range(num_real)),
+             *(str(rng.randint(1, k)) for k in ks)]
+            for eid in rng.sample(range(1, 1000), rng.randint(100, 160))
+        ]
+        head = [f"GRAPH {nodes} {len(records)}",
+                f"OBJECTIVES real={num_real} ordinal={','.join(map(str, ks))}"]
+        kinds = ["int"] * 3 + ["weight"] * num_real + ["int"] * len(ks)
+
+        def build(records):
+            edges = [Edge(int(f[0]), int(f[1]), int(f[2]), tuple(map(Fraction, f[3 : 3 + num_real])),
+                          tuple(map(int, f[3 + num_real :]))) for f in records]
+            return GraphInstance(nodes, edges, tuple(map(CategorySpace, ks)), 1, nodes, num_real)
+
+        return head, "EDGE", records, ["SOURCE 1", f"TARGET {nodes}"], kinds, build
+
+    def knapsack(self, rng):
+        K, capacity = rng.randint(1, 5), rng.randint(0, 50)
+        records = [[str(iid), str(rng.randint(1, 9)), str(rng.randint(1, K))]
+                   for iid in rng.sample(range(1, 1000), rng.randint(100, 160))]
+
+        def build(records):
+            items = [Item(*map(int, f)) for f in records]
+            return KnapsackInstance(items, capacity, CategorySpace(K))
+
+        return [f"KNAPSACK {len(records)} {capacity} {K}"], "ITEM", records, [], ["int"] * 3, build
+
+    def text(self, rng, head, key, records, tail):
+        """The file, with comment and blank lines between its records, and
+        the line number of each record."""
+        lines, numbers = list(head), []
+        for fields in records:
+            while rng.random() < 0.1:
+                lines.append(rng.choice(["", "   ", "# a comment", "\t# EDGE x"]))
+            lines.append(" ".join([key, *fields]))
+            numbers.append(len(lines))
+        return "\n".join(lines + tail) + "\n", numbers
+
+    @pytest.mark.parametrize("seed", range(90))
+    def test_first_broken_token_is_named(self, seed):
+        rng = random.Random(f"broken/{seed}")
+        head, key, records, tail, kinds, _ = self.file(rng, seed)
+        r, f, g = rng.randrange(len(records)), rng.randrange(len(kinds)), rng.randrange(len(kinds))
+        other = rng.randrange(len(records)), g
+        broken = sorted({(r, f), rng.choice([(r, f), (r, g), (r, g), other])})
+        for r, f in broken:
+            records[r][f] = rng.choice(list(
+                self.WEIGHT_FAULTS if kinds[f] == "weight" else self.INT_FAULTS
+            ))
+        text, numbers = self.text(rng, head, key, records, tail)
+        (r, f) = broken[0]
+        reason = {**self.INT_FAULTS, **self.WEIGHT_FAULTS}[records[r][f]]
+        with pytest.raises(ParseError) as info:
+            parse_instance(text)
+        assert str(info.value) == f"line {numbers[r]}: {reason}"
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_unbroken_file_gives_the_instance_of_its_records(self, seed, monkeypatch):
+        rng = random.Random(f"unbroken/{seed}")
+        head, key, records, tail, _, build = self.file(rng, seed)
+        text, numbers = self.text(rng, head, key, records, tail)
+        read_lines = []
+        ints = fileio._ints
+        monkeypatch.setattr(
+            fileio, "_ints", lambda tokens, no: read_lines.append(no) or ints(tokens, no)
+        )
+        assert parse_instance(text) == build(records)
+        assert read_lines and not set(read_lines) & set(numbers)
+
+    def test_zero_records(self):
+        text = "GRAPH 2 0\nOBJECTIVES real=1 ordinal=3\nSOURCE 1\nTARGET 2\n"
+        assert parse_instance(text).edges == ()
+        assert parse_instance("KNAPSACK 0 5 2\n").items == ()
+
+    def test_no_real_weights(self):
+        text = "GRAPH 3 2\nOBJECTIVES real=0 ordinal=2,3\nEDGE 4 1 2 2 3\nEDGE 7 2 3 1 1\n"
+        g = parse_instance(text + "SOURCE 1\nTARGET 3\n")
+        assert g.edges == (Edge(4, 1, 2, (), (2, 3)), Edge(7, 2, 3, (), (1, 1)))
+
+    @pytest.mark.parametrize("real, weights", [(0, ()), (2, (Fraction(1, 2), 3))])
+    def test_empty_ordinal(self, real, weights):
+        fields = " ".join(map(str, weights))
+        text = f"GRAPH 2 2\nOBJECTIVES real={real} ordinal=\nEDGE 1 1 2 {fields}\nEDGE 2 2 1 {fields}\n"
+        g = parse_instance(text + "SOURCE 1\nTARGET 2\n")
+        assert g.edges == (Edge(1, 1, 2, weights, ()), Edge(2, 2, 1, weights, ()))
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (GRAPH_HEAD + "EDGE 1 1 x 1 1\nEDGE 2 2 3 1 2\nBOGUS\nSOURCE 1\nTARGET 3\n",
+             "line 3: not an integer: 'x'"),
+            (GRAPH_HEAD + "EDGE 1 1 2 1 1\nEDGE 2 2 3 w 2\nOBJECTIVES real=0 ordinal=2\n",
+             "line 4: not a rational number: 'w'"),
+            (GRAPH_HEAD + "EDGE 1 1 2 1 1\nEDGE 2 2 3 1 2 3\nEDGE x 1 1 1 1\n",
+             "line 4: EDGE needs id, tail, head, 1 weights and 1 categories (5 fields)"),
+            (GRAPH_HEAD + "EDGE 1 1 2 1 1\nBOGUS\nEDGE 2 2 3 w 2\n",
+             "line 4: unknown record 'BOGUS'"),
+            (GRAPH_HEAD + "EDGE 1 1 2 1 x\n", "line 3: not an integer: 'x'"),
+            ("KNAPSACK 2 5 2\nITEM 1 1 x\nITEM 2 2 1\nBOGUS\n", "line 2: not an integer: 'x'"),
+            ("KNAPSACK 2 5 2\nITEM 1 1 1\nITEM 2 2\nITEM x 1 1\n",
+             "line 3: ITEM needs <id> <consumption> <category>"),
+        ],
+    )
+    def test_loop_error_loses_only_to_an_earlier_bad_token(self, text, error):
+        with pytest.raises(ParseError) as info:
+            parse_instance(text)
+        assert str(info.value) == error
+
+    def test_instance_error_line_counts_comments_and_blank_lines(self):
+        text = (
+            "GRAPH 3 3\nOBJECTIVES real=0 ordinal=2\nEDGE 1 1 2 1\n# EDGE 5 1 9 1\n\n"
+            "EDGE 2 2 3 1\n   # note\nEDGE 3 2 9 1\nSOURCE 1\nTARGET 3\n"
+        )
+        with pytest.raises(ParseError) as info:
+            parse_instance(text)
+        assert str(info.value) == "line 8: edge 3 touches node 9 outside 1..3"
+
+
+class TestLineEnds:
+    """A line ends only at a newline, as ``open()`` reads one: \\n, \\r\\n
+    or \\r. Other characters that ``str.splitlines`` breaks at stay on
+    their line, and ``str.split`` still separates tokens at them."""
+
+    SEPARATORS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    ONE_EDGE = "GRAPH 2 1\nOBJECTIVES real=0 ordinal=2\nEDGE 1 1 2 1\n"
+
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    def test_a_comment_runs_to_the_newline(self, sep):
+        text = self.ONE_EDGE + f"# old edge:{sep}EDGE 9 1 2 1\nSOURCE 1\nTARGET 2\n"
+        assert [e.id for e in parse_instance(text).edges] == [1]
+
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    def test_error_lines_count_newlines_only(self, sep):
+        text = self.ONE_EDGE.replace("2 1\n", f"2 1{sep}\n", 1) + "SOURCE 1\nTARGET 2\nBOGUS\n"
+        with pytest.raises(ParseError, match="^line 6: unknown record 'BOGUS'$"):
+            parse_instance(text)
+
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    def test_a_separator_inside_a_record_separates_tokens(self, sep):
+        text = self.ONE_EDGE.replace("EDGE 1 1 2 1", f"EDGE{sep}1 1{sep}2 1") + "SOURCE 1\nTARGET 2\n"
+        assert parse_instance(text).edges == (Edge(1, 1, 2, (), (1,)),)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_each_newline_ends_a_line(self, newline):
+        text = self.ONE_EDGE + "SOURCE 1\nTARGET 2\n\nBOGUS\n"
+        with pytest.raises(ParseError, match="^line 7: unknown record 'BOGUS'$"):
+            parse_instance(text.replace("\n", newline))
+
+    @pytest.mark.parametrize(
+        "stdin, error",
+        [
+            ("1 2\n1 2 3\n,,\n3 x\n", "line 3: not an integer vector: ',,'"),
+            ("1 2\n, ,\n3 4\n", "line 2: not an integer vector: ', ,'"),
+            ("1 2\n1 2 3\n3 x\n,,\n", "line 3: not an integer vector: '3 x'"),
+            ("1 2\n\n1 2 3\nx %04301d\n3 x\n" % 9, f"line 4: {DIGIT_LIMIT}"),
+            ("# none\n\n  \n", "no vectors on stdin"),
+            ("1 2\n\f\n3,4\n5 6 7\n", "vectors have differing lengths"),
+        ],
+    )
+    def test_stdin_errors_keep_their_order(self, capsys, monkeypatch, stdin, error):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert main(["filter"]) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    def test_stdin_vectors_by_column(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("3 1 # a\n\n1,3\n 2\f2 \n"))
+        assert main(["transform"]) == 0
+        assert capsys.readouterr().out == "4 1\n4 3\n4 2\n"
 
 
 class TestValueDigitLimit:
