@@ -31,13 +31,13 @@ from ordpareto.fileio import (
     FORMATS,
     PROBLEMS,
     TEXT,
+    ParseError,
     emit_result,
     parse_instance,
     read_weight,
     vector_text,
 )
 from ordpareto.solvers import (
-    GraphInstance,
     KnapsackInstance,
     solve_knapsack,
     solve_mixed,
@@ -77,7 +77,7 @@ def _read_int_vectors(stream) -> list[tuple[int, ...]]:
                 vector = ()
             if line and not vector:
                 reason = next(filter(None, map(too_many_digits, tokens)), "")
-                raise OrdparetoError(f"line {no}: {reason or 'not an integer vector: ' + excerpt(line)}")
+                raise ParseError(no, reason or f"not an integer vector: {excerpt(line)}")
     if not rows:
         raise OrdparetoError("no vectors on stdin")
     dim = len(rows[0])
@@ -128,21 +128,23 @@ def _load_instance(path: str):
     return parse_instance(text)
 
 
+# Per problem, the name of its solver on this module, where a caller such
+# as a tracer may have replaced it.
+_SOLVERS = {"sp": "solve_shortest_path", "mixed": "solve_mixed",
+            "wtop": "solve_weighted_counting", "knapsack": "solve_knapsack"}
+
+
+def _solver(problem: str, inst):
+    """The solver of ``problem``, refused if ``inst`` is not its kind of instance."""
+    kind = "knapsack" if problem == "knapsack" else "graph"
+    if (kind == "knapsack") != isinstance(inst, KnapsackInstance):
+        raise OrdparetoError(f"instance file does not describe a {kind}")
+    return getattr(_cli, _SOLVERS[problem])
+
+
 def _cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
-    if args.problem == "knapsack":
-        if not isinstance(inst, KnapsackInstance):
-            raise OrdparetoError("instance file does not describe a knapsack")
-        res = solve_knapsack(inst, args.all_efficient)
-    else:
-        if not isinstance(inst, GraphInstance):
-            raise OrdparetoError("instance file does not describe a graph")
-        solve = {
-            "sp": solve_shortest_path,
-            "mixed": solve_mixed,
-            "wtop": solve_weighted_counting,
-        }[args.problem]
-        res = solve(inst, args.all_efficient)
+    res = _solver(args.problem, inst)(inst, args.all_efficient)
     sys.stdout.write(emit_result(res, args.format, args.problem))
     return 0
 
@@ -176,8 +178,7 @@ def _cmd_oracle_check(args) -> int:
     inst = _load_instance(args.instance)
     # mixed on one ordinal objective without real weights is sp
     problem = "knapsack" if isinstance(inst, KnapsackInstance) else "mixed"
-    solve = solve_knapsack if problem == "knapsack" else solve_mixed
-    solver_values = set(solve(inst).values())
+    solver_values = set(_solver(problem, inst)(inst).values())
     oracle_values = set(oracle_result(inst, problem, sampled=args.sampled).values())
     try:  # str() raises ValueError only past the digit limit
         solver, oracle = (", ".join(map(vector_text, sorted(values)))

@@ -24,18 +24,6 @@ class OrdparetoError(ValueError):
     """Base class for input validation errors."""
 
 
-class InvalidCategoryError(OrdparetoError):
-    """A category index is outside 1..K."""
-
-
-class DimensionMismatchError(OrdparetoError):
-    """Two vectors that must share a length do not."""
-
-
-class InvalidTailVectorError(OrdparetoError):
-    """A tail-count vector is not non-increasing or not nonnegative."""
-
-
 class CategorySpace(namedtuple("CategorySpace", "K")):
     """The K ordered categories ``eta1 .. etaK`` of one ordinal objective;
     ``eta1`` is the most preferred."""
@@ -43,6 +31,8 @@ class CategorySpace(namedtuple("CategorySpace", "K")):
     __slots__ = ()
 
     def __new__(cls, K: int):
+        if not isinstance(K, int):
+            raise OrdparetoError(f"the number of categories must be an int, got K={excerpt(K)}")
         if K < 1:
             raise OrdparetoError(f"need at least one category, got K={excerpt(K)}")
         return super().__new__(cls, K)
@@ -57,9 +47,7 @@ def counting_vector(cats: Iterable[int], space: CategorySpace) -> tuple[int, ...
     counts = [0] * space.K
     for c in cats:
         if not 1 <= c <= space.K:
-            raise InvalidCategoryError(
-                f"category index {excerpt(c)} outside 1..{excerpt(space.K)}"
-            )
+            raise OrdparetoError(f"category index {excerpt(c)} outside 1..{excerpt(space.K)}")
         counts[c - 1] += 1
     return tuple(counts)
 
@@ -92,17 +80,15 @@ def tail_transform(counts: Sequence[int]) -> tuple[int, ...]:
 def inverse_transform(tails: Sequence[int]) -> tuple[int, ...]:
     """Recover a counting vector from its tail-count vector.
 
-    Raises :class:`InvalidTailVectorError` if ``tails`` is not
+    Raises :class:`OrdparetoError` if ``tails`` is not
     non-increasing and nonnegative.
     """
     K = len(tails)
     if K and tails[-1] < 0:
-        raise InvalidTailVectorError(f"negative tail entry at index {K}")
+        raise OrdparetoError(f"negative tail entry at index {K}")
     for j in range(K - 1):
         if tails[j] < tails[j + 1]:
-            raise InvalidTailVectorError(
-                f"tail vector not non-increasing at index {j + 1}"
-            )
+            raise OrdparetoError(f"tail vector not non-increasing at index {j + 1}")
     return ConeMatrix(K, B_TAIL).apply(tails) if K else ()
 
 
@@ -245,9 +231,7 @@ class ConeMatrix(namedtuple("ConeMatrix", "K kind")):
         """Matrix-vector product (exact; accepts ints or fractions), in O(K)
         as suffix sums, prefix sums or first differences."""
         if len(d) != self.K:
-            raise DimensionMismatchError(
-                f"vector length {len(d)} != matrix dimension {self.K}"
-            )
+            raise OrdparetoError(f"vector length {len(d)} != matrix dimension {self.K}")
         if self.kind == A_TAIL:
             return tuple(accumulate(reversed(d)))[::-1]
         if self.kind == A_HEAD:

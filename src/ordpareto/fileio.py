@@ -26,6 +26,10 @@ mean (node and category ranges, unique ids, nonnegative weights, positive
 consumptions, a nonnegative capacity) is checked once, by the instance
 classes, a graph's by whole columns first and edge by edge only to name
 the record at fault; the parser reports an error at that record's line.
+The instance classes also check number types, which only a caller that
+builds them directly can get wrong: ids, nodes, categories, ``num_real``
+and ``K`` are ints; a weight, a consumption and the capacity are an int
+or a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from ordpareto.solvers import (
     Item,
     KnapsackInstance,
     SolveResult,
-    UNREACHABLE,
 )
 
 TEXT = "text"
@@ -298,7 +301,7 @@ def emit_result(res: SolveResult, fmt: str = TEXT, problem: str = "sp") -> str:
     try:  # str() and json raise ValueError only past the digit limit
         if fmt == JSON:
             return _emit_json(res)
-        if res.status == UNREACHABLE:
+        if not res.entries:
             return "UNREACHABLE\n"
         if fmt == PLOTDATA:
             return "\n".join(" ".join(map(str, e.value)) for e in res.entries) + "\n"

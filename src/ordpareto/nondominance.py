@@ -19,18 +19,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from ordpareto.core import (
-    ConeMatrix,
-    DimensionMismatchError,
-    OrdparetoError,
-    check_sense,
-    pareto_front,
-)
+from ordpareto.core import ConeMatrix, OrdparetoError, check_sense, pareto_front
 from ordpareto.simplex import OPTIMAL, solve_lp
-
-class EmptyPointSetError(OrdparetoError):
-    """Filters require at least one point."""
-
 
 class PointSet(namedtuple("PointSet", "points")):
     """A finite list of equal-length integer vectors. Points carry no ids:
@@ -41,7 +31,7 @@ class PointSet(namedtuple("PointSet", "points")):
     def __new__(cls, points: Sequence[Sequence[int]]):
         points = tuple(map(tuple, points))
         if len({len(p) for p in points}) > 1:
-            raise DimensionMismatchError("points have differing lengths")
+            raise OrdparetoError("points have differing lengths")
         return super().__new__(cls, points)
 
     def _sorted(self, keep: list[int]) -> "PointSet":
@@ -50,7 +40,7 @@ class PointSet(namedtuple("PointSet", "points")):
 
 def _require_nonempty(ps: PointSet) -> None:
     if not ps.points:
-        raise EmptyPointSetError("point set is empty")
+        raise OrdparetoError("point set is empty")
 
 
 def pareto_filter(ps: PointSet, sense: str = "min") -> PointSet:
@@ -100,7 +90,7 @@ def supporting_weights(
     y = tuple(y)
     k, n = len(y), len(ps.points[0])
     if k != n:
-        raise DimensionMismatchError(f"point of dimension {k}, points of dimension {n}")
+        raise OrdparetoError(f"point of dimension {k}, points of dimension {n}")
     # Variables: lambda_1..lambda_k, t; all >= 0 in the LP, strict
     # positivity of lambda is captured by t > 0 at the optimum.
     sign = -1 if sense == "max" else 1

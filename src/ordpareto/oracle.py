@@ -22,20 +22,16 @@ from operator import ge, le
 
 from ordpareto.core import (
     ConeMatrix,
-    DimensionMismatchError,
     OrdparetoError,
     _check_counts,
     check_sense,
     cone_member,
     counting_vector,
     head_transform,
-    ordinal_vector,
     tail_transform,
 )
 from ordpareto.nondominance import PointSet, pareto_filter
 from ordpareto.solvers import (
-    OK,
-    UNREACHABLE,
     GraphInstance,
     KnapsackInstance,
     ResultEntry,
@@ -54,9 +50,7 @@ SAMPLE_SEED = 20240917
 
 def _check_same_length(u: Sequence, v: Sequence) -> None:
     if len(u) != len(v):
-        raise DimensionMismatchError(
-            f"vector lengths differ: {len(u)} vs {len(v)}"
-        )
+        raise OrdparetoError(f"vector lengths differ: {len(u)} vs {len(v)}")
 
 
 def weakly_tail_dominates(u: Sequence[int], v: Sequence[int]) -> bool:
@@ -179,10 +173,6 @@ def dominance_certificate(
     return DominanceCertificate(relation, nu, val_u, val_v)
 
 
-class InstanceTooLargeError(OrdparetoError):
-    """The instance exceeds the enumeration size limit."""
-
-
 class EnumeratedSolution(namedtuple("EnumeratedSolution", "elements countings weights")):
     """One feasible solution: its element ids, one counting vector per
     ordinal objective, and its real-weight totals as ``Fraction``s."""
@@ -195,9 +185,7 @@ def enumerate_paths(
 ) -> tuple[EnumeratedSolution, ...]:
     """All simple s-t paths by DFS with visited-set backtracking."""
     if g.nodes > limit:
-        raise InstanceTooLargeError(
-            f"{g.nodes} nodes exceeds the enumeration limit of {limit}"
-        )
+        raise OrdparetoError(f"{g.nodes} nodes exceeds the enumeration limit of {limit}")
     outgoing: dict[int, list] = {}
     for e in g.edges:
         outgoing.setdefault(e.tail, []).append(e)
@@ -235,9 +223,7 @@ def enumerate_subsets(
 ) -> tuple[EnumeratedSolution, ...]:
     """All item subsets within capacity, the empty subset included."""
     if len(k.items) > limit:
-        raise InstanceTooLargeError(
-            f"{len(k.items)} items exceeds the enumeration limit of {limit}"
-        )
+        raise OrdparetoError(f"{len(k.items)} items exceeds the enumeration limit of {limit}")
     items = sorted(k.items, key=lambda it: it.id)
     found: list[EnumeratedSolution] = []
 
@@ -303,7 +289,6 @@ def _blocks(s: EnumeratedSolution) -> tuple:
 def oracle_efficient_set(
     feasible: tuple[EnumeratedSolution, ...],
     concept: str = TAIL,
-    seed: int = SAMPLE_SEED,
     outcome: Callable[[EnumeratedSolution], tuple] = _blocks,
 ) -> tuple[EnumeratedSolution, ...]:
     """Efficient solutions by pairwise definitional dominance filtering.
@@ -316,11 +301,11 @@ def oracle_efficient_set(
     strict dominance under ``concept``.
     ``concept`` selects tail-dominance (minimization), head-dominance
     (maximization) or the sampled ordinal check, which additionally
-    validates every verdict against dominance certificates and ``seed``-
-    reproducible random numerical representations. An empty enumeration
-    has an empty efficient set.
+    validates every verdict against dominance certificates and random
+    numerical representations drawn from ``SAMPLE_SEED``. An empty
+    enumeration has an empty efficient set.
     """
-    rng = random.Random(seed)
+    rng = random.Random(SAMPLE_SEED)
     relations = {
         TAIL: weakly_tail_dominates,
         HEAD: lambda u, v: u == v or head_dominates(u, v),
@@ -371,8 +356,8 @@ def oracle_result(
     tail-dominance or, if ``sampled``, the sampled check, and for ``wtop``
     on each path's weight total per category under tail-dominance. They are
     grouped by their value in the solver's space, in ascending order. Each
-    entry holds the images of its smallest solution, and lists its sorted
-    solutions if ``all_efficient``, else that one.
+    entry holds the countings and weights of its smallest solution, and
+    lists its sorted solutions if ``all_efficient``, else that one.
     """
     if problem == "knapsack":
         feasible, concept, outcome = enumerate_subsets(inst), HEAD, _blocks
@@ -386,19 +371,15 @@ def oracle_result(
         value = lambda s: s.weights + sum(map(tail_transform, s.countings), ())
     else:
         raise OrdparetoError(f"unknown problem: {problem!r}")
-    if not feasible:
-        return SolveResult(UNREACHABLE)
     groups: dict[tuple, list[EnumeratedSolution]] = {}
     for s in oracle_efficient_set(feasible, concept, outcome=outcome):
         groups.setdefault(value(s), []).append(s)
     entries = []
     for v in sorted(groups):
         solutions = sorted(groups[v])[: None if all_efficient else 1]
-        rep = solutions[0]
-        ordinals = tuple(map(ordinal_vector, rep.countings))
-        elements = tuple(s.elements for s in solutions)
-        entries.append(ResultEntry(v, rep.countings, ordinals, rep.weights, elements))
-    return SolveResult(OK, tuple(entries))
+        rep, elements = solutions[0], tuple(s.elements for s in solutions)
+        entries.append(ResultEntry(v, rep.countings, rep.weights, elements))
+    return SolveResult(tuple(entries))
 
 
 def definitional_cone_filter(

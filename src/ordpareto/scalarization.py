@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import gcd
 from operator import mul, sub
 
-from ordpareto.core import DimensionMismatchError, OrdparetoError, scale_to_ints
+from ordpareto.core import OrdparetoError, scale_to_ints
 from ordpareto.nondominance import PointSet, _require_nonempty, supporting_weights
 
 
@@ -57,9 +57,7 @@ def weighted_sum_solve(
     lam = check_lambda(weights)
     _require_nonempty(ps)
     if len(lam) != len(ps.points[0]):
-        raise DimensionMismatchError(
-            f"{len(lam)} weights for points of dimension {len(ps.points[0])}"
-        )
+        raise OrdparetoError(f"{len(lam)} weights for points of dimension {len(ps.points[0])}")
     # Scaled to ints by the lcm of the weights' denominators, a positive
     # constant, which keeps the argmins.
     scale, ints = scale_to_ints(lam)

@@ -2,7 +2,7 @@
 
 All solvers map each element to its transformed cost vector, run a
 standard multi-objective search and report the Pareto frontier of
-transformed values with their counting and ordinal images and solutions.
+transformed values with their counting vectors and solutions.
 Paths use label setting: popped labels are final, and ``--all-efficient``
 walks a predecessor DAG back, skipping zero-cost cycles. Knapsacks use a DP.
 
@@ -40,12 +40,20 @@ class InstanceError(OrdparetoError):
     """An instance that breaks the rules of its problem.
 
     ``record`` is the index of the edge or item at fault, or ``None`` when
-    the fault lies in the terminals or the capacity.
+    the fault lies in the terminals, the capacity or another scalar.
     """
 
     def __init__(self, message: str, record: int | None = None):
         super().__init__(message)
         self.record = record
+
+
+def _exact(x) -> bool:
+    """Whether ``x`` is an int or a Fraction; only a non-int loads fractions."""
+    if isinstance(x, int):
+        return True
+    from fractions import Fraction
+    return isinstance(x, Fraction)
 
 
 class Edge(namedtuple("Edge", "id tail head weights categories", defaults=((), ()))):
@@ -71,6 +79,8 @@ class GraphInstance(
         source: int, target: int, num_real: int = 0,
     ):
         edges, spaces = tuple(edges), tuple(spaces)
+        if not all(isinstance(x, int) for x in (nodes, source, target, num_real)):
+            raise InstanceError("nodes, source, target and num_real must be ints")
         if num_real:  # else no edge may have weights, so the check never reads Fraction
             from fractions import Fraction
         for node in (source, target):
@@ -81,6 +91,7 @@ class GraphInstance(
             ranges = [(tails + heads, nodes), *zip(zip(*cats), (s.K for s in spaces))]
             valid = (
                 len(set(ids)) == len(ids) and set(map(type, edges)) == {Edge}
+                and set(map(type, ids)) == {int}
                 and set(map(len, weights)) == {num_real} and set(map(len, cats)) == {len(spaces)}
                 and all(set(map(type, col)) <= {int, Fraction}
                         and min(map(attrgetter("numerator"), col)) >= 0 for col in zip(*weights))
@@ -91,11 +102,13 @@ class GraphInstance(
             valid = False
         seen = set()
         for i, e in enumerate(() if valid else edges):
+            if not isinstance(e.id, int):
+                raise InstanceError(f"edge id {excerpt(e.id)} is not an int", i)
             if e.id in seen:
                 raise InstanceError(f"duplicate edge id {excerpt(e.id)}", i)
             seen.add(e.id)
             for node in (e.tail, e.head):
-                if not 1 <= node <= nodes:
+                if not (isinstance(node, int) and 1 <= node <= nodes):
                     raise InstanceError(
                         f"edge {excerpt(e.id)} touches node {excerpt(node)} "
                         f"outside 1..{excerpt(nodes)}", i
@@ -105,7 +118,7 @@ class GraphInstance(
                     f"edge {excerpt(e.id)} has {len(e.weights)} weights, expected {num_real}",
                     i,
                 )
-            if not all(isinstance(w, (int, Fraction)) for w in e.weights):
+            if not all(map(_exact, e.weights)):
                 raise InstanceError(
                     f"edge {excerpt(e.id)} has a weight that is neither an int nor a Fraction",
                     i,
@@ -119,7 +132,7 @@ class GraphInstance(
                     i,
                 )
             for cat, space in zip(e.categories, spaces):
-                if not 1 <= cat <= space.K:
+                if not (isinstance(cat, int) and 1 <= cat <= space.K):
                     raise InstanceError(
                         f"edge {excerpt(e.id)}: category {excerpt(cat)} "
                         f"outside 1..{excerpt(space.K)}", i
@@ -140,18 +153,26 @@ class KnapsackInstance(namedtuple("KnapsackInstance", "items capacity space")):
 
     def __new__(cls, items: Sequence[Item], capacity: int, space: CategorySpace):
         items = tuple(items)
+        if not _exact(capacity):
+            raise InstanceError(f"capacity must be an int or a Fraction: {excerpt(capacity)}")
         if capacity < 0:
             raise InstanceError(f"capacity must be nonnegative: {excerpt(capacity)}")
         seen = set()
         for i, item in enumerate(items):
+            if not isinstance(item.id, int):
+                raise InstanceError(f"item id {excerpt(item.id)} is not an int", i)
             if item.id in seen:
                 raise InstanceError(f"duplicate item id {excerpt(item.id)}", i)
             seen.add(item.id)
+            if not _exact(item.weight):
+                raise InstanceError(
+                    f"item {excerpt(item.id)}: consumption must be an int or a Fraction", i
+                )
             if item.weight <= 0:
                 raise InstanceError(
                     f"item {excerpt(item.id)}: consumption must be positive", i
                 )
-            if not 1 <= item.category <= space.K:
+            if not (isinstance(item.category, int) and 1 <= item.category <= space.K):
                 raise InstanceError(
                     f"item {excerpt(item.id)}: category {excerpt(item.category)} "
                     f"outside 1..{excerpt(space.K)}", i
@@ -159,20 +180,22 @@ class KnapsackInstance(namedtuple("KnapsackInstance", "items capacity space")):
         return super().__new__(cls, items, capacity, space)
 
 
-class ResultEntry(
-    namedtuple("ResultEntry", "value countings ordinals weights solutions")
-):
+class ResultEntry(namedtuple("ResultEntry", "value countings weights solutions")):
     """One non-dominated outcome value with its images and solutions.
 
     ``value`` lives in the transformed (tail / head / mixed) space.
-    ``countings`` holds one counting vector per ordinal objective and
-    ``ordinals`` the matching sorted category sequences. ``weights`` holds
-    the real objective values (empty for pure ordinal problems).
-    ``solutions`` lists element-id tuples; the first one is the
+    ``countings`` holds one counting vector per ordinal objective, and
+    ``ordinals`` derives the matching sorted category sequences from them.
+    ``weights`` holds the real objective values (empty for pure ordinal
+    problems). ``solutions`` lists element-id tuples; the first one is the
     deterministic representative (smallest id sequence).
     """
 
     __slots__ = ()
+
+    @property
+    def ordinals(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(ordinal_vector, self.countings))
 
     @property
     def representative(self) -> tuple[int, ...]:
@@ -180,17 +203,21 @@ class ResultEntry(
 
 
 class SolveResult:
-    """A solver's status and its entries in ascending value order.
+    """A solver's entries in ascending value order; ``status`` is ``"ok"``
+    if there are any, else ``"unreachable"``.
 
     A plain class, not a tuple, so that it can carry fields that stay out
     of ``==``, ``hash`` and ``repr``; it is as immutable as the records.
     """
 
-    __slots__ = ("status", "entries")
+    __slots__ = ("entries",)
 
-    def __init__(self, status: str, entries: tuple[ResultEntry, ...] = ()):
-        object.__setattr__(self, "status", status)
+    def __init__(self, entries: tuple[ResultEntry, ...] = ()):
         object.__setattr__(self, "entries", entries)
+
+    @property
+    def status(self) -> str:
+        return OK if self.entries else UNREACHABLE
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -198,18 +225,18 @@ class SolveResult:
     __delattr__ = __setattr__
 
     def __reduce__(self):  # pickle and copy without __setattr__
-        return SolveResult, (self.status, self.entries)
+        return SolveResult, (self.entries,)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.status, self.entries) == (other.status, other.entries)
+        return self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.status, self.entries))
+        return hash(self.entries)
 
     def __repr__(self):
-        return f"SolveResult(status={self.status!r}, entries={self.entries!r})"
+        return f"SolveResult(entries={self.entries!r})"
 
     def values(self) -> tuple[tuple, ...]:
         return tuple(e.value for e in self.entries)
@@ -338,15 +365,13 @@ def _solve_paths(
     scales: tuple[int, ...], all_efficient: bool,
 ) -> SolveResult:
     """The pipeline shared by the path solvers: search on the int edge
-    costs, then one entry per non-dominated value, with the counting and
-    ordinal images of its representative path. The leading ``len(scales)``
+    costs, then one entry per non-dominated value, with the counting
+    vectors of its representative path. The leading ``len(scales)``
     value components are rational weights that the caller multiplied by
     ``scales``; they are reported as ``Fraction``s again. The first
     ``g.num_real`` of them are the path's real weights.
     """
     frontier = _multiobjective_shortest_paths(g, cost, zero, all_efficient)
-    if not frontier:
-        return SolveResult(UNREACHABLE)
     edges = {e.id: e for e in g.edges}
     n = len(scales)
     if n:
@@ -361,9 +386,8 @@ def _solve_paths(
             counting_vector((e.categories[l] for e in rep_edges), space)
             for l, space in enumerate(g.spaces)
         )
-        ordinals, solutions = tuple(map(ordinal_vector, countings)), tuple(frontier[scaled])
-        entries.append(ResultEntry(value, countings, ordinals, value[: g.num_real], solutions))
-    return SolveResult(OK, tuple(entries))
+        entries.append(ResultEntry(value, countings, value[: g.num_real], tuple(frontier[scaled])))
+    return SolveResult(tuple(entries))
 
 
 def solve_shortest_path(
@@ -466,7 +490,6 @@ def solve_knapsack(
     for i in reversed(pareto_front(heads, "max")):  # ascending heads
         head = heads[i]
         sols = sorted(s for _, s in states[head])
-        counts = head_inverse.apply(head)
         solutions = tuple(sols if all_efficient else sols[:1])
-        entries.append(ResultEntry(head, (counts,), (ordinal_vector(counts),), (), solutions))
-    return SolveResult(OK, tuple(entries))
+        entries.append(ResultEntry(head, (head_inverse.apply(head),), (), solutions))
+    return SolveResult(tuple(entries))

@@ -14,8 +14,6 @@ from ordpareto.core import (
     B_TAIL,
     CategorySpace,
     ConeMatrix,
-    DimensionMismatchError,
-    InvalidTailVectorError,
     OrdparetoError,
     cone_member,
     counting_vector,
@@ -88,7 +86,7 @@ class TestTransforms:
         assert inverse_transform((4, 2, 2, 1)) == (2, 0, 1, 1)
 
     def test_inverse_rejects_increasing_tail(self):
-        with pytest.raises(InvalidTailVectorError):
+        with pytest.raises(OrdparetoError, match="^tail vector not non-increasing at index 1$"):
             inverse_transform((1, 2, 0))
 
     def test_head_transform(self):
@@ -101,7 +99,7 @@ class TestTransforms:
         for transform in (tail_transform, head_transform):
             with pytest.raises(OrdparetoError):
                 transform((1, -1, 2))
-        with pytest.raises(InvalidTailVectorError):
+        with pytest.raises(OrdparetoError, match="^negative tail entry at index 3$"):
             inverse_transform((2, 1, -1))
 
     @given(countings)
@@ -477,7 +475,7 @@ class TestConeMatrices:
             assert cone_member(col, cone, strict=True)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(OrdparetoError, match="^vector length 2 != matrix dimension 3$"):
             ConeMatrix(3, A_TAIL).apply((1, 2))
 
     @pytest.mark.parametrize("kind", [A_TAIL, B_TAIL, A_HEAD, B_HEAD])

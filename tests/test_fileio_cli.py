@@ -265,7 +265,7 @@ class TestCli:
     def test_oracle_check_mismatch_exits_2(self, capsys, monkeypatch, name):
         def lossy(g):  # a solver that drops one frontier value
             res = solve_mixed(g)
-            return SolveResult(res.status, res.entries[1:])
+            return SolveResult(res.entries[1:])
 
         monkeypatch.setattr("ordpareto.cli.solve_mixed", lossy)
         code, out, err = self.run(capsys, ["oracle-check", str(INSTANCE_DIR / name)])

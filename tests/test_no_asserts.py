@@ -47,3 +47,33 @@ def _is_float(node) -> bool:
 def test_no_floats_in_src():
     # All arithmetic is exact: no float literal and no float(...) call.
     assert _scan(_is_float) == []
+
+
+def _carries_nothing(node: ast.ClassDef) -> bool:
+    """Whether a class body is only a docstring (or ``pass``)."""
+    return all(
+        isinstance(stmt, ast.Pass)
+        or isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+        for stmt in node.body
+    )
+
+
+def test_every_error_subclass_carries_something():
+    # An OrdparetoError subclass earns its own type only with a body that a
+    # caller reads, as InstanceError's record or ParseError's line prefix; an
+    # error that carries nothing is an OrdparetoError with its own message.
+    classes = [
+        node
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+    ]
+    errors: set[str] = set()
+    while True:  # subclasses of subclasses too
+        bases = errors | {"OrdparetoError"}
+        found = {c.name for c in classes if any(getattr(b, "id", None) in bases for b in c.bases)}
+        if found == errors:
+            break
+        errors = found
+    assert sorted(c.name for c in classes if c.name in errors and _carries_nothing(c)) == []
+    assert {"InstanceError", "ParseError"} <= errors  # the scan sees the subclasses

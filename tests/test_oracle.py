@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from ordpareto.core import CategorySpace, DimensionMismatchError, OrdparetoError
+from ordpareto.core import CategorySpace, OrdparetoError
 from ordpareto.oracle import (
     EnumeratedSolution,
-    InstanceTooLargeError,
     enumerate_paths,
     enumerate_subsets,
     oracle_efficient_set,
@@ -43,7 +42,7 @@ class TestEnumeratePaths:
             Edge(i, i, i + 1, (), (1,)) for i in range(1, 13)
         )
         g = GraphInstance(13, edges, (CategorySpace(1),), 1, 13, 0)
-        with pytest.raises(InstanceTooLargeError):
+        with pytest.raises(OrdparetoError, match="^13 nodes exceeds the enumeration limit of 12$"):
             enumerate_paths(g)
         assert len(enumerate_paths(g, limit=13)) == 1
 
@@ -99,7 +98,7 @@ class TestEnumerateSubsets:
     def test_size_limit(self):
         items = tuple(Item(i, 1, 1) for i in range(1, 22))
         k = KnapsackInstance(items, 21, CategorySpace(1))
-        with pytest.raises(InstanceTooLargeError):
+        with pytest.raises(OrdparetoError, match="^21 items exceeds the enumeration limit of 20$"):
             enumerate_subsets(k)
 
 
@@ -179,5 +178,5 @@ class TestEfficientSet:
 
 
 def test_tail_dominance_needs_equal_lengths():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(OrdparetoError, match="^vector lengths differ: 2 vs 1$"):
         tail_dominates((1, 2), (1,))

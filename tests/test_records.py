@@ -34,7 +34,7 @@ from ordpareto.solvers import (
     SolveResult,
 )
 
-ENTRY = ResultEntry((2, 1), ((1, 1),), ((1, 2),), (), ((1, 2),))
+ENTRY = ResultEntry((2, 1), ((1, 1),), (), ((1, 2),))
 
 # Per class: every field in declaration order, the trailing fields that have
 # defaults (with those defaults), and one field to change with its new value.
@@ -71,12 +71,11 @@ RECORDS = [
     ),
     (
         ResultEntry,
-        {"value": (2, 1), "countings": ((1, 1),), "ordinals": ((1, 2),), "weights": (),
-         "solutions": ((1, 2),)},
+        {"value": (2, 1), "countings": ((1, 1),), "weights": (), "solutions": ((1, 2),)},
         {},
         ("solutions", ((1, 2), (3,))),
     ),
-    (SolveResult, {"status": "ok", "entries": (ENTRY,)}, {"entries": ()}, ("status", "x")),
+    (SolveResult, {"entries": (ENTRY,)}, {"entries": ()}, ("entries", ())),
     (PointSet, {"points": ((1, 2), (2, 1))}, {}, ("points", ((1, 2),))),
     (
         WeightCell,
@@ -124,10 +123,18 @@ def test_record_semantics(cls, fields, defaults, change):
     assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
 
 
+def test_results_keep_only_what_the_search_found():
+    # The ordinal images and the status follow from the countings and the entries.
+    assert ResultEntry._fields == ("value", "countings", "weights", "solutions")
+    assert SolveResult.__slots__ == ("entries",)
+    assert ENTRY.ordinals == ((1, 2),)
+    assert (SolveResult((ENTRY,)).status, SolveResult().status) == ("ok", "unreachable")
+
+
 def test_solve_result_does_not_equal_a_tuple_of_its_fields():
     # __eq__ answers NotImplemented, so == falls back to identity.
-    assert SolveResult("ok").__eq__(("ok", ())) is NotImplemented
-    assert (SolveResult("ok") == ("ok", ())) is False
+    assert SolveResult().__eq__(((),)) is NotImplemented
+    assert (SolveResult() == ((),)) is False
 
 
 def test_records_normalize_sequences_to_tuples():

@@ -29,6 +29,7 @@ from ordpareto.solvers import (
     InstanceError,
     Item,
     KnapsackInstance,
+    SolveResult,
     solve_knapsack,
     solve_mixed,
     solve_shortest_path,
@@ -72,6 +73,18 @@ class TestShortestPath:
         res = solve_shortest_path(g)
         assert res.status == UNREACHABLE
         assert res.entries == ()
+
+    @pytest.mark.parametrize(
+        "solve, num_real",
+        [(solve_shortest_path, 0), (solve_mixed, 0), (solve_mixed, 1),
+         (solve_weighted_counting, 1), (lambda g: oracle_result(g, "sp"), 0),
+         (lambda g: oracle_result(g, "mixed"), 1), (lambda g: oracle_result(g, "wtop"), 1)],
+    )
+    def test_no_s_t_path_is_the_empty_result(self, solve, num_real):
+        edge = Edge(1, 1, 2, (Fraction(1),) * num_real, (1,))
+        res = solve(GraphInstance(3, (edge,), (CategorySpace(2),), 1, 3, num_real))
+        assert res == SolveResult() and res.status == UNREACHABLE
+        assert json.loads(emit_result(res, "json")) == {"entries": [], "status": "unreachable"}
 
     def test_source_equals_target(self):
         g = GraphInstance(
@@ -420,6 +433,65 @@ class TestInstanceErrors:
         with pytest.raises(InstanceError, match=f"more than {digits} digits") as info:
             KnapsackInstance((Item(1, 1, 1),), -(10**5000), CategorySpace(2))
         assert len(str(info.value)) <= 200
+
+
+class TestNumberTypes:
+    """Inexact or non-int numbers are refused where an instance is built,
+    not deep inside a search: ids, nodes, categories, ``num_real`` and ``K``
+    are ints; a consumption and the capacity are ints or Fractions."""
+
+    SPACE = CategorySpace(2)
+    SCALARS = "^nodes, source, target and num_real must be ints$"
+
+    @staticmethod
+    def knapsack(second=Item(2, 2, 2), capacity=3, first=Item(1, 1, 1)):
+        return KnapsackInstance([first, second], capacity, TestNumberTypes.SPACE)
+
+    @staticmethod
+    def graph(second=Edge(2, 1, 2, (), (1,)), nodes=2, source=1, target=2, num_real=0):
+        edges = [Edge(1, 1, 2, (), (1,)), second]
+        return GraphInstance(nodes, edges, [TestNumberTypes.SPACE], source, target, num_real)
+
+    @pytest.mark.parametrize(
+        "build, match, record",
+        [
+            (lambda: TestNumberTypes.knapsack(Item(2, 0.2, 2), 0.3, Item(1, 0.1, 1)),
+             "^capacity must be an int or a Fraction: 0.3$", None),
+            (lambda: TestNumberTypes.knapsack(Item(2, 2, 2), 1e20, Item(1, 10**20 - 1, 1)),
+             r"^capacity must be an int or a Fraction: 1e\+20$", None),
+            (lambda: TestNumberTypes.knapsack(Item(2, 0.2, 2), Fraction(3, 10)),
+             "^item 2: consumption must be an int or a Fraction$", 1),
+            (lambda: TestNumberTypes.knapsack(Item(2, 1, 1.0)),
+             "^item 2: category 1.0 outside 1..2$", 1),
+            (lambda: TestNumberTypes.knapsack(Item("2", 1, 1)), "^item id '2' is not an int$", 1),
+            (lambda: TestNumberTypes.graph(nodes=2.0), SCALARS, None),
+            (lambda: TestNumberTypes.graph(source=1.0), SCALARS, None),
+            (lambda: TestNumberTypes.graph(target=2.0), SCALARS, None),
+            (lambda: TestNumberTypes.graph(num_real=0.0), SCALARS, None),
+            (lambda: TestNumberTypes.graph(Edge(2, 1, 2.0, (), (1,))),
+             "^edge 2 touches node 2.0 outside 1..2$", 1),
+            (lambda: TestNumberTypes.graph(Edge(2, 1, 2, (), (1.0,))),
+             "^edge 2: category 1.0 outside 1..2$", 1),
+            (lambda: TestNumberTypes.graph(Edge("2", 1, 2, (), (1,))),
+             "^edge id '2' is not an int$", 1),
+        ],
+    )
+    def test_instances_refuse_other_numbers(self, build, match, record):
+        with pytest.raises(InstanceError, match=match) as info:
+            build()
+        assert info.value.record == record
+
+    def test_a_float_category_count_is_refused(self):
+        with pytest.raises(OrdparetoError, match="^the number of categories must be an int"):
+            CategorySpace(2.0)
+
+    def test_a_fraction_knapsack_is_exact(self):
+        # In floats 0.1 + 0.2 > 0.3, and only item 1 would fit.
+        items = [Item(1, Fraction(1, 10), 1), Item(2, Fraction(2, 10), 2)]
+        k = KnapsackInstance(items, Fraction(3, 10), self.SPACE)
+        res = solve_knapsack(k)
+        assert res.values() == ((1, 2),) and res.entries[0].solutions == ((1, 2),)
+        assert res == oracle_result(k, "knapsack")
 
 
 class Rank(int):
