@@ -2,12 +2,16 @@
 
 Every file in ``instances/`` is run through ``solve`` with each problem,
 output format and mode, and through ``oracle-check`` with and without
-``--sampled``. Every file in ``golden/malformed/`` (one per validation rule
-of the parser and the instances, one with no objective at all, three with
-several faults, one whose bad edge follows terminal, comment and blank
-lines, one whose bad edge is the 100th of 120, and two whose lines hold a
-U+2028 or a form feed, which do not end a line) is run through
-``solve knapsack`` (``.txt``) or ``solve mixed`` (``.graph``).
+``--sampled``. ``layered_k10.graph`` and ``grid_k10.graph`` have the
+shapes the benchmark times (``helpers.layered_dag(Random(1), 12, 5, 10)``
+and ``helpers.bidirected_grid(Random(1), 5, 5, 10)``, written by
+``helpers.emit_instance``); the oracle refuses both for their size. Every
+file in ``golden/malformed/`` (one per validation rule of the parser and
+the instances, one with no objective at all, three with several faults,
+one whose bad edge follows terminal, comment and blank lines, one whose
+bad edge is the 100th of 120, and two whose lines hold a U+2028 or a form
+feed, which do not end a line) is run through ``solve knapsack``
+(``.txt``) or ``solve mixed`` (``.graph``).
 A few bad command lines (an unknown subcommand or choice, a missing
 operand, an extra one, a 5000-character choice) pin the usage errors.
 The subcommands that read vectors (``filter``, ``transform``, ``scalarize``
