@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from operator import attrgetter, getitem
+from functools import partial, reduce
+from itertools import accumulate, islice, repeat
+from operator import add, attrgetter, lshift, mul
 
 from ordpareto.core import (
     B_HEAD,
@@ -26,7 +28,6 @@ from ordpareto.core import (
     excerpt,
     fields,
     ordinal_vector,
-    pack,
     pareto_front,
     scale_to_ints,
     unpack,
@@ -242,25 +243,51 @@ class SolveResult:
         return tuple(e.value for e in self.entries)
 
 
+def _packed_steps(
+    g: GraphInstance, reals: Sequence[Sequence[int]] = (), weights: Sequence[int] | None = None,
+) -> tuple[list[int], tuple[list[int], list[int], int]]:
+    """Each edge's packed int cost, in ``g.edges`` order, and the layout,
+    :func:`ordpareto.core.fields` of the bounds ``min(nodes * max_j,
+    sum_j + max_j)`` over the edges' components. A value holds the int
+    columns ``reals``, then per ordinal objective a tail vector, whose
+    components 1..c an edge of category c raises by 1, or by its entry of
+    ``weights``. A step is ``Σ real_j << shift_j + table[c]``, or ``weight
+    * table[c]`` (packing is linear), where ``table[c]`` packs c's tail."""
+    cats = list(zip(*map(attrgetter("categories"), g.edges))) or [()] * len(g.spaces)
+    bounds = [min(g.nodes * max(col, default=0), sum(col) + max(col, default=0)) for col in reals]
+    for col, space in zip(cats, g.spaces):
+        totals, tops = [0] * (space.K + 1), [0] * (space.K + 1)
+        for c, w in zip(col, repeat(1) if weights is None else weights):
+            totals[c], tops[c] = totals[c] + w, w if w > tops[c] else tops[c]
+        sums, peaks = accumulate(totals[:0:-1]), accumulate(tops[:0:-1], max)  # from K down
+        bounds += reversed([min(g.nodes * m, s + m) for s, m in zip(sums, peaks)])
+    shifts, masks, guards = fields(bounds)
+    field_shifts = iter(shifts)  # the reals' fields, then each objective's tail
+    parts = [map(lshift, col, repeat(s)) for col, s in zip(reals, field_shifts)]
+    for col, space in zip(cats, g.spaces):
+        table = list(accumulate((1 << s for s in islice(field_shifts, space.K)), initial=0))
+        part = map(table.__getitem__, col)
+        parts.append(part if weights is None else map(mul, weights, part))
+    return list(reduce(partial(map, add), parts)), (shifts, masks, guards)  # parts summed per edge
+
+
 def _multiobjective_shortest_paths(
-    g: GraphInstance, cost: dict[int, tuple[int, ...]], zero: tuple[int, ...],
+    g: GraphInstance, steps: Sequence[int], layout: tuple[list[int], list[int], int],
     all_efficient: bool,
 ) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     """Label-setting search over simple s-t paths, in ints only.
 
-    ``cost`` maps each edge id to its nonnegative int cost vector and
-    ``zero``, all zeros, is the empty path's value (callers scale rational
-    weights to ints). Returns a map from each non-dominated cost vector at
-    the target to the sorted edge-id paths attaining it (only the smallest
-    unless ``all_efficient``). Values are ints packed as
-    :func:`ordpareto.core.fields` lays out, each distinct cost once, and
-    labels pop from a heap of ``value << node_bits | node`` in lexicographic
+    ``steps`` and ``layout`` come from :func:`_packed_steps`: each edge's
+    packed int cost, and fields sized by a bound on new values, so a carry
+    into a guard bit raises; the empty path's value is 0. Returns a map from
+    each non-dominated cost vector at the target to the sorted edge-id
+    paths attaining it (only the smallest unless ``all_efficient``).
+    Labels pop from a heap of ``value << node_bits | node`` in lexicographic
     order (Martins 1984). A new value is never below the popped one and
     evicts only values it dominates, which are above it, so a popped label
-    is final: a simple path's value, extended once. Field j holds the bound
-    ``min(nodes * max_j, sum_j + max_j)`` on new values; a carry raises.
-    A new value's scan of its bucket stops at the first label dominating it,
-    and only a kept value scans the bucket again for the labels it evicts.
+    is final: a simple path's value, extended once. A new value's scan of
+    its bucket stops at the first label dominating it, and only a kept
+    value scans the bucket again for the labels it evicts.
 
     Default mode keeps ``[smallest path, extended?]`` per label; a smaller
     tie after the pop pushes the label again. ``all_efficient`` keeps the
@@ -272,22 +299,19 @@ def _multiobjective_shortest_paths(
     It takes a zero-cost arc only if the tail gets back to the source off
     the walk (Read & Tarjan 1975), so it meets no dead end.
     """
+    shifts, masks, guards = layout
     if g.source == g.target:  # any other s-s walk is a cycle, and no cycle costs below zero
-        return {zero: [()]}
+        return {unpack(0, shifts, masks): [()]}
     from heapq import heappop, heappush  # loaded by path searches only
-    bounds = [min(g.nodes * max(c), sum(c) + max(c)) for c in zip(zero, *cost.values())]
-    shifts, masks, guards = fields(bounds)
-    packed = {c: pack(c, shifts) for c in set(cost.values())}  # sp has at most K distinct costs
     outgoing: dict[int, list[tuple[int, int, int, int]]] = {}  # (edge id, head, packed cost, tail)
-    for e in sorted(g.edges, key=lambda e: e.id):
-        outgoing.setdefault(e.tail, []).append((e.id, e.head, packed[cost[e.id]], e.tail))
+    for arc in sorted((e.id, e.head, step, e.tail) for e, step in zip(g.edges, steps)):
+        outgoing.setdefault(arc[3], []).append(arc)
     node_bits = g.nodes.bit_length()
     node_mask = (1 << node_bits) - 1
     # labels[node]: packed value -> arcs in from final labels, or [path, extended?]
-    start = pack(zero, shifts)
     labels: dict[int, dict[int, list]] = {e.head: {} for e in g.edges}
-    labels[g.source] = {start: [] if all_efficient else [(), False]}
-    heap = [start << node_bits | g.source]
+    labels[g.source] = {0: [] if all_efficient else [(), False]}
+    heap = [g.source]
     while heap:
         key = heappop(heap)
         node, value = key & node_mask, key >> node_bits
@@ -361,17 +385,16 @@ def _multiobjective_shortest_paths(
 
 
 def _solve_paths(
-    g: GraphInstance, cost: dict[int, tuple[int, ...]], zero: tuple[int, ...],
+    g: GraphInstance, steps: Sequence[int], layout: tuple[list[int], list[int], int],
     scales: tuple[int, ...], all_efficient: bool,
 ) -> SolveResult:
-    """The pipeline shared by the path solvers: search on the int edge
-    costs, then one entry per non-dominated value, with the counting
-    vectors of its representative path. The leading ``len(scales)``
-    value components are rational weights that the caller multiplied by
-    ``scales``; they are reported as ``Fraction``s again. The first
-    ``g.num_real`` of them are the path's real weights.
-    """
-    frontier = _multiobjective_shortest_paths(g, cost, zero, all_efficient)
+    """The pipeline shared by the path solvers: search on the packed edge
+    steps of :func:`_packed_steps`, then one entry per non-dominated value,
+    with the counting vectors of its representative path. The leading
+    ``len(scales)`` value components are rational weights that the caller
+    multiplied by ``scales``; they are reported as ``Fraction``s again.
+    The first ``g.num_real`` of them are the path's real weights."""
+    frontier = _multiobjective_shortest_paths(g, steps, layout, all_efficient)
     edges = {e.id: e for e in g.edges}
     n = len(scales)
     if n:
@@ -409,18 +432,14 @@ def solve_shortest_path(
 
 def solve_mixed(g: GraphInstance, all_efficient: bool = False) -> SolveResult:
     """Pareto frontier over s-t paths of real weights plus per-objective
-    tail vectors (block-diagonal transformation of the outcome vector)."""
+    tail vectors (block-diagonal transformation of the outcome vector): an
+    edge costs its real weights, scaled to ints per column, then one binary
+    tail vector per ordinal objective (ones up to its category)."""
     if g.num_real + len(g.spaces) < 1:
         raise OrdparetoError("need at least one objective")
-    # Each edge costs its scaled real weights followed by one binary tail
-    # vector per ordinal objective (ones up to the edge's category).
-    scaled = [scale_to_ints([e.weights[j] for e in g.edges]) for j in range(g.num_real)]
-    scales = tuple(scale for scale, _ in scaled)
-    reals = list(zip(*(ints for _, ints in scaled))) or [()] * len(g.edges)
-    tails = [[(1,) * c + (0,) * (s.K - c) for c in range(s.K + 1)] for s in g.spaces]
-    cost = {e.id: sum(map(getitem, tails, e.categories), r) for e, r in zip(g.edges, reals)}
-    zero = (0,) * (g.num_real + sum(s.K for s in g.spaces))
-    return _solve_paths(g, cost, zero, scales, all_efficient)
+    columns = list(zip(*map(attrgetter("weights"), g.edges))) or [()] * g.num_real
+    scales, reals = zip(*map(scale_to_ints, columns)) if columns else ((), ())
+    return _solve_paths(g, *_packed_steps(g, reals), scales, all_efficient)
 
 
 def solve_weighted_counting(
@@ -430,20 +449,16 @@ def solve_weighted_counting(
 
     Requires one coherent weight/category pair per edge: each edge
     contributes its weight, instead of a unit, to every tail component up
-    to its category.
+    to its category: its packed step is its scaled weight times its tail.
     """
     if len(g.spaces) != 1 or g.num_real != 1:
         raise OrdparetoError(
             "solve_weighted_counting expects exactly one weight and one "
             "ordinal objective per edge"
         )
-    K = g.spaces[0].K
     scale, weights = scale_to_ints([e.weights[0] for e in g.edges])
-    cost = {
-        e.id: (w,) * e.categories[0] + (0,) * (K - e.categories[0])
-        for e, w in zip(g.edges, weights)
-    }
-    return _solve_paths(g, cost, (0,) * K, (scale,) * K, all_efficient)
+    steps, layout = _packed_steps(g, weights=weights)
+    return _solve_paths(g, steps, layout, (scale,) * g.spaces[0].K, all_efficient)
 
 
 def solve_knapsack(

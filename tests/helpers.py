@@ -2,8 +2,9 @@
 
 The paper's two other formulas for a solution's value under a numerical
 representation, the cone matrices entry by entry, the instance writer
-that the parser's round-trip tests invert, and small graphs of the shapes
-the label search is timed on. The package computes none of these, so they
+that the parser's round-trip tests invert, the path searches' edge costs
+and field bounds vector by vector, and small graphs of the shapes the
+label search is timed on. The package computes none of these, so they
 live here, beside the tests that check the package against them.
 """
 
@@ -69,6 +70,27 @@ def emit_instance(inst: GraphInstance | KnapsackInstance) -> str:
         for item in inst.items:
             out.append(f"ITEM {item.id} {item.weight} {item.category}")
     return "\n".join(out) + "\n"
+
+
+def transformed_costs(g: GraphInstance, reals=(), weights=None) -> list[tuple[int, ...]]:
+    """Each edge's transformed cost vector, built edge by edge: its entries
+    of the int columns ``reals``, then per ordinal objective a tail vector
+    that holds its weight (1, or its entry of ``weights``) in components
+    1..c for category c."""
+    costs = []
+    for i, e in enumerate(g.edges):
+        w = 1 if weights is None else weights[i]
+        vec = tuple(col[i] for col in reals)
+        for c, space in zip(e.categories, g.spaces):
+            vec += (w,) * c + (0,) * (space.K - c)
+        costs.append(vec)
+    return costs
+
+
+def field_bounds(g: GraphInstance, costs, width: int) -> list[int]:
+    """Each of ``width`` components' bound on path values, ``min(nodes *
+    max_j, sum_j + max_j)`` over the empty path's zeros and ``costs``."""
+    return [min(g.nodes * max(c), sum(c) + max(c)) for c in zip((0,) * width, *costs)]
 
 
 def layered_dag(rng: Random, layers: int, width: int, K: int) -> GraphInstance:

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -16,7 +17,10 @@ from ordpareto.core import (
     CategorySpace,
     OrdparetoError,
     counting_vector,
+    fields,
     ordinal_vector,
+    pack,
+    scale_to_ints,
     tail_transform,
 )
 from ordpareto.fileio import emit_result
@@ -37,7 +41,7 @@ from ordpareto.solvers import (
 )
 
 from conftest import random_graph, random_knapsack, routes_k3, routes_weighted
-from helpers import bidirected_grid, layered_dag
+from helpers import bidirected_grid, field_bounds, layered_dag, transformed_costs
 
 
 class TestShortestPath:
@@ -726,11 +730,14 @@ class TestIntegerSearch:
         calls = []
         search = solvers._multiobjective_shortest_paths
 
-        def checked(g, cost, zero, all_efficient):
-            for vec in (zero, *cost.values()):
-                assert all(type(c) is int for c in vec), vec
-            calls.append(len(zero))
-            return search(g, cost, zero, all_efficient)
+        def checked(g, steps, layout, all_efficient):
+            # One packed step per edge, each an exact int, as is the layout.
+            assert len(steps) == len(g.edges)
+            assert all(type(step) is int for step in steps), steps
+            shifts, masks, guards = layout
+            assert all(type(x) is int for x in (*shifts, *masks, guards)), layout
+            calls.append(all_efficient)
+            return search(g, steps, layout, all_efficient)
 
         monkeypatch.setattr(solvers, "_multiobjective_shortest_paths", checked)
         rng = random.Random(5)
@@ -738,7 +745,7 @@ class TestIntegerSearch:
             solve_shortest_path(routes_k3(), all_efficient)
             solve_mixed(weighted_grid(rng, 2), all_efficient)
             solve_weighted_counting(weighted_grid(rng, 1), all_efficient)
-        assert len(calls) == 6
+        assert calls == [False] * 3 + [True] * 3
 
     # Large primes: weights over two or more of them scale by an lcm beyond
     # 2**64, so the packed fields span several int digits.
@@ -792,6 +799,28 @@ class TestIntegerSearch:
             assert solver(g, all_efficient) == oracle_result(g, problem, all_efficient)
             sparse += 1
 
+    HUGE = [(solve_shortest_path, 0), (solve_mixed, 1), (solve_weighted_counting, 1)]
+
+    @pytest.mark.parametrize("all_efficient", [False, True])
+    @pytest.mark.parametrize("solver, num_real", HUGE, ids=[c[0].__name__ for c in HUGE])
+    def test_huge_node_ids_keep_tables_per_edge(self, solver, num_real, all_efficient):
+        # Per-node tables hold only the nodes that edges touch, so three
+        # edges among 10**9 declared nodes take well under a megabyte.
+        n = 10**9
+        arcs = ((1, n // 2, 1, 1), (n // 2, n, 1, 2), (1, n, 2, 1))
+        edges = tuple(
+            Edge(i, u, v, (w,) * num_real, (c,)) for i, (u, v, c, w) in enumerate(arcs, start=1)
+        )
+        g = GraphInstance(n, edges, (CategorySpace(2),), 1, n, num_real)
+        tracemalloc.start()
+        try:
+            res = solver(g, all_efficient)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [e.solutions for e in res.entries] == [((3,),), ((1, 2),)]
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("all_efficient", [False, True])
     def test_one_category_shortest_path_matches_brute_force(self, all_efficient):
         rng = random.Random(61)
@@ -799,6 +828,80 @@ class TestIntegerSearch:
             g = random_graph(rng, max_k=1)
             res = solve_shortest_path(g, all_efficient)
             assert res == oracle_result(g, "sp", all_efficient)
+
+
+class TestPackedLayout:
+    """``solvers._packed_steps`` packs each edge's step by column, from
+    per-category tables. Its layout and steps must equal ``core.fields`` of
+    the bounds and ``core.pack`` of the cost vectors that ``helpers`` builds
+    edge by edge, as the path solvers once did."""
+
+    @staticmethod
+    def assert_packs(g, reals=(), weights=None):
+        costs = transformed_costs(g, reals, weights)
+        width = len(reals) + sum(space.K for space in g.spaces)
+        shifts, masks, guards = fields(field_bounds(g, costs, width))
+        steps, layout = solvers._packed_steps(g, reals, weights)
+        assert layout == (shifts, masks, guards)
+        assert steps == [pack(cost, shifts) for cost in costs]
+        assert all(type(step) is int for step in steps)
+
+    @staticmethod
+    def weighted_graph(rng, num_real, ks):
+        """Up to 24 edges in random id order on 1-12 nodes, so either side
+        of a bound's ``min`` may hold. A third of the weights are 0; the
+        others have numerators up to 1, 3 or 60 and denominators 1, up to
+        3, or ``WIDE_PRIMES``, so the bounds take small and wide values."""
+        nodes = rng.randint(1, 12)
+        top = rng.choice((1, 3, 60))
+        denominators = rng.choice(((1,), (1, 2, 3), TestIntegerSearch.WIDE_PRIMES))
+
+        def weight():
+            if rng.random() < 1 / 3:
+                return 0
+            return Fraction(rng.randint(0, top), rng.choice(denominators))
+
+        ids = rng.sample(range(1, 100), rng.randint(1, 24))
+        edges = tuple(
+            Edge(i, rng.randint(1, nodes), rng.randint(1, nodes),
+                 tuple(weight() for _ in range(num_real)),
+                 tuple(rng.randint(1, K) for K in ks))
+            for i in ids
+        )
+        return GraphInstance(nodes, edges, tuple(map(CategorySpace, ks)), 1, nodes, num_real)
+
+    @staticmethod
+    def scaled(g):
+        return [scale_to_ints([e.weights[j] for e in g.edges])[1] for j in range(g.num_real)]
+
+    def test_sp(self):
+        rng = random.Random(67)
+        for _ in range(150):
+            self.assert_packs(random_graph(rng, max_nodes=10, max_k=6))
+        for K in (1, 2, 10):
+            self.assert_packs(layered_dag(rng, 4, 3, K))
+
+    def test_mixed_with_two_ordinal_objectives(self):
+        rng = random.Random(71)
+        for i in range(300):
+            ks = (1, rng.randint(1, 4)) if i % 3 == 0 else (rng.randint(1, 5), rng.randint(1, 5))
+            g = self.weighted_graph(rng, i % 3, ks)
+            self.assert_packs(g, self.scaled(g))
+
+    def test_wtop(self):
+        rng = random.Random(73)
+        for i in range(300):
+            g = self.weighted_graph(rng, 1, (rng.randint(1, 10),))
+            self.assert_packs(g, weights=self.scaled(g)[0])
+        grid = bidirected_grid(rng, 3, 3, 10)
+        self.assert_packs(grid, weights=self.scaled(grid)[0])
+
+    @pytest.mark.parametrize("num_real, ks", [(0, (3,)), (2, (1, 4)), (1, ()), (1, (2,))])
+    def test_no_edges(self, num_real, ks):
+        g = GraphInstance(4, (), tuple(map(CategorySpace, ks)), 1, 4, num_real)
+        self.assert_packs(g, [[]] * num_real)
+        if num_real == 1 and len(ks) == 1:
+            self.assert_packs(g, weights=[])
 
 
 def zero_weight_wtop(nodes, arcs, source, target):
