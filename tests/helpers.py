@@ -2,13 +2,15 @@
 
 The paper's two other formulas for a solution's value under a numerical
 representation, the cone matrices entry by entry, the instance writer
-that the parser's round-trip tests invert, the path searches' edge costs
-and field bounds vector by vector, and small graphs of the shapes the
-label search is timed on. The package computes none of these, so they
-live here, beside the tests that check the package against them.
+that the parser's round-trip tests invert, the path searches' edge costs,
+field bounds and packed ints vector by vector, and small graphs of the
+shapes the label search is timed on. The package computes none of these
+this way, so they live here, beside the tests that check the package
+against them.
 """
 
 from fractions import Fraction
+from operator import lshift
 from random import Random
 
 from ordpareto.core import A_HEAD, A_TAIL, B_TAIL, CategorySpace, ConeMatrix
@@ -70,6 +72,12 @@ def emit_instance(inst: GraphInstance | KnapsackInstance) -> str:
         for item in inst.items:
             out.append(f"ITEM {item.id} {item.weight} {item.category}")
     return "\n".join(out) + "\n"
+
+
+def pack(vector, shifts) -> int:
+    """One vector packed into the fields at ``shifts`` (``core.fields``),
+    component by component."""
+    return sum(map(lshift, vector, shifts))
 
 
 def transformed_costs(g: GraphInstance, reals=(), weights=None) -> list[tuple[int, ...]]:

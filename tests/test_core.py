@@ -21,7 +21,6 @@ from ordpareto.core import (
     head_transform,
     inverse_transform,
     ordinal_vector,
-    pack,
     pareto_front,
     scale_to_ints,
     tail_transform,
@@ -38,7 +37,7 @@ from ordpareto.oracle import (
     weakly_tail_dominates,
 )
 
-from helpers import cone_rows, numeric_value_per_element, numeric_value_tail_form
+from helpers import cone_rows, numeric_value_per_element, numeric_value_tail_form, pack
 
 countings = st.lists(st.integers(0, 20), min_size=1, max_size=6).map(tuple)
 
@@ -229,6 +228,19 @@ class TestParetoFront:
                 low = -top if signed else 0
                 values = [tuple(rng.randint(low, top) for _ in range(k)) for _ in range(n)]
                 self.check(values, sense)
+        # Wide slots, k up to 64 and n up to 200, span many 30-bit digits. A
+        # column of n distinct entries, n a power of two, fills its field's
+        # value bits at its top rank. Two columns in opposite orders keep all
+        # n values; the corner sits at the top rank of every column.
+        for _ in range(24):
+            k = rng.randint(2, 64)
+            n = rng.choice((rng.randint(1, 200), 64, 128))
+            self.check([tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(n)], sense)
+            columns = [range(n), range(n - 1, -1, -1), *(rng.sample(range(n), n) for _ in range(k - 2))]
+            antichain = list(zip(*columns))
+            corner = (n - 1 if sense == "min" else 0,) * k
+            self.check(antichain, sense)
+            self.check(antichain + [corner, corner], sense)
 
     def test_one_wide_outlier_costs_no_memory(self):
         # Ranks, not values, are packed: a vector of 4,001-digit entries widens
@@ -258,6 +270,13 @@ class TestParetoFront:
         values = [(1, 2), (2, 1), (1, 2), (2, 2), (2, 2), (0, 5), (2, 1)]
         assert pareto_front(values) == [5, 0, 2, 1, 6]
         assert pareto_front(values, "max") == [3, 4, 5]
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_refuses_differing_lengths(self, sense):
+        # zip stops at the shortest value, so only a prefix would be compared.
+        for values in ([(1, 2), (0,)], [(5, 5), (1,)], [(), (3,)], [(1,), (1, 2, 3), (1, 2)]):
+            with pytest.raises(OrdparetoError, match="^values have differing lengths$"):
+                pareto_front(values, sense)
 
     def test_empty_and_bad_sense(self):
         assert pareto_front([]) == []

@@ -19,7 +19,6 @@ from ordpareto.core import (
     counting_vector,
     fields,
     ordinal_vector,
-    pack,
     scale_to_ints,
     tail_transform,
 )
@@ -41,7 +40,7 @@ from ordpareto.solvers import (
 )
 
 from conftest import random_graph, random_knapsack, routes_k3, routes_weighted
-from helpers import bidirected_grid, field_bounds, layered_dag, transformed_costs
+from helpers import bidirected_grid, field_bounds, layered_dag, pack, transformed_costs
 
 
 class TestShortestPath:
@@ -833,7 +832,7 @@ class TestIntegerSearch:
 class TestPackedLayout:
     """``solvers._packed_steps`` packs each edge's step by column, from
     per-category tables. Its layout and steps must equal ``core.fields`` of
-    the bounds and ``core.pack`` of the cost vectors that ``helpers`` builds
+    the bounds and ``helpers.pack`` of the cost vectors that ``helpers`` builds
     edge by edge, as the path solvers once did."""
 
     @staticmethod
