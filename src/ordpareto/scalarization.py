@@ -117,11 +117,14 @@ def _cell_corners(
     # Work in (x, y) = (lambda_1, lambda_2), lambda_K = 1 - x - y. For K = 2
     # the simplex is the triangle's bottom edge y = 0, and b = 0 as d[1] is
     # d[-1]. Each d.lambda <= 0 becomes a line a x + b y <= c. Clip the
-    # simplex by each in turn (Sutherland-Hodgman), with the corners as
-    # integer homogeneous (x, y, w), w > 0. Clipping keeps them
-    # counterclockwise; they are returned from the least (x, y), so a
-    # segment, and with it every K = 2 cell, ascends.
-    lines = [(d[0] - d[-1], d[1] - d[-1], -d[-1]) for d in normals]
+    # simplex by each in turn (Sutherland-Hodgman), nearest values (least
+    # L1 norm of d) first: they bound the cell most often, so fewer clips
+    # cut. The corners, reduced integer homogeneous (x, y, w) with w > 0, do
+    # not depend on that order; clipping keeps them counterclockwise, and
+    # they are returned from the least (x, y), so a segment, and with it
+    # every K = 2 cell, ascends.
+    near = sorted(normals, key=lambda d: sum(map(abs, d)))
+    lines = [(d[0] - d[-1], d[1] - d[-1], -d[-1]) for d in near]
     poly = [(0, 0, 1), (1, 0, 1), (0, 1, 1)][:K]
     for a, b, c in lines:
         f = [a * x + b * y - c * w for x, y, w in poly]
@@ -138,8 +141,10 @@ def _cell_corners(
         poly = list(dict.fromkeys(clipped))  # a clipped segment repeats a corner
         if not poly:
             return []
-    least = min(poly, key=lambda c: (Fraction(c[0], c[2]), Fraction(c[1], c[2])))
-    i = poly.index(least)
+    i = 0  # the least (x / w, y / w), compared over a common denominator
+    for j, (x, y, w) in enumerate(poly):
+        if (x * poly[i][2], y * poly[i][2]) < (poly[i][0] * w, poly[i][1] * w):
+            i = j
     poly = poly[i:] + poly[:i]
     return [(x, w) for x, _, w in poly] if K == 2 else poly
 
@@ -159,21 +164,25 @@ def weight_space_decomposition(ps: PointSet) -> list[WeightCell]:
     K = len(ps.points[0])
     values = sorted(set(ps.points))
     cells: list[WeightCell] = []
+    images: dict = {}  # corner -> (lifted, vertex, mu image), once: cells share corners
     for y in values:
         normals = tuple(tuple(map(sub, y, other)) for other in values if other != y)
         vertices = mu_vertices = ()
         if K in (2, 3):
             corners = _cell_corners(normals, K)
-            # Int numerators of the full lambda over each corner's w.
-            lifted = [c[:-1] + (c[-1] - sum(c[:-1]),) for c in corners]
+            if not corners:
+                continue
+            for c in corners:
+                if c not in images:  # boundary corners too: the mu map is continuous
+                    lam = c[:-1] + (c[-1] - sum(c[:-1]),)  # int numerators over w
+                    vertex = tuple(Fraction(v, c[-1]) for v in c[:-1])
+                    images[c] = lam, vertex, _prefix_normalize(lam)
+            lifted, vertices, mu_vertices = zip(*map(images.__getitem__, corners))
             # The centroid of the corners lies in the cell's relative
             # interior, so y is supported iff it is strictly positive, that
             # is iff each lambda_i (>= 0 on the simplex) is positive at a corner.
-            if not lifted or not all(map(any, zip(*lifted))):
+            if not all(map(any, zip(*lifted))):
                 continue
-            vertices = tuple(tuple(Fraction(v, c[-1]) for v in c[:-1]) for c in corners)
-            # Boundary vertices included: the mu map extends continuously.
-            mu_vertices = tuple(map(_prefix_normalize, lifted))
         elif supporting_weights(y, ps) is None:
             continue
         cells.append(WeightCell(tuple(y), normals, vertices, mu_vertices))

@@ -416,6 +416,44 @@ class TestCellsAgainstTheLP:
         assert min(by_size[2].values()) >= 100, by_size
         assert min(by_size[3].values()) >= 100, by_size
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_corners_do_not_depend_on_the_clip_order(self, k, monkeypatch):
+        # The clipper takes the nearest normals first. It may, because a
+        # cell is an intersection of half-planes: the same reduced corners,
+        # in the same order, come out of any clip order. With the sort made
+        # the identity, the clip order is the input order, and shuffles of
+        # the normals vary it.
+        rng = random.Random(4100 + k)
+        by_size = dict.fromkeys(range(k + 1), 0)  # corner count, k for >= k
+        for trial in range(300):
+            top = rng.choice((2, 3, 5, 10, 20, 40))
+            pts = [
+                tuple(rng.randint(0, top) for _ in range(k))
+                for _ in range(rng.randint(1, 12))
+            ]
+            pts += rng.choices(pts, k=rng.randint(0, 3))  # duplicates
+            # Collinear values with one coordinate sum: tied under uniform weights.
+            last = rng.randint(0, top)
+            pts += [
+                (i, top - i, last)[:k]
+                for i in rng.sample(range(top + 1), rng.randint(0, 3))
+            ]
+            if trial % 2:  # as the wsd command passes them
+                pts = pareto_filter(PointSet(tuple(pts))).points
+            values = sorted(set(pts))
+            for y in values:
+                normals = [tuple(map(sub, y, other)) for other in values if other != y]
+                with monkeypatch.context() as m:
+                    m.setattr(scalarization, "sorted", lambda ds, key: list(ds), raising=False)
+                    in_order = [
+                        scalarization._cell_corners(rng.sample(normals, len(normals)), k)
+                        for _ in range(4)
+                    ]
+                nearest_first = scalarization._cell_corners(normals, k)
+                assert in_order == [nearest_first] * 4
+                by_size[min(len(nearest_first), k)] += 1
+        assert min(by_size.values()) >= 50, by_size
+
     def test_wsd_solves_no_lp_for_k_up_to_3(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("supporting_weights called")
