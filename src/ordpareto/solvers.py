@@ -4,7 +4,8 @@ All solvers map each element to its transformed cost vector, run a
 standard multi-objective search and report the Pareto frontier of
 transformed values with their counting vectors and solutions.
 Paths use label setting: popped labels are final, and ``--all-efficient``
-walks a predecessor DAG back, skipping zero-cost cycles. Knapsacks use a DP.
+lists a predecessor DAG's paths forward from shared prefixes, or walks it
+back, skipping zero-cost cycles. Knapsacks use a DP.
 
 Every search runs in ints. The path solvers multiply each real objective
 by the lcm of its weights' denominators before the search, and divide the
@@ -16,7 +17,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import partial, reduce
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, count, islice, repeat
+from math import lcm
 from operator import add, attrgetter, lshift, mul
 
 from ordpareto.core import (
@@ -35,6 +37,11 @@ from ordpareto.core import (
 
 OK = "ok"
 UNREACHABLE = "unreachable"
+# Every packed value grows with the digits of the lcm that scales a real
+# objective, and the time with their square: a 5 x 5 bidirected grid at
+# K = 10 takes 1 ms at small denominators and about 0.1 s at 9,600 digits.
+MAX_SCALE_DIGITS = 10_000
+_BUILD_RATIO = 8  # most prefix entries a forward build makes per entry of the answer
 
 
 class InstanceError(OrdparetoError):
@@ -291,13 +298,19 @@ def _multiobjective_shortest_paths(
 
     Default mode keeps ``[smallest path, extended?]`` per label; a smaller
     tie after the pop pushes the label again. ``all_efficient`` keeps the
-    arcs into a label from final labels, a DAG that an iterative walk reads
-    back from the target over ``(tail, value - cost)``. A walk back to a
-    node ties or is dominated by its first visit's label. Ties need
-    zero-cost cycles (``wtop``, ``mixed``): default mode drops them for
-    their larger path, and the backward walk skips a node already on it.
-    It takes a zero-cost arc only if the tail gets back to the source off
-    the walk (Read & Tarjan 1975), so it meets no dead end.
+    arcs into a label from final labels, a DAG over ``(tail, value - cost)``.
+    A walk back to a node ties or is dominated by its first visit's label,
+    so with no zero step, where every arc raises the value, no walk back
+    repeats a node. Then each label the target reaches back to gets, in
+    ascending value, its predecessors' prefixes extended by the arc, and a
+    list is dropped once its last reader has read it. This runs only if a
+    first pass finds the prefixes' total length within ``_BUILD_RATIO``
+    times the answer's: a chain after many paths copies each once per edge.
+    Otherwise an iterative walk reads the DAG back from the target. Ties
+    need zero-cost cycles (``wtop``, ``mixed``): default mode drops them for
+    their larger path, and the walk skips a node already on it. It takes a
+    zero-cost arc only if the tail gets back to the source off the walk
+    (Read & Tarjan 1975), so it meets no dead end.
     """
     shifts, masks, guards = layout
     if g.source == g.target:  # any other s-s walk is a cycle, and no cycle costs below zero
@@ -349,6 +362,37 @@ def _multiobjective_shortest_paths(
     target = labels.get(g.target, {})
     if not all_efficient:
         return {unpack(v, shifts, masks): [label[0]] for v, label in target.items()}
+    if 0 not in steps:  # every arc raises the value: no walk back repeats a node
+        readers = {v << node_bits | g.target: 0 for v in target}  # marked label -> readers
+        todo = list(readers)
+        while todo:
+            value = (key := todo.pop()) >> node_bits
+            for _, _, step, tail in labels[key & node_mask][value]:
+                pred = value - step << node_bits | tail
+                if pred not in readers:
+                    todo.append(pred)
+                readers[pred] = readers.get(pred, 0) + 1
+        order = sorted(readers)[1:]  # ascending value, after the source's label 0
+        sizes, total = {g.source: (1, 0)}, 0  # label -> its prefixes, their total length
+        for key in order:
+            value, n, size = key >> node_bits, 0, 0
+            for _, _, step, tail in labels[key & node_mask][value]:
+                c, s = sizes[value - step << node_bits | tail]
+                n, size = n + c, size + s + c
+            sizes[key], total = (n, size), total + size
+        if total <= _BUILD_RATIO * sum(sizes[v << node_bits | g.target][1] for v in target):
+            lists = {g.source: [()]}  # marked label -> its prefixes, until read
+            for key in order:
+                value, prefixes = key >> node_bits, []
+                for edge_id, _, step, tail in labels[key & node_mask][value]:
+                    pred = value - step << node_bits | tail
+                    prefixes += map(add, lists[pred], repeat((edge_id,)))
+                    readers[pred] -= 1
+                    if not readers[pred]:
+                        del lists[pred]
+                lists[key] = prefixes
+            return {unpack(v, shifts, masks): sorted(lists[v << node_bits | g.target])
+                    for v in target}
 
     def escapes(node: int, value: int, on_walk: set[int]) -> bool:
         """Whether arcs of ``value`` that avoid ``on_walk`` lead from ``node``
@@ -382,6 +426,21 @@ def _multiobjective_shortest_paths(
                 del suffix[len(walk) - 1:]
         frontier[unpack(value, shifts, masks)] = sorted(paths)
     return frontier
+
+
+def _scaled(weights: Sequence, objective: int) -> tuple[int, list[int]]:
+    """:func:`ordpareto.core.scale_to_ints` of real objective ``objective``'s
+    weights, refused once the lcm of their denominators, built one distinct
+    denominator at a time, passes ``MAX_SCALE_DIGITS`` digits."""
+    scale = 1
+    for d in set(map(attrgetter("denominator"), weights)):
+        scale = lcm(scale, d)  # 2**(3 * digits) < 10**digits: the power is built only near it
+        if scale.bit_length() > 3 * MAX_SCALE_DIGITS and scale >= 10**MAX_SCALE_DIGITS:
+            raise OrdparetoError(
+                f"real objective {objective}: the lcm of its weights' denominators "
+                f"has more than {MAX_SCALE_DIGITS} digits"
+            )
+    return scale_to_ints(weights)
 
 
 def _solve_paths(
@@ -438,7 +497,7 @@ def solve_mixed(g: GraphInstance, all_efficient: bool = False) -> SolveResult:
     if g.num_real + len(g.spaces) < 1:
         raise OrdparetoError("need at least one objective")
     columns = list(zip(*map(attrgetter("weights"), g.edges))) or [()] * g.num_real
-    scales, reals = zip(*map(scale_to_ints, columns)) if columns else ((), ())
+    scales, reals = zip(*map(_scaled, columns, count(1))) if columns else ((), ())
     return _solve_paths(g, *_packed_steps(g, reals), scales, all_efficient)
 
 
@@ -456,7 +515,7 @@ def solve_weighted_counting(
             "solve_weighted_counting expects exactly one weight and one "
             "ordinal objective per edge"
         )
-    scale, weights = scale_to_ints([e.weights[0] for e in g.edges])
+    scale, weights = _scaled([e.weights[0] for e in g.edges], 1)
     steps, layout = _packed_steps(g, weights=weights)
     return _solve_paths(g, steps, layout, (scale,) * g.spaces[0].K, all_efficient)
 

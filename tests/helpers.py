@@ -127,3 +127,18 @@ def bidirected_grid(rng: Random, rows: int, cols: int, K: int) -> GraphInstance:
         for i, (u, v) in enumerate(arcs, start=1)
     )
     return GraphInstance(rows * cols, edges, (CategorySpace(K),), 1, rows * cols, 1)
+
+
+def ladder_and_chain(stages: int, chain: int, ladder_first: bool = True) -> GraphInstance:
+    """A ladder of ``stages`` diamonds (u -> a, u -> b, a -> v, b -> v) and
+    a chain of ``chain`` edges, the ladder first unless ``ladder_first`` is
+    false, from node 1 to the last node. With K = 1 every s-t path has the
+    same value, 2 * stages + chain, so all 2**stages of them are efficient."""
+    diamond, link = ((0, 1), (0, 2), (1, 3), (2, 3)), ((0, 1),)  # arcs by offset
+    parts = [[diamond] * stages, [link] * chain]
+    arcs, node = [], 1
+    for block in sum(parts if ladder_first else parts[::-1], []):
+        arcs += [(node + u, node + v) for u, v in block]
+        node += block[-1][1]
+    edges = (Edge(i, u, v, (), (1,)) for i, (u, v) in enumerate(arcs, start=1))
+    return GraphInstance(node, edges, (CategorySpace(1),), 1, node)

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from fractions import Fraction
 from math import lcm
@@ -13,6 +14,7 @@ import pytest
 import ordpareto
 
 from ordpareto import solvers
+from ordpareto.cli import main
 from ordpareto.core import (
     CategorySpace,
     OrdparetoError,
@@ -40,7 +42,15 @@ from ordpareto.solvers import (
 )
 
 from conftest import random_graph, random_knapsack, routes_k3, routes_weighted
-from helpers import bidirected_grid, field_bounds, layered_dag, pack, transformed_costs
+from helpers import (
+    bidirected_grid,
+    emit_instance,
+    field_bounds,
+    ladder_and_chain,
+    layered_dag,
+    pack,
+    transformed_costs,
+)
 
 
 class TestShortestPath:
@@ -829,6 +839,77 @@ class TestIntegerSearch:
             assert res == oracle_result(g, "sp", all_efficient)
 
 
+def best_of(runs, call):
+    """The least of ``runs`` timings of ``call()``, in seconds."""
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+class TestScaleBound:
+    """A real objective whose weights' denominators have an lcm beyond
+    ``MAX_SCALE_DIGITS`` digits is refused: every packed value would carry
+    that many digits."""
+
+    @staticmethod
+    def parallel(n, num_real=1, huge=0):
+        """Two nodes and ``n`` parallel edges; edge i weighs ``1/(10**999 +
+        i)`` in real objective ``huge`` and 1/2 in the others. Any eleven
+        of these denominators have an lcm beyond 10,000 digits."""
+        edges = [
+            Edge(i, 1, 2, tuple(Fraction(1, 10**999 + i if j == huge else 2)
+                                for j in range(num_real)), (1 + i % 2,))
+            for i in range(1, n + 1)
+        ]
+        return GraphInstance(2, edges, (CategorySpace(2),), 1, 2, num_real)
+
+    @pytest.mark.parametrize("solver", [solve_mixed, solve_weighted_counting])
+    def test_ten_denominators_pass_and_eleven_do_not(self, solver):
+        (entry,) = solver(self.parallel(10)).entries
+        assert entry.solutions == ((10,),)
+        with pytest.raises(OrdparetoError, match="^real objective 1: the lcm .* more than 10000 digits$"):
+            solver(self.parallel(11))
+
+    def test_the_bound_is_on_digits(self):
+        for scale, refused in ((10**solvers.MAX_SCALE_DIGITS - 1, False),
+                               (10**solvers.MAX_SCALE_DIGITS, True)):
+            g = GraphInstance(2, [Edge(1, 1, 2, (Fraction(1, scale),), (1,))],
+                              (CategorySpace(1),), 1, 2, 1)
+            if refused:
+                with pytest.raises(OrdparetoError):
+                    solve_mixed(g)
+            else:
+                assert solve_mixed(g).values() == ((Fraction(1, scale), 1),)
+
+    def test_the_message_names_the_objective(self):
+        with pytest.raises(OrdparetoError, match="^real objective 2: "):
+            solve_mixed(self.parallel(20, num_real=3, huge=1))
+
+    def test_two_hundred_denominators_are_refused_cheaply(self, capsys, tmp_path):
+        # Scaled, this graph took 1.5 s and 65 MB; the oracle takes about 0.1 s.
+        g = self.parallel(200)
+        path = tmp_path / "parallel.graph"
+        path.write_text(emit_instance(g))
+        tracemalloc.start()
+        try:
+            code = main(["solve", "mixed", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr()
+        assert (code, out.out) == (1, "")
+        assert out.err == (
+            "error: real objective 1: the lcm of its weights' denominators "
+            "has more than 10000 digits\n"
+        )
+        assert peak < 1 << 21
+        refusal = best_of(3, lambda: main(["solve", "mixed", str(path)]))
+        assert refusal < best_of(3, lambda: oracle_result(g, "mixed"))
+
+
 class TestPackedLayout:
     """``solvers._packed_steps`` packs each edge's step by column, from
     per-category tables. Its layout and steps must equal ``core.fields`` of
@@ -1032,6 +1113,76 @@ class TestLabelSetting:
             capture_output=True, text=True, timeout=10,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestForwardBuild:
+    """With no zero step, ``--all-efficient`` lists paths forward from shared
+    prefixes when their total length is within ``_BUILD_RATIO`` times the
+    answer's, and walks the predecessor DAG back otherwise."""
+
+    @staticmethod
+    def positive_graphs(rng):
+        """Seeded graphs with no zero-cost arc, each with its problem. Few
+        categories and weights of 1/2 or 1 make ties, so values have
+        several paths."""
+        def halves(g):
+            edges = [e._replace(weights=tuple(Fraction(rng.randint(1, 2), 2) for _ in e.weights))
+                     for e in g.edges]
+            return g._replace(edges=tuple(edges))
+
+        for i in range(40):
+            yield solve_shortest_path, "sp", random_graph(rng, max_nodes=7, max_k=2)
+            yield solve_mixed, "mixed", halves(weighted_grid(rng, 1 + i % 2))
+            g = weighted_grid(rng, 1) if i % 2 else random_digraph(rng, 1, True)
+            yield solve_weighted_counting, "wtop", halves(g)
+            if i % 4 == 0:
+                yield solve_shortest_path, "sp", layered_dag(rng, 3, 3, 2)
+
+    def test_both_listers_match_the_oracle(self, monkeypatch):
+        rng = random.Random(83)
+        several = 0
+        for solver, problem, g in self.positive_graphs(rng):
+            results = []
+            for ratio in (0, 10**9):  # always the walk, always the forward build
+                monkeypatch.setattr(solvers, "_BUILD_RATIO", ratio)
+                results.append(solver(g, True))
+            assert results[0] == results[1] == oracle_result(g, problem, True)
+            several += any(len(e.solutions) > 1 for e in results[0].entries)
+        assert several >= 20
+
+    def test_ladder_then_chain_walks_back_in_little_more_than_the_answer(self):
+        # 1,024 paths share their last 100 edges. A forward build would copy
+        # every path once per edge of the chain, and holds two such lists at
+        # the end: about 1.6 times the answer beyond it, where the walk needs
+        # about 0.1 times.
+        g = ladder_and_chain(10, 100)
+        tracemalloc.start()
+        try:
+            (entry,) = solve_shortest_path(g, True).entries
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(entry.solutions) == 1024
+        assert {len(path) for path in entry.solutions} == {120}
+        answer = sum(map(sys.getsizeof, entry.solutions))
+        assert peak - answer < 0.4 * answer
+
+    def test_chain_then_ladder_builds_forward(self, monkeypatch):
+        # The walk takes one step per arc of every suffix: each of the 256
+        # paths walks the whole chain back. Built forward, the chain is one
+        # prefix, extended once per edge.
+        stages, chain = 8, 200
+        g = ladder_and_chain(stages, chain, ladder_first=False)
+        res = solve_shortest_path(g, True)
+        (entry,) = res.entries
+        assert entry.value == (chain + 2 * stages,)
+        assert len(set(entry.solutions)) == 2**stages
+        assert list(entry.solutions) == sorted(entry.solutions)
+        assert {path[:chain] for path in entry.solutions} == {tuple(range(1, chain + 1))}
+        built = best_of(3, lambda: solve_shortest_path(g, True))
+        monkeypatch.setattr(solvers, "_BUILD_RATIO", 0)
+        assert solve_shortest_path(g, True) == res
+        assert built < best_of(3, lambda: solve_shortest_path(g, True)) / 3
 
 
 class TestBenchmarkShape:
