@@ -23,6 +23,8 @@ from ordpareto.core import (
     excerpt,
     head_transform,
     inverse_transform,
+    plain_numbers,
+    plain_text,
     tail_transform,
     too_many_digits,
     unprintable,
@@ -61,18 +63,21 @@ def __getattr__(name: str):
 
 
 def _read_int_vectors(stream) -> list[tuple[int, ...]]:
-    """One vector per line, all converted by one ``map``; only a failure walks the lines."""
-    lines = [raw.split("#", 1)[0].strip() for raw in stream.read().split("\n")]
+    """One vector per line, all checked against the number grammar and
+    converted by one ``map``; only a failure walks the lines."""
+    text = stream.read()
+    lines = [raw.split("#", 1)[0].strip() for raw in text.split("\n")]
     rows = [line.replace(",", " ").split() for line in lines if line]
+    plain = plain_text(text) or plain_numbers(chain.from_iterable(rows))
     try:
-        values = list(map(int, chain.from_iterable(rows)))
+        values = list(map(int, chain.from_iterable(rows))) if plain else None
     except ValueError:
         values = None
     if values is None or not all(rows):
         for no, line in enumerate(lines, start=1):
             tokens = line.replace(",", " ").split()
             try:
-                vector = tuple(map(int, tokens))
+                vector = tuple(map(int, tokens)) if plain_numbers(tokens) else ()
             except ValueError:
                 vector = ()
             if line and not vector:

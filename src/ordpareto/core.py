@@ -205,6 +205,21 @@ def too_many_digits(token: str) -> str:
     return ""
 
 
+def plain_numbers(tokens: Iterable[str]) -> bool:
+    """Whether no token has a non-ASCII character, an ``_`` or a leading
+    ``+``: the spellings ``int`` and ``Fraction`` accept (``1_0``, ``+5``,
+    ``٢``) that the number grammar does not. The tokens hold no whitespace."""
+    text = " " + " ".join(tokens)
+    return text.isascii() and "_" not in text and " +" not in text
+
+
+def plain_text(text: str) -> bool:
+    """Whether ``text`` is ASCII with no ``_`` or ``+``, so that none of its
+    tokens can fail :func:`plain_numbers`: one fast test of a whole input,
+    after which only an input that fails it has its tokens checked."""
+    return text.isascii() and "_" not in text and "+" not in text
+
+
 def excerpt(token: str | int) -> str:
     """A str token's ``repr`` or an int's digits for an error line, cut
     after 40 characters; an int too long for ``str`` is named by its size."""

@@ -12,8 +12,10 @@ reads it, and '#' starts a comment:
     KNAPSACK <items> <capacity> <K>
     ITEM <id> <consumption> <category>
 
-Weights accept exact rationals as 'a/b' or decimal strings, with at most
-MAX_WEIGHT_DIGITS digits in numerator and denominator. A value has at most
+An integer is an optional '-' and ASCII digits. A weight is an exact
+rational 'a/b' or a decimal string, with an optional '-' and at most
+MAX_WEIGHT_DIGITS digits in numerator and denominator. No number token has
+a non-ASCII character, an '_' or a leading '+'. A value has at most
 MAX_COMPONENTS components: real objectives plus categories (K for a
 knapsack).
 
@@ -42,6 +44,8 @@ from ordpareto.core import (
     CategorySpace,
     OrdparetoError,
     excerpt,
+    plain_numbers,
+    plain_text,
     too_many_digits,
     unprintable,
 )
@@ -110,12 +114,17 @@ def read_weight(token: str) -> Fraction:
 
 
 def _ints(tokens: Sequence[str], line_no: int) -> tuple[int, ...]:
-    """Each token as an int by one ``map``; only a failed map names its token."""
+    """Each token as an int by one ``map``; only a failed map or number
+    grammar check names its token."""
     try:
+        if not plain_numbers(tokens):
+            raise ValueError("outside the number grammar")
         return tuple(map(int, tokens))
     except ValueError:
         for token in tokens:
             try:
+                if not plain_numbers((token,)):
+                    raise ValueError("outside the number grammar")
                 int(token)
             except ValueError:
                 reason = too_many_digits(token) or f"not an integer: {excerpt(token)}"
@@ -146,38 +155,45 @@ def parse_instance(text: str) -> GraphInstance | KnapsackInstance:
     if not lines:
         raise ParseError(1, "empty instance file")
 
+    plain = plain_text(text)  # else the EDGE or ITEM columns are checked
     no, head = lines[0]
     if head[0] == "GRAPH":
-        return _parse_graph(lines)
+        return _parse_graph(lines, plain)
     if head[0] == "KNAPSACK":
-        return _parse_knapsack(lines)
+        return _parse_knapsack(lines, plain)
     raise ParseError(no, f"expected GRAPH or KNAPSACK header, got {excerpt(head[0])}")
 
 
-def _fields(records, num_real: int = 0, read=read_weight):
+def _fields(records, num_real: int = 0, read=read_weight, plain: bool = False):
     """Three int columns, then per record its weights and its categories, of
-    equal-length EDGE or ITEM records ``(line, tokens)``, one ``map`` per
-    column. Only a failed column reads the records one by one, to name the
-    first bad token in line order: id, tail, head, weights, categories."""
+    equal-length EDGE or ITEM records ``(line, tokens)``, one number grammar
+    check (unless the text is known ``plain``) and one ``map`` per column.
+    Only a failed column reads the records one by one, to name the first bad
+    token in line order: id, tail, head, weights, categories."""
     columns = list(zip(*[tokens for _, tokens in records]))
     try:
+        if not plain and not all(map(plain_numbers, columns[1:])):
+            raise ValueError("outside the number grammar")
         ints = [tuple(map(int, column)) for column in columns[1:4]] or [()] * 3
         weights = [tuple(map(read, column)) for column in columns[4 : 4 + num_real]]
         categories = [tuple(map(int, column)) for column in columns[4 + num_real :]]
     except (ValueError, OrdparetoError):
         for no, tokens in records:
             _ints(tokens[1:4], no)
-            try:
-                tuple(map(read, tokens[4 : 4 + num_real]))
-            except OrdparetoError as exc:
-                raise ParseError(no, str(exc)) from None
+            for token in tokens[4 : 4 + num_real]:
+                try:
+                    read(token)
+                except OrdparetoError as exc:
+                    raise ParseError(no, str(exc)) from None
+                if not plain_numbers((token,)):
+                    raise ParseError(no, f"not a rational number: {excerpt(token)}")
             _ints(tokens[4 + num_real :], no)
         raise
     none = repeat(())  # zip() of no columns would yield no record
     return *ints, zip(*weights) if weights else none, zip(*categories) if categories else none
 
 
-def _parse_graph(lines) -> GraphInstance:
+def _parse_graph(lines, plain: bool) -> GraphInstance:
     no, head = lines[0]
     if len(head) != 3:
         raise ParseError(no, "GRAPH header needs <nodes> <edges>")
@@ -226,7 +242,7 @@ def _parse_graph(lines) -> GraphInstance:
             else:
                 raise ParseError(no, f"unknown record {excerpt(key)}")
     finally:  # a bad token on an earlier EDGE line wins over a loop error
-        edges = list(map(Edge._make, zip(*_fields(records, num_real, read))))
+        edges = list(map(Edge._make, zip(*_fields(records, num_real, read, plain))))
 
     no = lines[0][0]
     if "OBJECTIVES" not in once:
@@ -246,7 +262,7 @@ def _parse_graph(lines) -> GraphInstance:
         raise ParseError(line if exc.record is None else records[exc.record][0], str(exc)) from None
 
 
-def _parse_knapsack(lines) -> KnapsackInstance:
+def _parse_knapsack(lines, plain: bool) -> KnapsackInstance:
     no, head = lines[0]
     if len(head) != 4:
         raise ParseError(no, "KNAPSACK header needs <items> <capacity> <K>")
@@ -262,7 +278,7 @@ def _parse_knapsack(lines) -> KnapsackInstance:
                 raise ParseError(no, "ITEM needs <id> <consumption> <category>")
             records.append((no, tokens))
     finally:  # a bad token on an earlier ITEM line wins over a loop error
-        items = list(map(Item._make, zip(*_fields(records)[:3])))
+        items = list(map(Item._make, zip(*_fields(records, plain=plain)[:3])))
     no = lines[0][0]
     if len(items) != item_count:
         raise ParseError(

@@ -155,35 +155,54 @@ def weight_space_decomposition(ps: PointSet) -> list[WeightCell]:
     ``ps`` must already be Pareto-non-dominated (tail space, minimization).
     Each cell is the exact polyhedron of weights under which its value is
     weighted-sum minimal, intersected with the simplex. For K in {2, 3}
-    every value's cell is enumerated by its vertices (and their mu-space
-    images), and the cells decide supportedness, no LP is solved; for other
-    K the LP of :func:`supporting_weights` decides it and only the
-    normals are returned.
+    the nonempty cells are found outward from the simplex corners and
+    enumerated by their vertices (and their mu-space images), and the
+    cells decide supportedness, no LP is solved; for other K the LP of
+    :func:`supporting_weights` decides it and only the normals are
+    returned.
     """
     _require_nonempty(ps)
     K = len(ps.points[0])
     values = sorted(set(ps.points))
-    cells: list[WeightCell] = []
+    reached: dict = {}  # value -> (normals, its cell's corners)
     images: dict = {}  # corner -> (lifted, vertex, mu image), once: cells share corners
+    # For K <= 3, walk out from the simplex corners: a value least at a corner
+    # found has a cell holding it, which is clipped and its corners visited.
+    # The cells tile the connected simplex, so corners link every nonempty
+    # cell, however thin, to a simplex corner: an unreached cell is empty.
+    todo = {2: [(0, 1), (1, 1)], 3: [(0, 0, 1), (1, 0, 1), (0, 1, 1)]}.get(K, [])
+    rows = [y + (0,) * (3 - K) for y in values] if todo else []  # K = 2 ends in 0
+    while todo:
+        c = todo.pop()
+        if c in images:
+            continue
+        lam = c[:-1] + (c[-1] - sum(c[:-1]),)  # int numerators over w
+        # Boundary corners too have mu images: the mu map is continuous.
+        images[c] = lam, tuple(Fraction(v, c[-1]) for v in c[:-1]), _prefix_normalize(lam)
+        l1, l2, l3 = lam + (0,) * (3 - K)
+        sums = [l1 * p + l2 * q + l3 * r for p, q, r in rows]
+        least = min(sums)
+        for y, s in zip(values, sums):
+            if s == least and y not in reached:
+                normals = tuple(tuple(map(sub, y, other)) for other in values if other != y)
+                reached[y] = normals, _cell_corners(normals, K)
+                todo += reached[y][1]
+    cells: list[WeightCell] = []
     for y in values:
-        normals = tuple(tuple(map(sub, y, other)) for other in values if other != y)
         vertices = mu_vertices = ()
         if K in (2, 3):
-            corners = _cell_corners(normals, K)
-            if not corners:
+            if y not in reached:
                 continue
-            for c in corners:
-                if c not in images:  # boundary corners too: the mu map is continuous
-                    lam = c[:-1] + (c[-1] - sum(c[:-1]),)  # int numerators over w
-                    vertex = tuple(Fraction(v, c[-1]) for v in c[:-1])
-                    images[c] = lam, vertex, _prefix_normalize(lam)
+            normals, corners = reached[y]
             lifted, vertices, mu_vertices = zip(*map(images.__getitem__, corners))
             # The centroid of the corners lies in the cell's relative
             # interior, so y is supported iff it is strictly positive, that
             # is iff each lambda_i (>= 0 on the simplex) is positive at a corner.
             if not all(map(any, zip(*lifted))):
                 continue
-        elif supporting_weights(y, ps) is None:
-            continue
+        else:
+            normals = tuple(tuple(map(sub, y, other)) for other in values if other != y)
+            if supporting_weights(y, ps) is None:
+                continue
         cells.append(WeightCell(tuple(y), normals, vertices, mu_vertices))
     return cells

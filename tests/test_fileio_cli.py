@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -779,8 +780,8 @@ class TestErrorContract:
 
 class TestParserOrder:
     """An EDGE line reads its id, tail, head, weights and categories in that
-    order, so its first bad token is the one named; integer tokens read as
-    ``int`` reads them."""
+    order, so its first bad token is the one named; an integer token is an
+    optional ``-`` and ASCII digits."""
 
     def error(self, text):
         with pytest.raises(ParseError) as exc:
@@ -804,22 +805,98 @@ class TestParserOrder:
     @pytest.mark.parametrize(
         "token", ["+3", "0003", "3_0", "٣", "-0", "3.0", "0x3", "_3", "3__0"]
     )
-    def test_integer_tokens_read_as_int_reads_them(self, field, token):
+    def test_integer_tokens_follow_the_number_grammar(self, field, token):
         fields = {"id": "1", "tail": "1", "head": "2", "categories": "1"}
         fields[field] = token
         edge = " ".join(fields.values())
         text = f"GRAPH 40 1\nOBJECTIVES real=0 ordinal=40\nEDGE {edge}\nSOURCE 1\nTARGET 2\n"
-        try:
-            expected = int(token)
-        except ValueError:
+        if not re.fullmatch("-?[0-9]+", token):  # int() reads +3, 3_0 and ٣ as 3, 30 and 3
             assert self.error(text) == f"line 3: not an integer: {token!r}"
             return
+        expected = int(token)
         if expected < 1 and field != "id":  # a node or category 0 is out of range
             assert "outside 1..40" in self.error(text)
             return
         (e,) = parse_instance(text).edges
         value = getattr(e, field)
         assert value == ((expected,) if field == "categories" else expected)
+
+
+class TestNumberGrammar:
+    """An integer token is an optional ``-`` and ASCII digits; a weight
+    token is ``a/b`` or a decimal in ASCII, with no ``_`` and no leading
+    ``+``. ``int`` and ``Fraction`` also read ``1_0``, ``+5`` and ``٢``: those
+    are refused in every field of a file and on stdin, each at its line with
+    the reader's message. Every other spelling reads as before, and comments
+    are not read."""
+
+    EDGES = "GRAPH 3 1\nOBJECTIVES real=1 ordinal=2\nEDGE 1 1 2 {} 1\nSOURCE 1\nTARGET 2\n"
+
+    @pytest.mark.parametrize("token", ["+1", "+1/2", "1_0", "1/2_0", "1.5_0", "٢", "1/٢", "+.5"])
+    def test_weight_outside_the_grammar_is_refused(self, token):
+        with pytest.raises(ParseError) as info:
+            parse_instance(self.EDGES.format(token))
+        assert str(info.value) == f"line 3: not a rational number: {token!r}"
+
+    @pytest.mark.parametrize("token", ["1/2", "-0", "2.5", ".5", "5.", "1e+2", "1E-2", "007/14"])
+    def test_weight_in_the_grammar_reads_as_fraction_reads_it(self, token):
+        (edge,) = parse_instance(self.EDGES.format(token)).edges
+        assert edge.weights == (Fraction(token),)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("GRAPH +3 1\n", "line 1: not an integer: '+3'"),
+            ("GRAPH 3 1_0\n", "line 1: not an integer: '1_0'"),
+            ("GRAPH 3 0\nOBJECTIVES real=+0 ordinal=2\n", "line 2: not an integer: '+0'"),
+            ("GRAPH 3 0\nOBJECTIVES real=0 ordinal=2,٢\n", "line 2: not an integer: '٢'"),
+            ("GRAPH 3 0\nOBJECTIVES real=0 ordinal=2\nSOURCE +1\n", "line 3: not an integer: '+1'"),
+            ("KNAPSACK 1 5 ٢\n", "line 1: not an integer: '٢'"),
+            ("KNAPSACK 1 5 2\nITEM 1 1_0 1\n", "line 2: not an integer: '1_0'"),
+        ],
+    )
+    def test_header_and_item_integers_follow_the_grammar(self, text, error):
+        with pytest.raises(ParseError) as info:
+            parse_instance(text)
+        assert str(info.value) == error
+
+    def test_first_token_outside_the_grammar_in_line_order_is_named(self):
+        text = ("GRAPH 3 2\nOBJECTIVES real=1 ordinal=2\nEDGE 1 1 2 1 +1\n"
+                "EDGE 1_0 2 3 1 1\nSOURCE 1\nTARGET 3\n")
+        with pytest.raises(ParseError) as info:
+            parse_instance(text)
+        assert str(info.value) == "line 3: not an integer: '+1'"
+
+    def test_comments_are_not_read(self):
+        text = self.EDGES.format("1/2").replace("\nSOURCE", "  # +1 1_0 ٢\nSOURCE")
+        assert parse_instance(text) == parse_instance(self.EDGES.format("1/2"))
+
+    def test_file_refusal_through_main(self, tmp_path, capsys):
+        path = tmp_path / "g.graph"
+        path.write_text("GRAPH 2 1\nOBJECTIVES real=0 ordinal=2\nSOURCE 1\nTARGET 2\nEDGE 1_0 1 2 ٢\n",
+                        encoding="utf-8")
+        assert main(["solve", "sp", str(path)]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: line 5: not an integer: '1_0'\n")
+
+    @pytest.mark.parametrize("bad", ["1_0", "+5", "٢"])
+    @pytest.mark.parametrize("command", [["transform"], ["filter"], ["wsd"]])
+    def test_stdin_refusal(self, command, bad, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"1 2\n3 {bad}  # +1\n"))
+        assert main(command) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: line 2: not an integer vector: '3 {bad}'\n")
+
+    def test_stdin_comments_are_not_read(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("-0 2  # +1 1_0 ٢\n007,1\n"))
+        assert main(["transform"]) == 0
+        assert capsys.readouterr().out == "2 2\n8 1\n"
+
+    def test_scalarize_weights_are_not_instance_tokens(self, capsys, monkeypatch):
+        # The grammar is the text format's; --weights reads as Fraction reads.
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 2\n"))
+        assert main(["scalarize", "--weights", "+1/2,1/2"]) == 0
+        assert capsys.readouterr().out == "minimum 3/2\n1 2\n"
 
 
 DIGIT_LIMIT = (
@@ -837,10 +914,19 @@ class TestColumnReader:
     the instance built from its records, and none of its EDGE or ITEM lines
     goes through ``_ints``."""
 
-    INT_FAULTS = {"x7": "not an integer: 'x7'", "9" * 5000: DIGIT_LIMIT}
+    INT_FAULTS = {
+        "x7": "not an integer: 'x7'",
+        "9" * 5000: DIGIT_LIMIT,
+        "+7": "not an integer: '+7'",
+        "7_0": "not an integer: '7_0'",
+        "٧": "not an integer: '٧'",
+    }
     WEIGHT_FAULTS = {
         "w": "not a rational number: 'w'",
         "1/0": "not a rational number: '1/0'",
+        "+1/2": "not a rational number: '+1/2'",
+        "1_0": "not a rational number: '1_0'",
+        "٢/3": "not a rational number: '٢/3'",
         "7" * 1001: f"weight has more than {MAX_WEIGHT_DIGITS} digits",
     }
 
@@ -887,7 +973,7 @@ class TestColumnReader:
         lines, numbers = list(head), []
         for fields in records:
             while rng.random() < 0.1:
-                lines.append(rng.choice(["", "   ", "# a comment", "\t# EDGE x"]))
+                lines.append(rng.choice(["", "   ", "# a comment", "\t# EDGE x", "# +1 1_0 ٢"]))
             lines.append(" ".join([key, *fields]))
             numbers.append(len(lines))
         return "\n".join(lines + tail) + "\n", numbers

@@ -476,3 +476,126 @@ class TestCellsAgainstTheLP:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["wsd"]) == 0
         assert calls
+
+
+def clip_every_value(ps):
+    """The cells as the library once found them: every value's cell clipped
+    from the whole simplex, kept in value order when it is nonempty and
+    strictly positive at some corner in each lambda_i."""
+    values = sorted(set(ps.points))
+    k = len(values[0])
+    cells = []
+    for y in values:
+        normals = tuple(tuple(map(sub, y, other)) for other in values if other != y)
+        corners = scalarization._cell_corners(normals, k)
+        lifted = [c[:-1] + (c[-1] - sum(c[:-1]),) for c in corners]
+        if corners and all(map(any, zip(*lifted))):
+            vertices = tuple(tuple(Fraction(v, c[-1]) for v in c[:-1]) for c in corners)
+            mu = tuple(scalarization._prefix_normalize(lam) for lam in lifted)
+            cells.append(scalarization.WeightCell(y, normals, vertices, mu))
+    return cells
+
+
+def nonempty_values(ps):
+    """The values whose closed cell, clipped from the whole simplex, is not empty."""
+    values = sorted(set(ps.points))
+    return [
+        y for y in values
+        if scalarization._cell_corners(
+            [tuple(map(sub, y, other)) for other in values if other != y], len(y)
+        )
+    ]
+
+
+class TestWalkFromTheCorners:
+    """For K <= 3 the cells are found by walking out from the simplex
+    corners: a value is clipped only when it is least at a corner already
+    found, so exactly the values with a nonempty cell are clipped, each once,
+    and the cells are those of clipping every value."""
+
+    def clipped_values(self, ps, monkeypatch):
+        """The cells, and the values clipped in clip order, each known by its
+        normals."""
+        values = sorted(set(ps.points))
+        by_normals = {
+            tuple(tuple(map(sub, y, other)) for other in values if other != y): y
+            for y in values
+        }
+        clipped = []
+        clip = scalarization._cell_corners
+
+        def count(normals, k):
+            clipped.append(by_normals[tuple(normals)])
+            return clip(normals, k)
+
+        with monkeypatch.context() as m:
+            m.setattr(scalarization, "_cell_corners", count)
+            cells = weight_space_decomposition(ps)
+        return cells, clipped
+
+    @pytest.mark.parametrize("name", ["wsd_k2.txt", "wsd_k3.txt", "wsd_k3_degenerate.txt"])
+    def test_golden_sets_clip_only_the_values_with_a_cell(self, name, monkeypatch):
+        path = Path(__file__).parent / "golden" / "stdin" / name
+        ps = pareto_filter(PointSet(tuple(cli._read_int_vectors(io.StringIO(path.read_text())))))
+        cells, clipped = self.clipped_values(ps, monkeypatch)
+        assert sorted(clipped) == nonempty_values(ps)
+        assert len(clipped) == len(set(clipped))
+        assert cells == clip_every_value(ps)
+
+    # Degenerate cells, each reached only through one of its corners: a point
+    # where three cells meet, an edge shared by two cells, a simplex corner.
+    DEGENERATE = {
+        "k3 interior point": (((12, 6, 6), (12, 12, 0), (18, 6, 0), (14, 8, 2)), {(14, 8, 2)}),
+        "k3 shared edge": (
+            ((0, 8, 8), (6, 0, 6), (12, 2, 4), (12, 12, 2), (9, 6, 4)), {(9, 6, 4)}
+        ),
+        "k3 edge to a simplex corner": (
+            ((12, 6, 6), (12, 12, 0), (18, 6, 0), (12, 9, 3)), {(12, 9, 3)}
+        ),
+        "k3 simplex corner": (((1, 9, 0), (1, 0, 9), (1, 5, 5), (6, 1, 1)), {(1, 5, 5)}),
+        "k2 interior point": (((0, 8), (8, 0), (4, 4), (2, 6)), {(4, 4), (2, 6)}),
+        # With no value dominated, a K = 2 cell has positive length or is
+        # a point inside the segment; (0, 5) is dominated by (0, 3), as an
+        # unfiltered set may hold, and is least only at lambda = (1, 0).
+        "k2 simplex corner": (((0, 5), (0, 3), (4, 0)), {(0, 5)}),
+    }
+
+    @pytest.mark.parametrize("name", DEGENERATE)
+    def test_degenerate_cells_are_reached(self, name, monkeypatch):
+        points, degenerate = self.DEGENERATE[name]
+        ps = PointSet(points)
+        cells, clipped = self.clipped_values(ps, monkeypatch)
+        assert cells == clip_every_value(ps)
+        assert sorted(clipped) == nonempty_values(ps) == sorted(set(points))
+        # Each degenerate cell is one point or one segment.
+        corners = {
+            y: scalarization._cell_corners(
+                [tuple(map(sub, y, other)) for other in points if other != y], len(y)
+            )
+            for y in degenerate
+        }
+        assert all(len(c) <= len(y) - 1 for y, c in corners.items())
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_seeded_sets_clip_only_the_values_with_a_cell(self, k, monkeypatch):
+        rng = random.Random(5200 + k)
+        for trial in range(300):
+            top = rng.choice((2, 3, 5, 10, 20, 40))
+            pts = [
+                tuple(rng.randint(0, top) for _ in range(k))
+                for _ in range(rng.randint(1, 12))
+            ]
+            pts += rng.choices(pts, k=rng.randint(0, 3))  # duplicates
+            # Collinear values with one coordinate sum: tied under uniform weights.
+            last = rng.randint(0, top)
+            pts += [
+                (i, top - i, last)[:k]
+                for i in rng.sample(range(top + 1), rng.randint(0, 3))
+            ]
+            ps = PointSet(tuple(pts))
+            if trial % 2:  # as the wsd command passes them
+                ps = pareto_filter(ps)
+            cells, clipped = self.clipped_values(ps, monkeypatch)
+            assert sorted(clipped) == nonempty_values(ps)
+            assert len(clipped) == len(set(clipped))
+            assert cells == clip_every_value(ps)
