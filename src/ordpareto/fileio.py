@@ -114,22 +114,18 @@ def read_weight(token: str) -> Fraction:
 
 
 def _ints(tokens: Sequence[str], line_no: int) -> tuple[int, ...]:
-    """Each token as an int by one ``map``; only a failed map or number
-    grammar check names its token."""
-    try:
-        if not plain_numbers(tokens):
-            raise ValueError("outside the number grammar")
-        return tuple(map(int, tokens))
-    except ValueError:
-        for token in tokens:
-            try:
-                if not plain_numbers((token,)):
-                    raise ValueError("outside the number grammar")
-                int(token)
-            except ValueError:
-                reason = too_many_digits(token) or f"not an integer: {excerpt(token)}"
-                raise ParseError(line_no, reason) from None
-        raise
+    """Each token as an int, read in order; the first token outside the
+    number grammar or ``int``'s reach is named."""
+    values = []
+    for token in tokens:
+        try:
+            if not plain_numbers((token,)):
+                raise ValueError("outside the number grammar")
+            values.append(int(token))
+        except ValueError:
+            reason = too_many_digits(token) or f"not an integer: {excerpt(token)}"
+            raise ParseError(line_no, reason) from None
+    return tuple(values)
 
 
 def _spaces(num_real: int, ks: Sequence[int], line_no: int) -> tuple[CategorySpace, ...]:

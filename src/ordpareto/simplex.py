@@ -53,22 +53,15 @@ def solve_lp(
         enter = next((j for j in range(n + m) if tableau[m][j] > 0), None)
         if enter is None:
             break
-        # Bland: min ratio rhs / entry, then min basis index.
-        leave = None
+        # Bland: min ratio rhs / entry, then min basis index; any row beats 1 / 0.
+        leave, best_rhs, best_entry = -1, 1, 0
         for r in range(m):
             entry = tableau[r][enter]
             if entry > 0:
                 rhs = tableau[r][-1]
-                if leave is None:
+                if (rhs * best_entry, basis[r]) < (best_rhs * entry, basis[leave]):
                     leave, best_rhs, best_entry = r, rhs, entry
-                    continue
-                lhs_cmp = rhs * best_entry
-                rhs_cmp = best_rhs * entry
-                if lhs_cmp < rhs_cmp or (
-                    lhs_cmp == rhs_cmp and basis[r] < basis[leave]
-                ):
-                    leave, best_rhs, best_entry = r, rhs, entry
-        if leave is None:
+        if leave < 0:
             return UNBOUNDED, None, None
         prow = tableau[leave]
         piv = prow[enter]

@@ -31,7 +31,6 @@ from ordpareto.core import (
     fields,
     ordinal_vector,
     pareto_front,
-    scale_to_ints,
     unpack,
 )
 
@@ -429,9 +428,9 @@ def _multiobjective_shortest_paths(
 
 
 def _scaled(weights: Sequence, objective: int) -> tuple[int, list[int]]:
-    """:func:`ordpareto.core.scale_to_ints` of real objective ``objective``'s
-    weights, refused once the lcm of their denominators, built one distinct
-    denominator at a time, passes ``MAX_SCALE_DIGITS`` digits."""
+    """The lcm of real objective ``objective``'s weight denominators and
+    each weight times it, as an int; refused once the lcm, built one
+    distinct denominator at a time, passes ``MAX_SCALE_DIGITS`` digits."""
     scale = 1
     for d in set(map(attrgetter("denominator"), weights)):
         scale = lcm(scale, d)  # 2**(3 * digits) < 10**digits: the power is built only near it
@@ -440,7 +439,7 @@ def _scaled(weights: Sequence, objective: int) -> tuple[int, list[int]]:
                 f"real objective {objective}: the lcm of its weights' denominators "
                 f"has more than {MAX_SCALE_DIGITS} digits"
             )
-    return scale_to_ints(weights)
+    return scale, [w.numerator * (scale // w.denominator) for w in weights]
 
 
 def _solve_paths(

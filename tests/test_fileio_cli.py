@@ -822,6 +822,12 @@ class TestParserOrder:
         assert value == ((expected,) if field == "categories" else expected)
 
 
+DIGIT_LIMIT = (
+    f"integer has more than {sys.get_int_max_str_digits()} digits "
+    "(Python's str-to-int limit)"
+)
+
+
 class TestNumberGrammar:
     """An integer token is an optional ``-`` and ASCII digits; a weight
     token is ``a/b`` or a decimal in ASCII, with no ``_`` and no leading
@@ -853,6 +859,11 @@ class TestNumberGrammar:
             ("GRAPH 3 0\nOBJECTIVES real=0 ordinal=2\nSOURCE +1\n", "line 3: not an integer: '+1'"),
             ("KNAPSACK 1 5 ٢\n", "line 1: not an integer: '٢'"),
             ("KNAPSACK 1 5 2\nITEM 1 1_0 1\n", "line 2: not an integer: '1_0'"),
+            # The first bad token of a header line is named, whatever follows.
+            ("GRAPH x +1\n", "line 1: not an integer: 'x'"),
+            ("GRAPH 3 0\nOBJECTIVES real=0 ordinal=2,x,+3\n", "line 2: not an integer: 'x'"),
+            pytest.param("KNAPSACK 1 %s 2\n" % ("9" * 5000), f"line 1: {DIGIT_LIMIT}",
+                         id="5000-digit-capacity"),
         ],
     )
     def test_header_and_item_integers_follow_the_grammar(self, text, error):
@@ -897,12 +908,6 @@ class TestNumberGrammar:
         monkeypatch.setattr("sys.stdin", io.StringIO("1 2\n"))
         assert main(["scalarize", "--weights", "+1/2,1/2"]) == 0
         assert capsys.readouterr().out == "minimum 3/2\n1 2\n"
-
-
-DIGIT_LIMIT = (
-    f"integer has more than {sys.get_int_max_str_digits()} digits "
-    "(Python's str-to-int limit)"
-)
 
 
 class TestColumnReader:

@@ -9,6 +9,7 @@ from ordpareto.oracle import (
     enumerate_paths,
     enumerate_subsets,
     oracle_efficient_set,
+    oracle_result,
     sample_representation,
     tail_dominates,
 )
@@ -180,3 +181,17 @@ class TestEfficientSet:
 def test_tail_dominance_needs_equal_lengths():
     with pytest.raises(OrdparetoError, match="^vector lengths differ: 2 vs 1$"):
         tail_dominates((1, 2), (1,))
+
+
+class TestOracleResult:
+    def test_unknown_problem(self):
+        with pytest.raises(OrdparetoError, match="^unknown problem: 'bogus'$"):
+            oracle_result(routes_k3(), "bogus")
+
+    def test_wtop_needs_one_weight_and_one_ordinal_objective(self):
+        edges = (Edge(1, 1, 2, (Fraction(1, 2),), (1, 3)), Edge(2, 2, 3, (2,), (2, 1)))
+        g = GraphInstance(3, edges, (CategorySpace(2), CategorySpace(3)), 1, 3, 1)
+        with pytest.raises(
+            OrdparetoError, match="^wtop expects one weight and one ordinal objective$"
+        ):
+            oracle_result(g, "wtop")

@@ -40,6 +40,13 @@ class TestSolveLp:
         )
         assert (status, objective, x) == (OPTIMAL, F(3), [F(1), F(1)])
 
+    def test_ratio_tie_leaves_by_the_least_basic_index(self):
+        # max y + 3z  s.t.  2x + 2y <= 2, y + z <= 1. y enters first, and both
+        # rows tie at ratio 1: Bland's rule pivots out slack 3, not slack 4,
+        # and ends at (1, 0, 1). The optimum 3 is also attained at (0, 0, 1).
+        status, objective, x = solve_lp([0, 1, 3], [[2, 2, 0], [0, 1, 1]], [2, 1])
+        assert (status, objective, x) == (OPTIMAL, F(3), [F(1), F(0), F(1)])
+
     def test_no_constraints(self):
         assert solve_lp([0, -1], [], []) == (OPTIMAL, F(0), [F(0), F(0)])
         assert solve_lp([1], [], []) == (UNBOUNDED, None, None)
