@@ -37,6 +37,7 @@ from ordpareto.fileio import (
     emit_result,
     parse_instance,
     read_weight,
+    text_lines,
     vector_text,
 )
 from ordpareto.solvers import (
@@ -65,8 +66,11 @@ def __getattr__(name: str):
 def _read_int_vectors(stream) -> list[tuple[int, ...]]:
     """One vector per line, all checked against the number grammar and
     converted by one ``map``; only a failure walks the lines."""
-    text = stream.read()
-    lines = [raw.split("#", 1)[0].strip() for raw in text.split("\n")]
+    try:
+        text = stream.read()
+    except UnicodeDecodeError as exc:
+        raise OrdparetoError(f"stdin: not UTF-8 text ({exc.reason})") from None
+    lines = [raw.split("#", 1)[0].strip() for raw in text_lines(text)]
     rows = [line.replace(",", " ").split() for line in lines if line]
     plain = plain_text(text) or plain_numbers(chain.from_iterable(rows))
     try:
@@ -133,18 +137,14 @@ def _load_instance(path: str):
     return parse_instance(text)
 
 
-# Per problem, the name of its solver on this module, where a caller such
-# as a tracer may have replaced it.
-_SOLVERS = {"sp": "solve_shortest_path", "mixed": "solve_mixed",
-            "wtop": "solve_weighted_counting", "knapsack": "solve_knapsack"}
-
-
 def _solver(problem: str, inst):
-    """The solver of ``problem``, refused if ``inst`` is not its kind of instance."""
+    """The solver of ``problem`` on this module at call time, where a tracer may
+    have replaced it; refused if ``inst`` is not its kind of instance."""
     kind = "knapsack" if problem == "knapsack" else "graph"
     if (kind == "knapsack") != isinstance(inst, KnapsackInstance):
         raise OrdparetoError(f"instance file does not describe a {kind}")
-    return getattr(_cli, _SOLVERS[problem])
+    return {"sp": solve_shortest_path, "mixed": solve_mixed,
+            "wtop": solve_weighted_counting, "knapsack": solve_knapsack}[problem]
 
 
 def _cmd_solve(args) -> int:

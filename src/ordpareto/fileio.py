@@ -140,11 +140,15 @@ def _spaces(num_real: int, ks: Sequence[int], line_no: int) -> tuple[CategorySpa
         raise ParseError(line_no, str(exc)) from None
 
 
+def text_lines(text: str) -> list[str]:
+    """The lines of ``text``, each ended by \\n, \\r\\n or \\r, as open() reads them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_instance(text: str) -> GraphInstance | KnapsackInstance:
     """Parse an instance file into a validated graph or knapsack instance."""
     lines = []
-    text = text.replace("\r\n", "\n").replace("\r", "\n")  # the newlines open() reads
-    for no, raw in enumerate(text.split("\n"), start=1):
+    for no, raw in enumerate(text_lines(text), start=1):
         tokens = raw.partition("#")[0].split()
         if tokens:
             lines.append((no, tokens))

@@ -278,26 +278,26 @@ def _packed_steps(
 
 
 def _multiobjective_shortest_paths(
-    g: GraphInstance, steps: Sequence[int], layout: tuple[list[int], list[int], int],
-    all_efficient: bool,
-) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    g: GraphInstance, steps: Sequence[int], guards: int, all_efficient: bool,
+) -> dict[int, list[tuple[int, ...]]]:
     """Label-setting search over simple s-t paths, in ints only.
 
-    ``steps`` and ``layout`` come from :func:`_packed_steps`: each edge's
-    packed int cost, and fields sized by a bound on new values, so a carry
-    into a guard bit raises; the empty path's value is 0. Returns a map from
-    each non-dominated cost vector at the target to the sorted edge-id
-    paths attaining it (only the smallest unless ``all_efficient``).
-    Labels pop from a heap of ``value << node_bits | node`` in lexicographic
-    order (Martins 1984). A new value is never below the popped one and
-    evicts only values it dominates, which are above it, so a popped label
-    is final: a simple path's value, extended once. A new value's scan of
-    its bucket stops at the first label dominating it, and only a kept
-    value scans the bucket again for the labels it evicts.
+    ``steps`` and ``guards`` come from :func:`_packed_steps`: each edge's
+    packed int cost, and the guard bits of fields sized by a bound on new
+    values, so a carry into a guard bit raises; the empty path's value is 0.
+    Returns a map from each non-dominated packed value at the target to the
+    sorted edge-id paths attaining it (only the smallest unless
+    ``all_efficient``). Labels pop from a heap of ``(value, path, node)`` in
+    lexicographic order (Martins 1984). A push is above the popped entry, its
+    value larger or its path extended, and evicts only values it dominates,
+    which are above it, so a popped label is final: a simple path's value,
+    extended once. A new value's scan of its bucket stops at the first label
+    dominating it; only a kept value scans it again, for the labels it evicts.
 
-    Default mode keeps ``[smallest path, extended?]`` per label; a smaller
-    tie after the pop pushes the label again. ``all_efficient`` keeps the
-    arcs into a label from final labels, a DAG over ``(tail, value - cost)``.
+    A default-mode label is its least path, held by its heap entry: a smaller
+    tie before the pop pushes its own, and the older entry is skipped.
+    ``all_efficient`` pushes ``()`` as the path and keeps the arcs into a
+    label from final labels, a DAG over ``(tail, value - cost)``.
     A walk back to a node ties or is dominated by its first visit's label,
     so with no zero step, where every arc raises the value, no walk back
     repeats a node. Then each label the target reaches back to gets, in
@@ -311,27 +311,23 @@ def _multiobjective_shortest_paths(
     zero-cost arc only if the tail gets back to the source off the walk
     (Read & Tarjan 1975), so it meets no dead end.
     """
-    shifts, masks, guards = layout
     if g.source == g.target:  # any other s-s walk is a cycle, and no cycle costs below zero
-        return {unpack(0, shifts, masks): [()]}
+        return {0: [()]}
     from heapq import heappop, heappush  # loaded by path searches only
     outgoing: dict[int, list[tuple[int, int, int, int]]] = {}  # (edge id, head, packed cost, tail)
     for arc in sorted((e.id, e.head, step, e.tail) for e, step in zip(g.edges, steps)):
         outgoing.setdefault(arc[3], []).append(arc)
     node_bits = g.nodes.bit_length()
     node_mask = (1 << node_bits) - 1
-    # labels[node]: packed value -> arcs in from final labels, or [path, extended?]
-    labels: dict[int, dict[int, list]] = {e.head: {} for e in g.edges}
-    labels[g.source] = {0: [] if all_efficient else [(), False]}
-    heap = [g.source]
+    # labels[node]: packed value -> arcs in from final labels, or its path
+    labels: dict[int, dict[int, list | tuple]] = {e.head: {} for e in g.edges}
+    heap = [(0, (), g.source)]
+    labels[g.source] = {0: [] if all_efficient else heap[0][1]}  # the entry's own path
     while heap:
-        key = heappop(heap)
-        node, value = key & node_mask, key >> node_bits
+        value, path, node = heappop(heap)
         label = labels[node].get(value)
-        if label is None:
-            continue  # evicted while queued
-        if not all_efficient:
-            path, label[1] = label[0], True
+        if label is None or not all_efficient and label is not path:
+            continue  # evicted, or replaced by a smaller tie, while queued
         for arc in outgoing.get(node, ()):
             edge_id, to, step, _ = arc
             new_value = value + step
@@ -349,18 +345,17 @@ def _multiobjective_shortest_paths(
                 else:
                     for other in [o for o in bucket if (o | guards) - new_value & guards == guards]:
                         del bucket[other]
-                    bucket[new_value] = [arc] if all_efficient else [path + (edge_id,), False]
-                    heappush(heap, new_value << node_bits | to)
+                    bucket[new_value] = new = [arc] if all_efficient else path + (edge_id,)
+                    heappush(heap, (new_value, () if all_efficient else new, to))
             elif all_efficient:
                 entry.append(arc)
-            elif path + (edge_id,) < entry[0]:
-                if entry[1]:  # extended already: new_value is being popped now
-                    heappush(heap, new_value << node_bits | to)
-                entry[0], entry[1] = path + (edge_id,), False
+            elif (new := path + (edge_id,)) < entry:
+                bucket[new_value] = new
+                heappush(heap, (new_value, new, to))
 
     target = labels.get(g.target, {})
     if not all_efficient:
-        return {unpack(v, shifts, masks): [label[0]] for v, label in target.items()}
+        return {v: [path] for v, path in target.items()}
     if 0 not in steps:  # every arc raises the value: no walk back repeats a node
         readers = {v << node_bits | g.target: 0 for v in target}  # marked label -> readers
         todo = list(readers)
@@ -390,8 +385,7 @@ def _multiobjective_shortest_paths(
                     if not readers[pred]:
                         del lists[pred]
                 lists[key] = prefixes
-            return {unpack(v, shifts, masks): sorted(lists[v << node_bits | g.target])
-                    for v in target}
+            return {v: sorted(lists[v << node_bits | g.target]) for v in target}
 
     def escapes(node: int, value: int, on_walk: set[int]) -> bool:
         """Whether arcs of ``value`` that avoid ``on_walk`` lead from ``node``
@@ -423,7 +417,7 @@ def _multiobjective_shortest_paths(
             else:
                 on_walk.remove(walk.pop()[0])
                 del suffix[len(walk) - 1:]
-        frontier[unpack(value, shifts, masks)] = sorted(paths)
+        frontier[value] = sorted(paths)
     return frontier
 
 
@@ -452,22 +446,23 @@ def _solve_paths(
     ``len(scales)`` value components are rational weights that the caller
     multiplied by ``scales``; they are reported as ``Fraction``s again.
     The first ``g.num_real`` of them are the path's real weights."""
-    frontier = _multiobjective_shortest_paths(g, steps, layout, all_efficient)
+    shifts, masks, guards = layout
+    frontier = _multiobjective_shortest_paths(g, steps, guards, all_efficient)
     edges = {e.id: e for e in g.edges}
     n = len(scales)
     if n:
         from fractions import Fraction
     entries = []
-    # Each component is scaled by a positive constant, so the int values
-    # sort in the order of the values reported.
-    for scaled in sorted(frontier):
+    # Packed ints sort lexicographically; unscaling by positive constants keeps it.
+    for packed, paths in sorted(frontier.items()):
+        scaled = unpack(packed, shifts, masks)
         value = tuple(map(Fraction, scaled[:n], scales)) + scaled[n:] if n else scaled
-        rep_edges = [edges[i] for i in frontier[scaled][0]]
+        rep_edges = [edges[i] for i in paths[0]]
         countings = tuple(
             counting_vector((e.categories[l] for e in rep_edges), space)
             for l, space in enumerate(g.spaces)
         )
-        entries.append(ResultEntry(value, countings, value[: g.num_real], tuple(frontier[scaled])))
+        entries.append(ResultEntry(value, countings, value[: g.num_real], tuple(paths)))
     return SolveResult(tuple(entries))
 
 

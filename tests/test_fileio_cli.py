@@ -673,6 +673,12 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not UTF-8 text" in err
 
+    def test_stdin_not_utf8(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"1 2\n\xff 3\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["filter"]) == 1
+        assert capsys.readouterr() == ("", "error: stdin: not UTF-8 text (invalid start byte)\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1088,10 +1094,17 @@ class TestLineEnds:
         assert parse_instance(text).edges == (Edge(1, 1, 2, (), (1,)),)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-    def test_each_newline_ends_a_line(self, newline):
+    def test_each_newline_ends_a_line(self, capsys, monkeypatch, newline):
         text = self.ONE_EDGE + "SOURCE 1\nTARGET 2\n\nBOGUS\n"
         with pytest.raises(ParseError, match="^line 7: unknown record 'BOGUS'$"):
             parse_instance(text.replace("\n", newline))
+        # Stdin vectors end at the same newlines, and so count error lines.
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1 2\n2 1\n".replace("\n", newline)))
+        assert main(["filter"]) == 0
+        assert capsys.readouterr() == ("1 2\n2 1\n", "")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1 2\n\nx\n".replace("\n", newline)))
+        assert main(["filter"]) == 1
+        assert capsys.readouterr() == ("", "error: line 3: not an integer vector: 'x'\n")
 
     @pytest.mark.parametrize(
         "stdin, error",

@@ -739,14 +739,16 @@ class TestIntegerSearch:
         calls = []
         search = solvers._multiobjective_shortest_paths
 
-        def checked(g, steps, layout, all_efficient):
-            # One packed step per edge, each an exact int, as is the layout.
+        def checked(g, steps, guards, all_efficient):
+            # One packed step per edge, each an exact int, as are the guard
+            # bits and every packed value the search returns.
             assert len(steps) == len(g.edges)
             assert all(type(step) is int for step in steps), steps
-            shifts, masks, guards = layout
-            assert all(type(x) is int for x in (*shifts, *masks, guards)), layout
+            assert type(guards) is int, guards
             calls.append(all_efficient)
-            return search(g, steps, layout, all_efficient)
+            frontier = search(g, steps, guards, all_efficient)
+            assert frontier and all(type(key) is int for key in frontier), frontier
+            return frontier
 
         monkeypatch.setattr(solvers, "_multiobjective_shortest_paths", checked)
         rng = random.Random(5)
@@ -1030,9 +1032,11 @@ class TestLabelSetting:
     def test_zero_cost_tie_after_the_pop_reaches_every_label_downstream(
         self, all_efficient
     ):
-        # Every label has value 0, so they pop in node order: 1, 2, 3, 4,
-        # then 5. Node 5 then hands node 2 the path (1, 2), a tie smaller
-        # than its (3,), after 2, 3 and 4 have popped.
+        # Every label has value 0. Default mode pops them in path order, so
+        # node 5, reached by (1,), hands node 2 the tie (1, 2) before node 2
+        # pops its entry for the larger (3,), which is then skipped. With
+        # --all-efficient they pop in node order, and the arc from 5 reaches
+        # node 2 after 2, 3 and 4 have popped.
         arcs = ((1, 5), (5, 2), (1, 2), (2, 3), (3, 4))
         downstream = {2: ((1, 2), (3,)), 3: ((1, 2, 4), (3, 4)), 4: ((1, 2, 4, 5), (3, 4, 5))}
         for target, paths in downstream.items():
