@@ -3,7 +3,7 @@
 Subcommands: transform, filter, solve {sp,knapsack,mixed,wtop}, scalarize,
 wsd, oracle-check. ``oracle-check`` reads the problem from the instance: a
 knapsack is checked as ``knapsack``, any graph as ``mixed``. Vectors read
-from stdin are one per line, entries separated by whitespace or commas.
+from stdin are in the format that :mod:`ordpareto.fileio` describes.
 Exit codes: 0 success or ``--help``, 1 a bad command line, input or parse
 error (one ``error: …`` line on stderr), 2 oracle mismatch.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain
 
 import ordpareto
 from ordpareto.core import (
@@ -23,21 +22,17 @@ from ordpareto.core import (
     excerpt,
     head_transform,
     inverse_transform,
-    plain_numbers,
-    plain_text,
     tail_transform,
-    too_many_digits,
     unprintable,
 )
 from ordpareto.fileio import (
     FORMATS,
     PROBLEMS,
     TEXT,
-    ParseError,
     emit_result,
     parse_instance,
+    parse_vectors,
     read_weight,
-    text_lines,
     vector_text,
 )
 from ordpareto.solvers import (
@@ -63,36 +58,12 @@ def __getattr__(name: str):
     return value
 
 
-def _read_int_vectors(stream) -> list[tuple[int, ...]]:
-    """One vector per line, all checked against the number grammar and
-    converted by one ``map``; only a failure walks the lines."""
+def _read_text(fh, name: str) -> str:
+    """The whole text of ``fh``; a non-UTF-8 input is refused, named by ``name``."""
     try:
-        text = stream.read()
+        return fh.read()
     except UnicodeDecodeError as exc:
-        raise OrdparetoError(f"stdin: not UTF-8 text ({exc.reason})") from None
-    lines = [raw.split("#", 1)[0].strip() for raw in text_lines(text)]
-    rows = [line.replace(",", " ").split() for line in lines if line]
-    plain = plain_text(text) or plain_numbers(chain.from_iterable(rows))
-    try:
-        values = list(map(int, chain.from_iterable(rows))) if plain else None
-    except ValueError:
-        values = None
-    if values is None or not all(rows):
-        for no, line in enumerate(lines, start=1):
-            tokens = line.replace(",", " ").split()
-            try:
-                vector = tuple(map(int, tokens)) if plain_numbers(tokens) else ()
-            except ValueError:
-                vector = ()
-            if line and not vector:
-                reason = next(filter(None, map(too_many_digits, tokens)), "")
-                raise ParseError(no, reason or f"not an integer vector: {excerpt(line)}")
-    if not rows:
-        raise OrdparetoError("no vectors on stdin")
-    dim = len(rows[0])
-    if any(len(row) != dim for row in rows):
-        raise OrdparetoError("vectors have differing lengths")
-    return list(zip(*[iter(values)] * dim))
+        raise OrdparetoError(f"{name}: not UTF-8 text ({exc.reason})") from None
 
 
 def _format_vec(v) -> str:
@@ -110,7 +81,7 @@ def _write_lines(lines: list[str]) -> int:
 
 
 def _cmd_transform(args) -> int:
-    vectors = _read_int_vectors(sys.stdin)
+    vectors = parse_vectors(_read_text(sys.stdin, "stdin"))
     transform = inverse_transform if args.inverse else (
         head_transform if args.head else tail_transform
     )
@@ -118,7 +89,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    vectors = _read_int_vectors(sys.stdin)
+    vectors = parse_vectors(_read_text(sys.stdin, "stdin"))
     ps = _cli.PointSet(tuple(vectors))
     if args.cone == "pareto":
         kept = _cli.pareto_filter(ps, args.sense)
@@ -130,10 +101,7 @@ def _cmd_filter(args) -> int:
 
 def _load_instance(path: str):
     with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise OrdparetoError(f"{excerpt(path)}: not UTF-8 text ({exc.reason})") from None
+        text = _read_text(fh, excerpt(path))
     return parse_instance(text)
 
 
@@ -159,14 +127,14 @@ def _cmd_scalarize(args) -> int:
         weights = [read_weight(t) for t in args.weights.replace(",", " ").split()]
     except OrdparetoError as exc:
         raise OrdparetoError(f"not rational weights: {exc}") from None
-    vectors = _read_int_vectors(sys.stdin)
+    vectors = parse_vectors(_read_text(sys.stdin, "stdin"))
     value, argmins = _cli.weighted_sum_solve(_cli.PointSet(tuple(vectors)), weights)
     lines = [f"minimum {_format_vec((value,))}"]
     return _write_lines(lines + [_format_vec(p) for p in argmins.points])
 
 
 def _cmd_wsd(args) -> int:
-    vectors = _read_int_vectors(sys.stdin)
+    vectors = parse_vectors(_read_text(sys.stdin, "stdin"))
     ps = _cli.pareto_filter(_cli.PointSet(tuple(vectors)))
     lines = []
     for cell in _cli.weight_space_decomposition(ps):

@@ -12,6 +12,9 @@ reads it, and '#' starts a comment:
     KNAPSACK <items> <capacity> <K>
     ITEM <id> <consumption> <category>
 
+Vectors on stdin (:func:`parse_vectors`) are one per line, with integer
+entries separated by whitespace or commas, all of one length.
+
 An integer is an optional '-' and ASCII digits. A weight is an exact
 rational 'a/b' or a decimal string, with an optional '-' and at most
 MAX_WEIGHT_DIGITS digits in numerator and denominator. No number token has
@@ -36,19 +39,12 @@ or a ``Fraction``.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import sys
+from collections.abc import Iterable, Sequence
 from functools import cache
-from itertools import repeat
+from itertools import chain, repeat
 
-from ordpareto.core import (
-    CategorySpace,
-    OrdparetoError,
-    excerpt,
-    plain_numbers,
-    plain_text,
-    too_many_digits,
-    unprintable,
-)
+from ordpareto.core import CategorySpace, OrdparetoError, excerpt, unprintable
 from ordpareto.solvers import (
     Edge,
     GraphInstance,
@@ -86,6 +82,31 @@ class ParseError(OrdparetoError):
 
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
+
+
+def too_many_digits(token: str) -> str:
+    """A short reason if ``token`` has more digits than ``int`` converts
+    from str, else "". ``int`` and ``Fraction`` raise for such a token the
+    ``ValueError`` of a malformed one, and echoing it would print them all."""
+    digits = sys.get_int_max_str_digits()
+    if digits and sum(map(str.isdecimal, token)) > digits:
+        return f"integer has more than {digits} digits (Python's str-to-int limit)"
+    return ""
+
+
+def plain_numbers(tokens: Iterable[str]) -> bool:
+    """Whether no token has a non-ASCII character, an ``_`` or a leading
+    ``+``: the spellings ``int`` and ``Fraction`` accept (``1_0``, ``+5``,
+    ``٢``) that the number grammar does not. The tokens hold no whitespace."""
+    text = " " + " ".join(tokens)
+    return text.isascii() and "_" not in text and " +" not in text
+
+
+def plain_text(text: str) -> bool:
+    """Whether ``text`` is ASCII with no ``_`` or ``+``, so that none of its
+    tokens can fail :func:`plain_numbers`: one fast test of a whole input,
+    after which only an input that fails it has its tokens checked."""
+    return text.isascii() and "_" not in text and "+" not in text
 
 
 def _fraction(token: str) -> Fraction:
@@ -143,6 +164,34 @@ def _spaces(num_real: int, ks: Sequence[int], line_no: int) -> tuple[CategorySpa
 def text_lines(text: str) -> list[str]:
     """The lines of ``text``, each ended by \\n, \\r\\n or \\r, as open() reads them."""
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def parse_vectors(text: str) -> list[tuple[int, ...]]:
+    """The integer vectors of ``text``, one per line, all checked against the
+    number grammar and converted by one ``map``; only a failure walks the lines."""
+    lines = [raw.split("#", 1)[0].strip() for raw in text_lines(text)]
+    rows = [line.replace(",", " ").split() for line in lines if line]
+    plain = plain_text(text) or plain_numbers(chain.from_iterable(rows))
+    try:
+        values = list(map(int, chain.from_iterable(rows))) if plain else None
+    except ValueError:
+        values = None
+    if values is None or not all(rows):
+        for no, line in enumerate(lines, start=1):
+            tokens = line.replace(",", " ").split()
+            try:
+                vector = tuple(map(int, tokens)) if plain_numbers(tokens) else ()
+            except ValueError:
+                vector = ()
+            if line and not vector:
+                reason = next(filter(None, map(too_many_digits, tokens)), "")
+                raise ParseError(no, reason or f"not an integer vector: {excerpt(line)}")
+    if not rows:
+        raise OrdparetoError("no vectors on stdin")
+    dim = len(rows[0])
+    if any(len(row) != dim for row in rows):
+        raise OrdparetoError("vectors have differing lengths")
+    return list(zip(*[iter(values)] * dim))
 
 
 def parse_instance(text: str) -> GraphInstance | KnapsackInstance:

@@ -60,7 +60,7 @@ def weighted_sum_solve(
         raise OrdparetoError(f"{len(lam)} weights for points of dimension {len(ps.points[0])}")
     # Scaled to ints by the lcm of the weights' denominators, a positive
     # constant, which keeps the argmins.
-    scale, ints = scale_to_ints(lam)
+    scale, ints = scale_to_ints(lam, "lambda")
     values = [sum(map(mul, ints, point)) for point in ps.points]
     best = min(values)
     keep = [i for i, v in enumerate(values) if v == best]

@@ -42,10 +42,10 @@ def solve_lp(
     # unscaled tableau.
     tableau = []
     for i in range(m):
-        row = scale_to_ints([*a_rows[i], b[i]])[1]
+        row = scale_to_ints([*a_rows[i], b[i]], f"LP row {i + 1}")[1]
         tableau.append(row[:n] + [int(j == i) for j in range(m)] + row[n:])
     # The last row holds the reduced costs; the slack basis costs nothing.
-    tableau.append(scale_to_ints(list(c) + [0] * (m + 1))[1])
+    tableau.append(scale_to_ints(list(c) + [0] * (m + 1), "LP objective")[1])
     basis = list(range(n, n + m))
     denom = 1  # every tableau entry is its integer over this
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import partial, reduce
-from itertools import accumulate, count, islice, repeat
-from math import lcm
+from itertools import accumulate, islice, repeat
 from operator import add, attrgetter, lshift, mul
 
 from ordpareto.core import (
@@ -31,15 +30,12 @@ from ordpareto.core import (
     fields,
     ordinal_vector,
     pareto_front,
+    scale_to_ints,
     unpack,
 )
 
 OK = "ok"
 UNREACHABLE = "unreachable"
-# Every packed value grows with the digits of the lcm that scales a real
-# objective, and the time with their square: a 5 x 5 bidirected grid at
-# K = 10 takes 1 ms at small denominators and about 0.1 s at 9,600 digits.
-MAX_SCALE_DIGITS = 10_000
 _BUILD_RATIO = 8  # most prefix entries a forward build makes per entry of the answer
 
 
@@ -317,8 +313,6 @@ def _multiobjective_shortest_paths(
     outgoing: dict[int, list[tuple[int, int, int, int]]] = {}  # (edge id, head, packed cost, tail)
     for arc in sorted((e.id, e.head, step, e.tail) for e, step in zip(g.edges, steps)):
         outgoing.setdefault(arc[3], []).append(arc)
-    node_bits = g.nodes.bit_length()
-    node_mask = (1 << node_bits) - 1
     # labels[node]: packed value -> arcs in from final labels, or its path
     labels: dict[int, dict[int, list | tuple]] = {e.head: {} for e in g.edges}
     heap = [(0, (), g.source)]
@@ -357,35 +351,35 @@ def _multiobjective_shortest_paths(
     if not all_efficient:
         return {v: [path] for v, path in target.items()}
     if 0 not in steps:  # every arc raises the value: no walk back repeats a node
-        readers = {v << node_bits | g.target: 0 for v in target}  # marked label -> readers
+        readers = {(v, g.target): 0 for v in target}  # marked label -> readers
         todo = list(readers)
         while todo:
-            value = (key := todo.pop()) >> node_bits
-            for _, _, step, tail in labels[key & node_mask][value]:
-                pred = value - step << node_bits | tail
+            value, node = todo.pop()
+            for _, _, step, tail in labels[node][value]:
+                pred = value - step, tail
                 if pred not in readers:
                     todo.append(pred)
                 readers[pred] = readers.get(pred, 0) + 1
         order = sorted(readers)[1:]  # ascending value, after the source's label 0
-        sizes, total = {g.source: (1, 0)}, 0  # label -> its prefixes, their total length
-        for key in order:
-            value, n, size = key >> node_bits, 0, 0
-            for _, _, step, tail in labels[key & node_mask][value]:
-                c, s = sizes[value - step << node_bits | tail]
+        sizes, total = {(0, g.source): (1, 0)}, 0  # label -> its prefixes, their total length
+        for value, node in order:
+            n, size = 0, 0
+            for _, _, step, tail in labels[node][value]:
+                c, s = sizes[value - step, tail]
                 n, size = n + c, size + s + c
-            sizes[key], total = (n, size), total + size
-        if total <= _BUILD_RATIO * sum(sizes[v << node_bits | g.target][1] for v in target):
-            lists = {g.source: [()]}  # marked label -> its prefixes, until read
-            for key in order:
-                value, prefixes = key >> node_bits, []
-                for edge_id, _, step, tail in labels[key & node_mask][value]:
-                    pred = value - step << node_bits | tail
+            sizes[value, node], total = (n, size), total + size
+        if total <= _BUILD_RATIO * sum(sizes[v, g.target][1] for v in target):
+            lists = {(0, g.source): [()]}  # marked label -> its prefixes, until read
+            for value, node in order:
+                prefixes = []
+                for edge_id, _, step, tail in labels[node][value]:
+                    pred = value - step, tail
                     prefixes += map(add, lists[pred], repeat((edge_id,)))
                     readers[pred] -= 1
                     if not readers[pred]:
                         del lists[pred]
-                lists[key] = prefixes
-            return {v: sorted(lists[v << node_bits | g.target]) for v in target}
+                lists[value, node] = prefixes
+            return {v: sorted(lists[v, g.target]) for v in target}
 
     def escapes(node: int, value: int, on_walk: set[int]) -> bool:
         """Whether arcs of ``value`` that avoid ``on_walk`` lead from ``node``
@@ -419,21 +413,6 @@ def _multiobjective_shortest_paths(
                 del suffix[len(walk) - 1:]
         frontier[value] = sorted(paths)
     return frontier
-
-
-def _scaled(weights: Sequence, objective: int) -> tuple[int, list[int]]:
-    """The lcm of real objective ``objective``'s weight denominators and
-    each weight times it, as an int; refused once the lcm, built one
-    distinct denominator at a time, passes ``MAX_SCALE_DIGITS`` digits."""
-    scale = 1
-    for d in set(map(attrgetter("denominator"), weights)):
-        scale = lcm(scale, d)  # 2**(3 * digits) < 10**digits: the power is built only near it
-        if scale.bit_length() > 3 * MAX_SCALE_DIGITS and scale >= 10**MAX_SCALE_DIGITS:
-            raise OrdparetoError(
-                f"real objective {objective}: the lcm of its weights' denominators "
-                f"has more than {MAX_SCALE_DIGITS} digits"
-            )
-    return scale, [w.numerator * (scale // w.denominator) for w in weights]
 
 
 def _solve_paths(
@@ -491,7 +470,8 @@ def solve_mixed(g: GraphInstance, all_efficient: bool = False) -> SolveResult:
     if g.num_real + len(g.spaces) < 1:
         raise OrdparetoError("need at least one objective")
     columns = list(zip(*map(attrgetter("weights"), g.edges))) or [()] * g.num_real
-    scales, reals = zip(*map(_scaled, columns, count(1))) if columns else ((), ())
+    scales, reals = zip(*(scale_to_ints(column, f"real objective {j}")
+                          for j, column in enumerate(columns, 1))) if columns else ((), ())
     return _solve_paths(g, *_packed_steps(g, reals), scales, all_efficient)
 
 
@@ -509,7 +489,7 @@ def solve_weighted_counting(
             "solve_weighted_counting expects exactly one weight and one "
             "ordinal objective per edge"
         )
-    scale, weights = _scaled([e.weights[0] for e in g.edges], 1)
+    scale, weights = scale_to_ints([e.weights[0] for e in g.edges], "real objective 1")
     steps, layout = _packed_steps(g, weights=weights)
     return _solve_paths(g, steps, layout, (scale,) * g.spaces[0].K, all_efficient)
 

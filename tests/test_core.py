@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ordpareto.core import (
+    MAX_SCALE_DIGITS,
     A_HEAD,
     A_TAIL,
     B_HEAD,
@@ -24,9 +25,9 @@ from ordpareto.core import (
     pareto_front,
     scale_to_ints,
     tail_transform,
-    too_many_digits,
     unpack,
 )
+from ordpareto.fileio import too_many_digits
 from ordpareto.oracle import (
     NumericalRepresentation,
     dominance_certificate,
@@ -323,11 +324,20 @@ class TestPackedValues:
 class TestScaleToInts:
     def test_lcm_and_ints(self):
         values = [Fraction(1, 6), 3, Fraction(-5, 4), Fraction(0)]
-        assert scale_to_ints(values) == (12, [2, 36, -15, 0])
+        assert scale_to_ints(values, "v") == (12, [2, 36, -15, 0])
 
     def test_ints_and_empty(self):
-        assert scale_to_ints([4, -2]) == (1, [4, -2])
-        assert scale_to_ints([]) == (1, [])
+        assert scale_to_ints([4, -2], "v") == (1, [4, -2])
+        assert scale_to_ints([], "v") == (1, [])
+
+    def test_the_bound_is_on_digits(self):
+        largest = 10**MAX_SCALE_DIGITS - 1  # 9 times a repunit prime to 3: the lcm of the two
+        assert scale_to_ints([Fraction(1, 9), Fraction(1, largest // 9)], "v") == (
+            largest, [largest // 9, 9])
+        with pytest.raises(OrdparetoError) as info:
+            scale_to_ints([Fraction(1, 2**MAX_SCALE_DIGITS), Fraction(1, 5**MAX_SCALE_DIGITS)], "v 7")
+        assert str(info.value) == (
+            f"v 7: the lcm of its weights' denominators has more than {MAX_SCALE_DIGITS} digits")
 
 
 class TestDigitLimit:

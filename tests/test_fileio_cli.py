@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import ordpareto
 from ordpareto import fileio
@@ -908,6 +909,19 @@ class TestNumberGrammar:
         monkeypatch.setattr("sys.stdin", io.StringIO("-0 2  # +1 1_0 ٢\n007,1\n"))
         assert main(["transform"]) == 0
         assert capsys.readouterr().out == "2 2\n8 1\n"
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.one_of(st.from_regex(r"[-+]?[0-9_٢]{0,6}", fullmatch=True), st.text(max_size=6)))
+    def test_stdin_and_header_readers_take_the_same_tokens(self, token):
+        # One token alone on its line: the stdin reader and a header field agree.
+        assume(token.split() == [token] and "," not in token and "#" not in token)
+        try:
+            accepted = fileio._ints([token], 1)
+        except ParseError:
+            with pytest.raises(ParseError):
+                fileio.parse_vectors(token + "\n")
+        else:
+            assert fileio.parse_vectors(token + "\n") == [accepted] == [(int(token),)]
 
     def test_scalarize_weights_are_not_instance_tokens(self, capsys, monkeypatch):
         # The grammar is the text format's; --weights reads as Fraction reads.

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
+from math import lcm
 from operator import mul, sub
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordpareto import cli, scalarization
-from ordpareto.core import OrdparetoError, tail_transform
+from ordpareto.core import MAX_SCALE_DIGITS, OrdparetoError, tail_transform
+from ordpareto.fileio import parse_vectors
 from ordpareto.nondominance import (
     PointSet,
     pareto_filter,
@@ -64,6 +66,19 @@ class TestWeightedSum:
     def test_empty_point_set(self):
         with pytest.raises(OrdparetoError, match="^point set is empty$"):
             weighted_sum_solve(PointSet(()), [Fraction(1, 2)] * 2)
+
+    def test_weights_past_the_scale_bound_are_refused(self, capsys, monkeypatch):
+        # Eleven pairs 1/22 +- 1/p: each token is in read_weight's bound, but
+        # the lcm of all 22 denominators passes MAX_SCALE_DIGITS digits.
+        bases = [10**997 + 2 * i + 1 for i in range(11)]
+        lam = [Fraction(1, 22) + sign * Fraction(1, p) for p in bases for sign in (1, -1)]
+        assert sum(lam) == 1 and lcm(*(w.denominator for w in lam)) >= 10**MAX_SCALE_DIGITS
+        monkeypatch.setattr("sys.stdin", io.StringIO(" ".join(["1"] * 22) + "\n"))
+        assert cli.main(["scalarize", "--weights", ",".join(map(str, lam))]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: lambda: the lcm of its weights' denominators "
+                           f"has more than {MAX_SCALE_DIGITS} digits\n")
 
     def test_argmins_are_efficient(self):
         rng = random.Random(13)
@@ -536,7 +551,7 @@ class TestWalkFromTheCorners:
     @pytest.mark.parametrize("name", ["wsd_k2.txt", "wsd_k3.txt", "wsd_k3_degenerate.txt"])
     def test_golden_sets_clip_only_the_values_with_a_cell(self, name, monkeypatch):
         path = Path(__file__).parent / "golden" / "stdin" / name
-        ps = pareto_filter(PointSet(tuple(cli._read_int_vectors(io.StringIO(path.read_text())))))
+        ps = pareto_filter(PointSet(tuple(parse_vectors(path.read_text()))))
         cells, clipped = self.clipped_values(ps, monkeypatch)
         assert sorted(clipped) == nonempty_values(ps)
         assert len(clipped) == len(set(clipped))

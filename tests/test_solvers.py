@@ -16,6 +16,7 @@ import ordpareto
 from ordpareto import solvers
 from ordpareto.cli import main
 from ordpareto.core import (
+    MAX_SCALE_DIGITS,
     CategorySpace,
     OrdparetoError,
     counting_vector,
@@ -876,8 +877,8 @@ class TestScaleBound:
             solver(self.parallel(11))
 
     def test_the_bound_is_on_digits(self):
-        for scale, refused in ((10**solvers.MAX_SCALE_DIGITS - 1, False),
-                               (10**solvers.MAX_SCALE_DIGITS, True)):
+        for scale, refused in ((10**MAX_SCALE_DIGITS - 1, False),
+                               (10**MAX_SCALE_DIGITS, True)):
             g = GraphInstance(2, [Edge(1, 1, 2, (Fraction(1, scale),), (1,))],
                               (CategorySpace(1),), 1, 2, 1)
             if refused:
@@ -954,7 +955,7 @@ class TestPackedLayout:
 
     @staticmethod
     def scaled(g):
-        return [scale_to_ints([e.weights[j] for e in g.edges])[1] for j in range(g.num_real)]
+        return [scale_to_ints([e.weights[j] for e in g.edges], "w")[1] for j in range(g.num_real)]
 
     def test_sp(self):
         rng = random.Random(67)
